@@ -6,7 +6,7 @@ price            closed-form call price for the configured market
 hedge            one signal, one epsilon or alpha target
 table-point      capital-fraction table over point-signal levels x epsilons
                  (both conditioning modes are emitted side by side)
-table-indicator  same table for interval-indicator signals (rejection sampling)
+table-indicator  same table for interval-indicator signals (exact interval sampler)
 oracle           exact verification suite on the reference and random trees
 version          print the package version
 
@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-import time
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -123,7 +122,6 @@ class CellResult:
     n_paths: int
     mode: str
     flags: str
-    runtime_ms: float
 
 
 def _plan_cell(batch, epsilon: float) -> tuple[HedgePlan, list[str]]:
@@ -137,7 +135,7 @@ def _plan_cell(batch, epsilon: float) -> tuple[HedgePlan, list[str]]:
 
 
 def _cell(descriptor: str, epsilon: float, plan: HedgePlan, flags: list[str],
-          n_paths: int, mode: str, t0: float) -> CellResult:
+          n_paths: int, mode: str) -> CellResult:
     return CellResult(
         signal=descriptor,
         epsilon=epsilon,
@@ -148,7 +146,6 @@ def _cell(descriptor: str, epsilon: float, plan: HedgePlan, flags: list[str],
         n_paths=n_paths,
         mode=mode,
         flags="|".join(flags),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -165,7 +162,6 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     cells: list[CellResult] = []
     for i_level, level in enumerate(config.levels):
         signal = point_signal_from_price(level, config.model)
-        t0 = time.perf_counter()
         batches = {
             mode: build_batch(signal, mode, config.n_paths, config.model,
                               derive_seed(config.seed, i_level, j), workers=config.workers)
@@ -184,7 +180,7 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
                 if gap > band:
                     flags = flags + ["mode_disagree"]
                 cells.append(_cell(f"S={level:g}", epsilon, plan, flags,
-                                   config.n_paths, mode.value, t0))
+                                   config.n_paths, mode.value))
     return cells
 
 
@@ -192,15 +188,16 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     """Indicator-signal table: one row per (interval, epsilon), observed G=1.
 
     Intervals are stock-price ranges for the post-expiry price; each
-    cell uses n_paths accepted rejection samples.  An interval whose
-    conditioning event is too rare to sample yields NaN cells flagged
-    acceptance_floor instead of aborting the run.
+    cell uses n_paths draws of the exact interval sampler.  An interval
+    whose conditioning event has probability below
+    insider_signal.SIGNAL_PROB_FLOOR yields NaN cells flagged
+    acceptance_floor instead of aborting the run.  The mode column
+    keeps the label "rejection" for output-format compatibility.
     """
     cells: list[CellResult] = []
     for i_sig, (lo, hi) in enumerate(config.intervals):
         signal = interval_signal_from_prices(lo, hi, config.model, observed=1)
         descriptor = f"S=[{lo:g}..{hi:g}]"
-        t0 = time.perf_counter()
         try:
             batch = build_batch(signal, None, config.n_paths, config.model,
                                 derive_seed(config.seed, i_sig), workers=config.workers)
@@ -211,13 +208,12 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
                     signal=descriptor, epsilon=epsilon, alpha=nan, alpha_stderr=nan,
                     success_prob=nan, k=nan, n_paths=config.n_paths, mode="rejection",
                     flags="acceptance_floor",
-                    runtime_ms=(time.perf_counter() - t0) * 1e3,
                 ))
             continue
         for epsilon in config.epsilons:
             plan, flags = _plan_cell(batch, epsilon)
             cells.append(_cell(descriptor, epsilon, plan, flags,
-                               config.n_paths, "rejection", t0))
+                               config.n_paths, "rejection"))
     return cells
 
 
@@ -306,7 +302,7 @@ def _json_num(x: float):
 
 
 def write_cells(cells: list[CellResult], path: str, fmt: str) -> None:
-    """CSV or JSON table; runtime_ms is deliberately not serialized."""
+    """CSV or JSON table of the cells."""
     if fmt == "csv":
         lines = [CSV_HEADER]
         for c in cells:

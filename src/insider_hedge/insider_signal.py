@@ -18,24 +18,28 @@ point signal two sampling modes exist: the exact Gaussian conditioning
 and a shift recipe that draws W_T = g - N(0, delta).  The shift recipe
 is NOT the exact conditional law; it is kept as a selectable mode so
 the two can be compared cell by cell (see the CLI report).  Interval
-conditioning uses plain rejection on W_{T+delta}, which is exact.
+conditioning uses an exact interval sampler: W_{T+delta} by inverse CDF
+from its normal law restricted to [a, b] (or to the complement), then
+W_T from the same Gaussian bridge.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .model_core import BrownianPair, ModelParams, brownian_from_price, std_normal_cdf
+from .model_core import BrownianPair, ModelParams, brownian_from_price
 from .rng import (
-    BLOCK_SIZE,
+    STREAM_INTERVAL_BRIDGE,
+    STREAM_INTERVAL_SIGNAL,
     STREAM_POINT_BRIDGE,
     STREAM_POINT_SHIFT,
-    STREAM_REJECTION,
     standard_normal_stream,
+    uniform_stream,
 )
 
 __all__ = [
@@ -50,10 +54,11 @@ __all__ = [
     "indicator_prob",
     "sample_point_conditional",
     "sample_indicator_conditional",
-    "sample_indicator_conditional_with_stats",
     "AcceptanceRateError",
-    "RejectionStats",
 ]
+
+# smallest P(G = observed) an interval signal may be conditioned on
+SIGNAL_PROB_FLOOR = 1e-4
 
 
 class ConditioningMode(str, Enum):
@@ -138,11 +143,22 @@ def density_point(z, w_t, t, p: ModelParams):
     return np.sqrt(td / rem) * np.exp(-((z - w_t) ** 2) / (2.0 * rem) + z * z / (2.0 * td))
 
 
+def _normal_mass(lo, hi, observed: int):
+    """P(lo <= Z <= hi) (observed 1) or P(Z outside [lo, hi]) (observed 0), Z ~ N(0, 1).
+
+    Both are built from lower-tail CDF values, so far-out intervals
+    neither cancel to 0 nor round to 1: the inside mass is taken on
+    whichever of [lo, hi] and its reflection [-hi, -lo] lies lower.
+    """
+    if observed == 0:
+        return ndtr(lo) + ndtr(-hi)
+    return ndtr(np.minimum(hi, -lo)) - ndtr(np.minimum(lo, -hi))
+
+
 def indicator_prob(spec: IntervalIndicator, p: ModelParams) -> float:
     """P(G = spec.observed) for the indicator signal (closed form)."""
     sd = math.sqrt(p.t_signal)
-    p_one = float(std_normal_cdf(spec.b_w / sd) - std_normal_cdf(spec.a_w / sd))
-    return p_one if spec.observed == 1 else 1.0 - p_one
+    return float(_normal_mass(spec.a_w / sd, spec.b_w / sd, spec.observed))
 
 
 def density_indicator(value: int, w_t, t, spec: IntervalIndicator, p: ModelParams):
@@ -158,16 +174,20 @@ def density_indicator(value: int, w_t, t, spec: IntervalIndicator, p: ModelParam
         raise ValueError(f"need 0 <= t <= {p.t_expiry}, got t={t}")
     rem_sd = math.sqrt(p.t_signal - t)
     sd = math.sqrt(p.t_signal)
-    num1 = std_normal_cdf((spec.b_w - w_t) / rem_sd) - std_normal_cdf((spec.a_w - w_t) / rem_sd)
-    den1 = float(std_normal_cdf(spec.b_w / sd) - std_normal_cdf(spec.a_w / sd))
-    if value == 1:
-        return num1 / den1
-    return (1.0 - num1) / (1.0 - den1)
+    num = _normal_mass((spec.a_w - w_t) / rem_sd, (spec.b_w - w_t) / rem_sd, value)
+    return num / _normal_mass(spec.a_w / sd, spec.b_w / sd, value)
 
 
 # ---------------------------------------------------------------------------
 # conditional samplers
 # ---------------------------------------------------------------------------
+
+def _bridge(w_tdelta, z, p: ModelParams):
+    """W_T given W_{T+delta} = w_tdelta, from standard normals z:
+    N(w_tdelta T/(T+d), T d/(T+d))."""
+    td = p.t_signal
+    return w_tdelta * p.t_expiry / td + math.sqrt(p.t_expiry * p.delta / td) * z
+
 
 def sample_point_conditional(g_w: float, n: int, mode: ConditioningMode,
                              p: ModelParams, seed: int, workers: int = 1) -> np.ndarray:
@@ -181,81 +201,50 @@ def sample_point_conditional(g_w: float, n: int, mode: ConditioningMode,
     mode = ConditioningMode(mode)
     if mode is ConditioningMode.BRIDGE_EXACT:
         z = standard_normal_stream((seed, STREAM_POINT_BRIDGE), n, workers=workers)
-        td = p.t_signal
-        return g_w * p.t_expiry / td + math.sqrt(p.t_expiry * p.delta / td) * z
+        return _bridge(g_w, z, p)
     z = standard_normal_stream((seed, STREAM_POINT_SHIFT), n, workers=workers)
     return g_w - math.sqrt(p.delta) * z
 
 
-class RejectionStats(NamedTuple):
-    proposed: int
-    accepted: int
-
-    @property
-    def rate(self) -> float:
-        return self.accepted / self.proposed if self.proposed else 0.0
-
-
 class AcceptanceRateError(RuntimeError):
-    """Raised when conditioning on an event too rare to sample by rejection."""
-
-
-def sample_indicator_conditional_with_stats(
-    spec: IntervalIndicator, n: int, p: ModelParams, seed: int,
-    workers: int = 1, accept_floor: float = 1e-4,
-) -> tuple[BrownianPair, RejectionStats]:
-    """Rejection sampling of (W_T, W_{T+delta}) given G = spec.observed.
-
-    Pairs are proposed from the unconditional joint law and kept when
-    the indicator matches the observed value, so the accepted pairs
-    follow the exact conditional law.  Fails up front when the closed
-    form P(G = observed) falls below `accept_floor`, which bounds the
-    expected runtime.  Also returns proposal/acceptance counts.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p_acc = indicator_prob(spec, p)
-    if p_acc < accept_floor:
-        raise AcceptanceRateError(
-            f"P(G={spec.observed}) = {p_acc:.3e} below the acceptance floor {accept_floor:.1e}"
-        )
-    sd_t = math.sqrt(p.t_expiry)
-    sd_d = math.sqrt(p.delta)
-    chunks_w, chunks_wd = [], []
-    accepted = proposed = 0
-    block = 0
-    # 8x safety margin on the expected number of proposals
-    max_proposed = max(int(8 * n / p_acc), 16 * BLOCK_SIZE)
-    while accepted < n:
-        if proposed > max_proposed:
-            raise AcceptanceRateError(
-                f"acceptance rate {accepted / proposed:.3e} after {proposed} proposals"
-            )
-        n_blocks = max(1, min(64, math.ceil((n - accepted) / (p_acc * BLOCK_SIZE))))
-        z = standard_normal_stream(
-            (seed, STREAM_REJECTION, block), n_blocks * BLOCK_SIZE, cols=2, workers=workers
-        )
-        block += 1
-        w_t = sd_t * z[:, 0]
-        w_td = w_t + sd_d * z[:, 1]
-        inside = (w_td >= spec.a_w) & (w_td <= spec.b_w)
-        keep = inside if spec.observed == 1 else ~inside
-        chunks_w.append(w_t[keep])
-        chunks_wd.append(w_td[keep])
-        proposed += len(w_t)
-        accepted += int(keep.sum())
-    pair = BrownianPair(
-        np.concatenate(chunks_w)[:n],
-        np.concatenate(chunks_wd)[:n],
-    )
-    return pair, RejectionStats(proposed, accepted)
+    """Raised when P(G = observed) of an interval signal is below SIGNAL_PROB_FLOOR."""
 
 
 def sample_indicator_conditional(spec: IntervalIndicator, n: int, p: ModelParams,
-                                 seed: int, workers: int = 1,
-                                 accept_floor: float = 1e-4) -> BrownianPair:
-    """As sample_indicator_conditional_with_stats, returning the pairs only."""
-    pair, _ = sample_indicator_conditional_with_stats(
-        spec, n, p, seed, workers=workers, accept_floor=accept_floor
-    )
-    return pair
+                                 seed: int, workers: int = 1) -> BrownianPair:
+    """Exact draws of (W_T, W_{T+delta}) given G = spec.observed.
+
+    W_{T+delta} / sqrt(T+d) is drawn by inverse CDF from the standard
+    normal restricted to [a, b] / sqrt(T+d) (G = 1) or to its complement
+    (G = 0); W_T then follows the Gaussian bridge.  Fails up front when
+    the closed form P(G = observed) falls below SIGNAL_PROB_FLOOR.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    sd = math.sqrt(p.t_signal)
+    lo, hi = spec.a_w / sd, spec.b_w / sd
+    mass = float(_normal_mass(lo, hi, spec.observed))
+    if mass < SIGNAL_PROB_FLOOR:
+        raise AcceptanceRateError(
+            f"P(G={spec.observed}) = {mass:.3e} below the acceptance floor {SIGNAL_PROB_FLOOR:.1e}"
+        )
+    # on (0, 1]: a zero would map to an infinite quantile
+    u = 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n, workers=workers)
+    if spec.observed == 1:
+        # invert on the lower of [lo, hi] and its reflection, as in _normal_mass
+        u *= mass
+        u += ndtr(min(lo, -hi))
+        w_td = ndtri(u)
+        w_td *= -sd if lo + hi > 0 else sd
+        # rounding at the endpoints may step outside [a, b], or reach inf at u = 1
+        np.clip(w_td, spec.a_w, spec.b_w, out=w_td)
+    else:
+        # below the interval for u * mass <= Phi(lo), else above it
+        below = ndtr(lo)
+        u *= mass
+        upper = u > below
+        u -= below * upper
+        w_td = ndtri(u)
+        w_td *= np.where(upper, -sd, sd)
+    z = standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n, workers=workers)
+    return BrownianPair(_bridge(w_td, z, p), w_td)

@@ -115,7 +115,7 @@ def build_batch(signal: SignalSpec, mode: ConditioningMode | None, n: int,
     """Draw n conditional samples for the signal and populate all densities.
 
     For a PointValue signal `mode` selects the conditional sampler; for
-    an IntervalIndicator it is ignored (rejection sampling is exact).
+    an IntervalIndicator it is ignored (the exact interval sampler is used).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

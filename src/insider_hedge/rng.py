@@ -13,7 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["BLOCK_SIZE", "block_generator", "standard_normal_stream", "derive_seed"]
+__all__ = ["BLOCK_SIZE", "block_generator", "standard_normal_stream", "uniform_stream",
+           "derive_seed"]
 
 BLOCK_SIZE = 1 << 16
 
@@ -21,7 +22,8 @@ BLOCK_SIZE = 1 << 16
 STREAM_PAIRS = 1
 STREAM_POINT_BRIDGE = 2
 STREAM_POINT_SHIFT = 3
-STREAM_REJECTION = 4
+STREAM_INTERVAL_SIGNAL = 4
+STREAM_INTERVAL_BRIDGE = 5
 
 
 def _as_entropy(key) -> list[int]:
@@ -44,12 +46,8 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def standard_normal_stream(key, n: int, cols: int = 1, workers: int = 1) -> np.ndarray:
-    """n rows of `cols` iid standard normals, reproducible for fixed key.
-
-    The output is independent of `workers`; threads fill disjoint blocks.
-    Returns shape (n,) when cols == 1, else (n, cols).
-    """
+def _block_stream(key, n: int, cols: int, workers: int, draw) -> np.ndarray:
+    """n rows of `cols` draws, block b filled by draw(block_generator(key, b), shape)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = np.empty((n, cols))
@@ -58,7 +56,7 @@ def standard_normal_stream(key, n: int, cols: int = 1, workers: int = 1) -> np.n
     def fill(b: int) -> None:
         lo = b * BLOCK_SIZE
         hi = min(n, lo + BLOCK_SIZE)
-        out[lo:hi] = block_generator(key, b).standard_normal((hi - lo, cols))
+        out[lo:hi] = draw(block_generator(key, b), (hi - lo, cols))
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -67,3 +65,17 @@ def standard_normal_stream(key, n: int, cols: int = 1, workers: int = 1) -> np.n
         for b in range(n_blocks):
             fill(b)
     return out[:, 0] if cols == 1 else out
+
+
+def standard_normal_stream(key, n: int, cols: int = 1, workers: int = 1) -> np.ndarray:
+    """n rows of `cols` iid standard normals, reproducible for fixed key.
+
+    The output is independent of `workers`; threads fill disjoint blocks.
+    Returns shape (n,) when cols == 1, else (n, cols).
+    """
+    return _block_stream(key, n, cols, workers, np.random.Generator.standard_normal)
+
+
+def uniform_stream(key, n: int, workers: int = 1) -> np.ndarray:
+    """n iid uniforms on [0, 1), reproducible for fixed key and independent of `workers`."""
+    return _block_stream(key, n, 1, workers, np.random.Generator.random)

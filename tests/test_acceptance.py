@@ -169,7 +169,7 @@ def test_criterion_1_point_table(point_cells):
 
 
 def test_criterion_2_indicator_table(indicator_cells):
-    """Published interval-indicator table reproduced at +-0.02, n = 10^6 accepted."""
+    """Published interval-indicator table reproduced at +-0.02, n = 10^6 draws per interval."""
     failures = []
     get = {(c.signal, c.epsilon): c for c in indicator_cells}
     checked = hits = 0

@@ -186,10 +186,10 @@ class TestOutputs:
 
         tiny = CellResult(signal="S=105", epsilon=0.25, alpha=0.0005, alpha_stderr=0.0004,
                           success_prob=0.75, k=0.01, n_paths=1000, mode="bridge_exact",
-                          flags="below_se_floor", runtime_ms=1.0)
+                          flags="below_se_floor")
         normal = CellResult(signal="S=110", epsilon=0.01, alpha=0.27, alpha_stderr=0.001,
                             success_prob=0.99, k=3.0, n_paths=1000, mode="bridge_exact",
-                            flags="", runtime_ms=1.0)
+                            flags="")
         text = render_cells([tiny, normal])
         assert "<0.0008" in text       # 2 * stderr sentinel, mirroring "<0.01" style
         assert "0.2700" in text

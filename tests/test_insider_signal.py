@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from insider_hedge import (
     AcceptanceRateError,
@@ -18,7 +20,6 @@ from insider_hedge import (
     sample_point_conditional,
     std_normal_cdf,
 )
-from insider_hedge.insider_signal import sample_indicator_conditional_with_stats
 
 G_110 = 0.328590719217  # Brownian value of stock level 110 at T + delta
 
@@ -123,6 +124,39 @@ class TestDensityIndicator:
         for w in (-0.5, 0.0, 1.0):
             assert density_indicator(1, w, 0.2, sig, params) == pytest.approx(1.0, abs=1e-12)
 
+    def test_tail_masses_against_high_precision(self, params):
+        # far-out normal masses where 1 - Phi or Phi(b) - Phi(a) would cancel in
+        # doubles; 200 working digits keep over 40 correct digits in the plain
+        # differences down to 1e-119
+        mpf, ncdf = mpmath.mpf, mpmath.ncdf
+
+        def mass(lo, hi, observed):
+            inside = ncdf(hi) - ncdf(lo)
+            return inside if observed == 1 else 1 - inside
+
+        def prob(value, sig):
+            sd = mpmath.sqrt(mpf(params.t_signal))
+            return mass(mpf(sig.a_w) / sd, mpf(sig.b_w) / sd, value)
+
+        def density(value, w, t, sig):
+            rem = mpmath.sqrt(mpf(params.t_signal) - mpf(t))
+            a, b = mpf(sig.a_w), mpf(sig.b_w)
+            return mass((a - w) / rem, (b - w) / rem, value) / prob(value, sig)
+
+        narrow = IntervalIndicator(3.0, 3.01)
+        table_sig = interval_signal_from_prices(109.0, 111.0, params)
+        wide_zero = IntervalIndicator(-5.0, 5.0, observed=0)
+        with mpmath.workdps(200):
+            cases = [
+                (indicator_prob(narrow, params), prob(1, narrow)),
+                (density_indicator(1, -3.0, params.t_expiry, table_sig, params),
+                 density(1, mpf(-3.0), params.t_expiry, table_sig)),
+                (density_indicator(0, 0.0, 0.2, wide_zero, params),
+                 density(0, mpf(0.0), 0.2, wide_zero)),
+            ]
+            errors = [float(abs(got - want) / want) for got, want in cases]
+        assert all(e <= 1e-12 for e in errors), errors
+
 
 class TestPointSampler:
     def test_bridge_moments(self, params):
@@ -158,15 +192,42 @@ class TestPointSampler:
 
 
 class TestIndicatorSampler:
-    def test_support_and_acceptance_rate(self, params):
-        sig = interval_signal_from_prices(109.0, 111.0, params)
+    def test_truncated_law_and_bridge_moments(self, params):
+        # W_{T+d} against its truncated normal law (KS), its support, and the
+        # bridge residual W_T - W_{T+d} T/(T+d) ~ N(0, T d/(T+d)) at 4 SE
+        td = params.t_signal
+        sd = math.sqrt(td)
+        var = params.t_expiry * params.delta / td
+        cases = [
+            (interval_signal_from_prices(109.0, 111.0, params), 6),
+            (interval_signal_from_prices(109.0, 111.0, params, observed=0), 7),
+            # upper tail, P(G) just above the 1e-4 floor
+            (IntervalIndicator(3.7 * sd, 4.5 * sd), 8),
+            # below zero: inverted without reflection
+            (IntervalIndicator(-0.4, -0.1), 9),
+        ]
         n = 100_000
-        pair, stats = sample_indicator_conditional_with_stats(sig, n, params, seed=6)
-        assert len(pair.w_t) == n
-        assert np.all((pair.w_tdelta >= sig.a_w) & (pair.w_tdelta <= sig.b_w))
-        p_acc = indicator_prob(sig, params)
-        se = math.sqrt(p_acc * (1.0 - p_acc) / stats.proposed)
-        assert abs(stats.rate - p_acc) <= 4.0 * se
+        for sig, seed in cases:
+            lo, hi = sig.a_w / sd, sig.b_w / sd
+            prob = indicator_prob(sig, params)
+            assert prob >= 1e-4
+            if sig.observed == 1:
+                law = stats.truncnorm(lo, hi).cdf
+            else:
+                # CDF of N(0, 1) restricted to the complement of [lo, hi]
+                def law(x, lo=lo, hi=hi, prob=prob):
+                    below = stats.norm.cdf(np.minimum(x, lo))
+                    above = np.maximum(stats.norm.sf(hi) - stats.norm.sf(x), 0.0)
+                    return (below + above) / prob
+
+            pair = sample_indicator_conditional(sig, n, params, seed=seed)
+            assert len(pair.w_t) == n
+            inside = (pair.w_tdelta >= sig.a_w) & (pair.w_tdelta <= sig.b_w)
+            assert np.all(inside) if sig.observed == 1 else not np.any(inside)
+            assert stats.kstest(pair.w_tdelta / sd, law).pvalue > 1e-3, sig
+            resid = pair.w_t - pair.w_tdelta * params.t_expiry / td
+            assert abs(resid.mean()) <= 4.0 * math.sqrt(var / n), sig
+            assert abs(resid.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / n), sig
 
     def test_observed_zero_keeps_complement(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
@@ -188,7 +249,7 @@ class TestIndicatorSampler:
 
     def test_deterministic_and_worker_invariant(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
-        a = sample_indicator_conditional(sig, 30_000, params, seed=5, workers=1)
-        b = sample_indicator_conditional(sig, 30_000, params, seed=5, workers=4)
+        a = sample_indicator_conditional(sig, 150_000, params, seed=5, workers=1)
+        b = sample_indicator_conditional(sig, 150_000, params, seed=5, workers=4)
         assert np.array_equal(a.w_t, b.w_t)
         assert np.array_equal(a.w_tdelta, b.w_tdelta)
