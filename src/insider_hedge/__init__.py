@@ -23,7 +23,6 @@ from .insider_signal import (
 )
 from .measure_engine import (
     ConditionalBatch,
-    ConditionalSample,
     build_batch,
     payoff_call,
     qg_density_indicator,

@@ -107,6 +107,8 @@ class RunConfig:
             raise ValueError("epsilons must lie in [0,1]")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -421,7 +423,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         seed=pick(args.seed, "seed", int, 0),
         output=pick(getattr(args, "output", None), "output", str, None),
         fmt=pick(getattr(args, "fmt", None), "format", str, "csv"),
-        workers=args.workers if getattr(args, "workers", None) else 1,
+        workers=getattr(args, "workers", 1),
     )
 
 

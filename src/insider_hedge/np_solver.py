@@ -17,12 +17,12 @@ probability.  Conventions on a finite sample:
     mean of D stays within the budget, so the attained budget never
     exceeds the target.
 
-All solvers read one shared sorted copy of D and its prefix sums, which
-makes the epsilon -> k -> alpha -> k round trip reproduce the original
-threshold bit for bit.  Atoms of D can make an exact hit of either
-target impossible; the solvers then return the conservative level and
-report the attained value next to the target (a warning, never an
-error).
+All solvers read the batch's sorted view of D and its prefix sums
+(`batch.sorted_d`, a `SortedD`), so the epsilon -> k -> alpha -> k round
+trip reproduces the original threshold bit for bit.  Atoms of D can make
+an exact hit of either target impossible; the solvers then return the
+conservative level and report the attained value next to the target (a
+warning, never an error).
 """
 from __future__ import annotations
 
@@ -33,9 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measure_engine import ConditionalBatch
-
 __all__ = [
+    "SortedD",
     "HedgePlan",
     "AtomGapWarning",
     "solve_k_for_epsilon",
@@ -93,19 +92,28 @@ class HedgePlan:
             raise ValueError(f"success_prob out of [0,1]: {self.success_prob}")
 
 
-def _sorted_cache(batch: ConditionalBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted D with prefix sums of D and D^2, memoized on the batch."""
-    cached = getattr(batch, "_solver_cache", None)
-    if cached is None:
-        d = np.sort(np.asarray(batch.d_star, dtype=float))
+class SortedD(NamedTuple):
+    """Sorted tilted densities D with prefix sums of D and D^2."""
+
+    d: np.ndarray
+    prefix: np.ndarray
+    prefix_sq: np.ndarray
+
+    @classmethod
+    def from_sample(cls, d_star) -> SortedD:
+        """Sort a sample of D once for all threshold solves on it."""
+        d = np.sort(np.asarray(d_star, dtype=float))
         if d.size == 0:
             raise ValueError("empty batch")
-        cached = (d, np.cumsum(d), np.cumsum(d * d))
-        object.__setattr__(batch, "_solver_cache", cached)
-    return cached
+        return cls(d, np.cumsum(d), np.cumsum(d * d))
 
 
-def solve_k_for_epsilon(batch: ConditionalBatch, epsilon: float) -> float:
+def _epsilon_rank(n: int, epsilon: float) -> int:
+    """ceil((1-eps) n), computed as n - floor(eps n) without float-noise rank slips."""
+    return n - int(math.floor(epsilon * n + 1e-9))
+
+
+def solve_k_for_epsilon(batch, epsilon: float) -> float:
     """Empirical threshold with P(D <= k) >= 1 - epsilon on the sample.
 
     Returns the order statistic at rank ceil((1-eps) n); rank 0 (eps = 1)
@@ -113,30 +121,28 @@ def solve_k_for_epsilon(batch: ConditionalBatch, epsilon: float) -> float:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
-    d, _, _ = _sorted_cache(batch)
-    n = d.size
-    # n - floor(eps*n) == ceil((1-eps)*n) without float-noise rank slips
-    rank = n - int(math.floor(epsilon * n + 1e-9))
+    d = batch.sorted_d.d
+    rank = _epsilon_rank(d.size, epsilon)
     if rank <= 0:
         return 0.0
     return float(d[rank - 1])
 
 
-def success_prob_from_k(batch: ConditionalBatch, k: float) -> SuccessEstimate:
+def success_prob_from_k(batch, k: float) -> SuccessEstimate:
     """Sample success probability P(D <= k) with its binomial stderr."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d, _, _ = _sorted_cache(batch)
+    d = batch.sorted_d.d
     n = d.size
     p = np.searchsorted(d, k, side="right") / n
     return SuccessEstimate(float(p), math.sqrt(p * (1.0 - p) / n))
 
 
-def alpha_from_k(batch: ConditionalBatch, k: float) -> AlphaEstimate:
+def alpha_from_k(batch, k: float) -> AlphaEstimate:
     """Capital fraction E[D 1{D <= k}] on the sample, clamped to [0,1]."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d, prefix, prefix_sq = _sorted_cache(batch)
+    d, prefix, prefix_sq = batch.sorted_d
     n = d.size
     idx = int(np.searchsorted(d, k, side="right")) - 1
     if idx < 0:
@@ -149,7 +155,7 @@ def alpha_from_k(batch: ConditionalBatch, k: float) -> AlphaEstimate:
     return AlphaEstimate(min(max(float(mean), 0.0), 1.0), math.sqrt(var / n))
 
 
-def solve_k_for_alpha(batch: ConditionalBatch, alpha: float) -> BudgetThreshold:
+def solve_k_for_alpha(batch, alpha: float) -> BudgetThreshold:
     """Largest threshold whose capital fraction stays within the budget.
 
     Sorts the sample, groups tied values, and returns the largest group
@@ -159,7 +165,7 @@ def solve_k_for_alpha(batch: ConditionalBatch, alpha: float) -> BudgetThreshold:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    d, prefix, _ = _sorted_cache(batch)
+    d, prefix, _ = batch.sorted_d
     n = d.size
     # last index of each run of tied values
     group_end = np.nonzero(np.diff(d, append=np.inf) > 0)[0]
@@ -170,7 +176,7 @@ def solve_k_for_alpha(batch: ConditionalBatch, alpha: float) -> BudgetThreshold:
     return BudgetThreshold(float(d[m]), float(prefix[m] / n))
 
 
-def make_hedge_plan(batch: ConditionalBatch, *, epsilon: float | None = None,
+def make_hedge_plan(batch, *, epsilon: float | None = None,
                     alpha: float | None = None) -> HedgePlan:
     """Solve for the given target and package the result.
 
@@ -179,7 +185,7 @@ def make_hedge_plan(batch: ConditionalBatch, *, epsilon: float | None = None,
     """
     if (epsilon is None) == (alpha is None):
         raise ValueError("pass exactly one of epsilon= / alpha=")
-    d, _, _ = _sorted_cache(batch)
+    d = batch.sorted_d.d
     n = d.size
     if epsilon is not None:
         k = solve_k_for_epsilon(batch, epsilon)
@@ -187,7 +193,7 @@ def make_hedge_plan(batch: ConditionalBatch, *, epsilon: float | None = None,
         a = alpha_from_k(batch, k)
         # a tie group extending past the requested rank means the target
         # success level is not attainable exactly
-        rank = n - int(math.floor(epsilon * n + 1e-9))
+        rank = _epsilon_rank(n, epsilon)
         if rank >= 1 and np.searchsorted(d, k, side="right") > rank:
             warnings.warn(
                 f"atom at k={k:.6g}: success probability {succ.prob:.6g} attained "

@@ -76,6 +76,9 @@ class TestConfigFile:
             RunConfig(model=params, epsilons=(1.5,))
         with pytest.raises(ValueError, match="format"):
             RunConfig(model=params, fmt="xml")
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                RunConfig(model=params, workers=workers)
 
 
 def _namespace(**kwargs):
@@ -231,6 +234,14 @@ class TestCommandLine:
                        "--n-paths", "5000", "--seed", "1")
         assert proc.returncode == 0
         assert "mode = rejection" in proc.stdout
+
+    def test_hedge_rejects_nonpositive_workers(self):
+        for workers in ("0", "-2"):
+            proc = run_cli("hedge", "--level", "110", "--epsilon", "0.1",
+                           "--n-paths", "2000", "--workers", workers)
+            assert proc.returncode != 0
+            assert f"workers must be >= 1, got {workers}" in proc.stderr
+            assert "alpha = " not in proc.stdout
 
     def test_hedge_requires_one_signal(self):
         proc = run_cli("hedge", "--epsilon", "0.1")

@@ -94,6 +94,7 @@ class TestBuildBatchPoint:
         assert np.array_equal(batch.s_t, price_from_brownian(batch.w_t, params.t_expiry, params))
         assert np.all(batch.d_star >= 0.0)
         assert np.array_equal(batch.d_star == 0.0, batch.h == 0.0)
+        assert np.array_equal(batch.sorted_d.d, np.sort(batch.d_star))
 
     def test_normalizer_is_closed_form(self, batch, params):
         assert batch.e_qg_h == bs_call_price(params)
@@ -118,7 +119,8 @@ class TestBuildBatchPoint:
         sig = point_signal_from_price(110.0, params)
         one = build_batch(sig, "bridge_exact", 1, params, seed=11)
         two = build_batch(sig, "bridge_exact", 1, params, seed=11)
-        assert one.sample(0) == two.sample(0)
+        for name in ("w_t", "s_t", "h", "z_f", "p_g", "qg_density", "d_star"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
 
 
 class TestBuildBatchIndicator:
@@ -131,6 +133,7 @@ class TestBuildBatchIndicator:
         assert np.array_equal(batch.qg_density, batch.z_f / batch.p_g)
         expected_d = np.where(batch.h > 0.0, batch.h * batch.qg_density / batch.e_qg_h, 0.0)
         assert np.array_equal(batch.d_star, expected_d)
+        assert np.array_equal(batch.sorted_d.d, np.sort(batch.d_star))
 
     def test_capped_unit_mass_against_quadrature(self, batch):
         target = CAPPED_TARGETS[("interval", batch.signal.observed)]

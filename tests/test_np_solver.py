@@ -11,25 +11,29 @@ from insider_hedge import (
     ConditionalBatch,
     PointValue,
     alpha_from_k,
+    build_batch,
+    interval_signal_from_prices,
     make_hedge_plan,
+    point_signal_from_price,
     solve_k_for_alpha,
     solve_k_for_epsilon,
     success_prob_from_k,
 )
+from insider_hedge.np_solver import SortedD
 
 INF = float("inf")
 
 
 def synthetic_batch(d, e_qg_h: float = 1.0) -> ConditionalBatch:
-    """Batch with prescribed tilted densities (other columns consistent fillers)."""
+    """Batch with prescribed tilted densities D for the solvers.
+
+    Only the sorted view of D and the normalizer are meaningful: there
+    are no draws, so the columns derived from w_t cannot be read.
+    """
     d = np.asarray(d, dtype=float)
-    n = d.size
-    ones = np.ones(n)
     return ConditionalBatch(
-        signal=PointValue(0.0), mode=None,
-        w_t=np.zeros(n), s_t=np.zeros(n), h=d * e_qg_h,
-        z_f=ones, p_g=ones, qg_density=ones,
-        d_star=d, e_qg_h=e_qg_h, seed=0, n=n,
+        signal=PointValue(0.0), mode=None, params=None, w_t=np.zeros(d.size),
+        sorted_d=SortedD.from_sample(d), e_qg_h=e_qg_h,
     )
 
 
@@ -56,7 +60,7 @@ class TestSolveKForEpsilon:
         d = np.arange(1, 1_000_001, dtype=float)
         b = synthetic_batch(d / d.sum() * 9e5)  # keeps values distinct
         k = solve_k_for_epsilon(b, 0.1)
-        assert np.searchsorted(np.sort(b.d_star), k, side="right") == 900_000
+        assert np.searchsorted(b.sorted_d.d, k, side="right") == 900_000
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -235,3 +239,38 @@ class TestMakeHedgePlan:
             make_hedge_plan(TREE_G1)
         with pytest.raises(ValueError):
             make_hedge_plan(TREE_G1, epsilon=0.1, alpha=0.1)
+
+
+def _held_bytes(batch) -> int:
+    """Bytes of the ndarray buffers a batch keeps alive (a view counts its base)."""
+    buffers = {}
+    for value in vars(batch).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
+class TestBatchState:
+    @pytest.fixture(params=["point", "interval"])
+    def batch(self, request, params):
+        if request.param == "point":
+            sig = point_signal_from_price(110.0, params)
+        else:
+            sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
+        return build_batch(sig, None, 10**5, params, seed=5)
+
+    def test_planning_does_not_mutate_the_batch(self, batch):
+        before = dict(vars(batch))
+        make_hedge_plan(batch, epsilon=0.1)
+        make_hedge_plan(batch, alpha=0.1)
+        after = vars(batch)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+
+    def test_batch_holds_draws_and_sorted_view_only(self, batch):
+        # w_t plus sorted D and its two prefix sums, 8 bytes each per draw
+        make_hedge_plan(batch, epsilon=0.1)
+        assert _held_bytes(batch) <= 32 * 10**5
