@@ -485,7 +485,15 @@ def main(argv: list[str] | None = None) -> int:
     commands.add_parser("version", help="print the package version")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except (ValueError, AcceptanceRateError) as exc:
+        # bad inputs end in one line, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "version":
         print(__version__)
         return 0
@@ -510,16 +518,14 @@ def main(argv: list[str] | None = None) -> int:
             signal = point_signal_from_price(args.level, config.model)
             mode = config.mode
         else:
-            lo, _, hi = args.interval.partition(":")
-            signal = interval_signal_from_prices(float(lo), float(hi), config.model,
-                                                 observed=args.observed)
+            intervals = _parse_intervals(args.interval)
+            if len(intervals) != 1:
+                raise ValueError(f"--interval takes one LO:HI, got {args.interval!r}")
+            (lo, hi), = intervals
+            signal = interval_signal_from_prices(lo, hi, config.model, observed=args.observed)
             mode = None
-        try:
-            batch = build_batch(signal, mode, config.n_paths, config.model,
-                                config.seed, workers=config.workers)
-        except AcceptanceRateError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        batch = build_batch(signal, mode, config.n_paths, config.model,
+                            config.seed, workers=config.workers)
         plan = make_hedge_plan(batch, epsilon=args.epsilon, alpha=args.alpha)
         for name in ("k", "alpha", "success_prob", "initial_capital",
                      "mc_stderr_alpha", "mc_stderr_success"):

@@ -13,6 +13,11 @@ adds no Monte Carlo noise.  D is the single quantity the threshold
 solvers consume: success probabilities are plain means of 1{D <= k} and
 capital fractions are means of D * 1{D <= k}.  So the batch stores only
 W_T and the solvers' sorted view of D, and recomputes the rest from W_T.
+
+Every out-of-the-money draw (H = 0) has D = 0, an atom of mass
+P_G(S_T <= K) that lies in every success set.  D is therefore computed
+on the in-the-money draws only, and the sorted view counts the zeros
+instead of storing them.
 """
 from __future__ import annotations
 
@@ -67,20 +72,42 @@ def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
     return rn_density(w_t, p) / density_indicator(spec.observed, w_t, p.t_expiry, spec, p)
 
 
-def _columns(signal: SignalSpec, w_t, p: ModelParams, e_qg_h: float) -> dict[str, np.ndarray]:
-    """All per-draw columns from the draws of W_T; their one definition."""
-    t = p.t_expiry
+def _signal_density(signal: SignalSpec, w_t, p: ModelParams):
+    """p_T^G at the draws of W_T for the observed signal."""
     if isinstance(signal, PointValue):
-        p_g = density_point(signal.g_w, w_t, t, p)
-    else:
-        p_g = density_indicator(signal.observed, w_t, t, spec=signal, p=p)
-    s_t = price_from_brownian(w_t, t, p)
+        return density_point(signal.g_w, w_t, p.t_expiry, p)
+    return density_indicator(signal.observed, w_t, p.t_expiry, spec=signal, p=p)
+
+
+def _columns(signal: SignalSpec, w_t, p: ModelParams) -> dict[str, np.ndarray]:
+    """The per-draw columns other than D, from the draws of W_T."""
+    p_g = _signal_density(signal, w_t, p)
+    s_t = price_from_brownian(w_t, p.t_expiry, p)
     h = payoff_call(s_t, p.strike)
     z_f = rn_density(w_t, p)
-    qg = z_f / p_g
-    # explicit zero where H == 0 keeps the point mass at D == 0 exact
-    d_star = np.where(h > 0.0, h * qg / e_qg_h, 0.0)
-    return dict(s_t=s_t, h=h, z_f=z_f, p_g=p_g, qg_density=qg, d_star=d_star)
+    return dict(s_t=s_t, h=h, z_f=z_f, p_g=p_g, qg_density=z_f / p_g)
+
+
+def _itm_d(signal: SignalSpec, w_t, p: ModelParams, e_qg_h: float) -> np.ndarray:
+    """D on the draws with H > 0, in draw order; the one definition of D.
+
+    D = H * (Z_T / p_T^G) / E_QG[H] in that operation order, elementwise,
+    so each value equals the one the full-sample formula gives; every
+    other draw has D = 0 exactly.
+    """
+    h = price_from_brownian(w_t, p.t_expiry, p)
+    h -= p.strike
+    itm = np.flatnonzero(h > 0.0)
+    h = h[itm]
+    w_t = w_t[itm]
+    # only D-sized arrays stay alive from here on, which keeps peak RSS down
+    del itm
+    p_g = _signal_density(signal, w_t, p)
+    qg = rn_density(w_t, p)
+    qg /= p_g
+    h *= qg
+    h /= e_qg_h
+    return h
 
 
 @dataclass(frozen=True)
@@ -92,7 +119,9 @@ class ConditionalBatch:
       qg_density == z_f / p_g
       d_star == h * qg_density / e_qg_h, with d_star == 0 iff h == 0
       s_t == price_from_brownian(w_t, t_expiry)
-      sorted_d is SortedD.from_sample(d_star), built once in build_batch
+      sorted_d == SortedD.from_sample(d_star), built once in build_batch
+        from the positive D only: the zero atom, len(w_t) - len(sorted_d.d)
+        draws, is a count, and sorted_d.n == len(w_t)
     """
 
     signal: SignalSpec
@@ -103,14 +132,19 @@ class ConditionalBatch:
     e_qg_h: float
 
     def _derive(self, name: str) -> np.ndarray:
-        return _columns(self.signal, self.w_t, self.params, self.e_qg_h)[name]
+        return _columns(self.signal, self.w_t, self.params)[name]
 
     s_t = property(lambda self: self._derive("s_t"))
     h = property(lambda self: self._derive("h"))
     z_f = property(lambda self: self._derive("z_f"))
     p_g = property(lambda self: self._derive("p_g"))
     qg_density = property(lambda self: self._derive("qg_density"))
-    d_star = property(lambda self: self._derive("d_star"))
+
+    @property
+    def d_star(self) -> np.ndarray:
+        d_star = np.zeros(self.w_t.size)
+        d_star[self.h > 0.0] = _itm_d(self.signal, self.w_t, self.params, self.e_qg_h)
+        return d_star
 
 
 def build_batch(signal: SignalSpec, mode: ConditioningMode | None, n: int,
@@ -131,6 +165,6 @@ def build_batch(signal: SignalSpec, mode: ConditioningMode | None, n: int,
     else:
         raise TypeError(f"unsupported signal {signal!r}")
     e_qg_h = bs_call_price(p)
-    d_star = _columns(signal, w_t, p, e_qg_h)["d_star"]
+    d = _itm_d(signal, w_t, p, e_qg_h)
     return ConditionalBatch(signal=signal, mode=mode, params=p, w_t=w_t,
-                            sorted_d=SortedD.from_sample(d_star), e_qg_h=e_qg_h)
+                            sorted_d=SortedD.from_sample(d, n), e_qg_h=e_qg_h)

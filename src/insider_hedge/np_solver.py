@@ -19,13 +19,17 @@ probability.  Conventions on a finite sample:
 
 All solvers read the batch's sorted view of D and its prefix sums
 (`batch.sorted_d`, a `SortedD`), so the epsilon -> k -> alpha -> k round
-trip reproduces the original threshold bit for bit.  Atoms of D can make
+trip reproduces the original threshold bit for bit.  Every out-of-the-
+money draw has D = 0, which lies in every success set {D <= k}; the view
+keeps only the positive D and counts this zero atom, so ranks and counts
+on the full sample are offsets into the positive part.  Atoms of D can make
 an exact hit of either target impossible; the solvers then return the
 conservative level and report the attained value next to the target (a
 warning, never an error).
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -93,19 +97,44 @@ class HedgePlan:
 
 
 class SortedD(NamedTuple):
-    """Sorted tilted densities D with prefix sums of D and D^2."""
+    """Sorted positive tilted densities D, prefix sums of D and D^2, sample size n.
+
+    The other n - len(d) draws of the sample have D = 0; they are not
+    stored and sit before d in sorted order.  Since adding zeros is
+    exact, prefix[j] is also the prefix sum of the full sorted sample up
+    to its order statistic d[j].
+    """
 
     d: np.ndarray
     prefix: np.ndarray
     prefix_sq: np.ndarray
+    n: int
 
     @classmethod
-    def from_sample(cls, d_star) -> SortedD:
-        """Sort a sample of D once for all threshold solves on it."""
+    def from_sample(cls, d_star, n: int | None = None) -> SortedD:
+        """Sort a sample of D once for all threshold solves on it.
+
+        d_star holds every nonzero D of a sample of size n, which
+        defaults to len(d_star); the remaining draws are zeros.
+        """
         d = np.sort(np.asarray(d_star, dtype=float))
-        if d.size == 0:
+        n = d.size if n is None else n
+        if n < 1:
             raise ValueError("empty batch")
-        return cls(d, np.cumsum(d), np.cumsum(d * d))
+        if n < d.size:
+            raise ValueError(f"sample size {n} below the {d.size} values given")
+        if d.size and (d[0] < 0.0 or np.isnan(d[-1])):
+            raise ValueError(f"D must be nonnegative and not NaN, got range [{d[0]}, {d[-1]}]")
+        zeros = int(np.searchsorted(d, 0.0, side="right"))
+        if zeros:
+            d = d[zeros:].copy()
+        prefix_sq = d * d
+        np.cumsum(prefix_sq, out=prefix_sq)
+        return cls(d, np.cumsum(d), prefix_sq, n)
+
+    def count(self, k: float) -> int:
+        """Number of draws with D <= k, for k >= 0."""
+        return self.n - self.d.size + int(np.searchsorted(self.d, k, side="right"))
 
 
 def _epsilon_rank(n: int, epsilon: float) -> int:
@@ -117,12 +146,13 @@ def solve_k_for_epsilon(batch, epsilon: float) -> float:
     """Empirical threshold with P(D <= k) >= 1 - epsilon on the sample.
 
     Returns the order statistic at rank ceil((1-eps) n); rank 0 (eps = 1)
-    gives k = 0.
+    and ranks inside the zero atom give k = 0.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
-    d = batch.sorted_d.d
-    rank = _epsilon_rank(d.size, epsilon)
+    d, _, _, n = batch.sorted_d
+    # rank within the positive part, past the n - len(d) zeros
+    rank = _epsilon_rank(n, epsilon) - (n - d.size)
     if rank <= 0:
         return 0.0
     return float(d[rank - 1])
@@ -132,20 +162,20 @@ def success_prob_from_k(batch, k: float) -> SuccessEstimate:
     """Sample success probability P(D <= k) with its binomial stderr."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d = batch.sorted_d.d
-    n = d.size
-    p = np.searchsorted(d, k, side="right") / n
-    return SuccessEstimate(float(p), math.sqrt(p * (1.0 - p) / n))
+    sorted_d = batch.sorted_d
+    n = sorted_d.n
+    p = sorted_d.count(k) / n
+    return SuccessEstimate(p, math.sqrt(p * (1.0 - p) / n))
 
 
 def alpha_from_k(batch, k: float) -> AlphaEstimate:
     """Capital fraction E[D 1{D <= k}] on the sample, clamped to [0,1]."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d, prefix, prefix_sq = batch.sorted_d
-    n = d.size
+    d, prefix, prefix_sq, n = batch.sorted_d
     idx = int(np.searchsorted(d, k, side="right")) - 1
     if idx < 0:
+        # only zeros (or nothing) lie below k: no capital, no spread
         return AlphaEstimate(0.0, 0.0)
     mean = prefix[idx] / n
     if n > 1:
@@ -158,21 +188,21 @@ def alpha_from_k(batch, k: float) -> AlphaEstimate:
 def solve_k_for_alpha(batch, alpha: float) -> BudgetThreshold:
     """Largest threshold whose capital fraction stays within the budget.
 
-    Sorts the sample, groups tied values, and returns the largest group
-    end k = d_(m) with (1/n) sum_{i<=m} d_(i) <= alpha, together with
-    that attained budget.  With no affordable group the zero-capital
-    plan (k = 0) is returned.
+    Groups tied values of the sorted sample and returns the largest
+    group end k = d_(m) with (1/n) sum_{i<=m} d_(i) <= alpha, together
+    with that attained budget.  The zero atom costs nothing, so with no
+    affordable positive group the zero-capital plan (k = 0) is returned.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    d, prefix, _ = batch.sorted_d
-    n = d.size
-    # last index of each run of tied values
-    group_end = np.nonzero(np.diff(d, append=np.inf) > 0)[0]
-    feasible = group_end[prefix[group_end] / n <= alpha]
-    if feasible.size == 0:
+    d, prefix, _, n = batch.sorted_d
+    # prefix / n is nondecreasing for D >= 0: bisect for the last affordable index
+    m = bisect.bisect_right(prefix, alpha, key=lambda s: s / n) - 1
+    if 0 <= m < d.size - 1 and d[m + 1] == d[m]:
+        # a tie group straddles the budget: stop at the end of the previous group
+        m = int(np.searchsorted(d, d[m], side="left")) - 1
+    if m < 0:
         return BudgetThreshold(0.0, 0.0)
-    m = int(feasible[-1])
     return BudgetThreshold(float(d[m]), float(prefix[m] / n))
 
 
@@ -185,16 +215,15 @@ def make_hedge_plan(batch, *, epsilon: float | None = None,
     """
     if (epsilon is None) == (alpha is None):
         raise ValueError("pass exactly one of epsilon= / alpha=")
-    d = batch.sorted_d.d
-    n = d.size
+    sorted_d = batch.sorted_d
     if epsilon is not None:
         k = solve_k_for_epsilon(batch, epsilon)
         succ = success_prob_from_k(batch, k)
         a = alpha_from_k(batch, k)
         # a tie group extending past the requested rank means the target
         # success level is not attainable exactly
-        rank = _epsilon_rank(n, epsilon)
-        if rank >= 1 and np.searchsorted(d, k, side="right") > rank:
+        rank = _epsilon_rank(sorted_d.n, epsilon)
+        if rank >= 1 and sorted_d.count(k) > rank:
             warnings.warn(
                 f"atom at k={k:.6g}: success probability {succ.prob:.6g} attained "
                 f"for target {1.0 - epsilon:.6g}",
@@ -207,9 +236,11 @@ def make_hedge_plan(batch, *, epsilon: float | None = None,
         a = alpha_from_k(batch, k)
         # on an atom-free sample the unattained budget is below the next
         # order statistic's contribution; a larger gap means a tie group
-        # straddles the target
+        # straddles the target (the next order statistic above k >= 0 is
+        # always positive)
+        d = sorted_d.d
         nxt = int(np.searchsorted(d, k, side="right"))
-        if nxt < n and alpha - attained >= float(d[nxt]) / n - 1e-15:
+        if nxt < d.size and alpha - attained >= float(d[nxt]) / sorted_d.n - 1e-15:
             warnings.warn(
                 f"atom above k={k:.6g}: budget {attained:.6g} attained "
                 f"for target {alpha:.6g}",

@@ -47,7 +47,7 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def _block_stream(key, n: int, cols: int, workers: int, draw) -> np.ndarray:
-    """n rows of `cols` draws, block b filled by draw(block_generator(key, b), shape)."""
+    """n rows of `cols` draws, block b filled in place by draw(block_generator(key, b), out=rows)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = np.empty((n, cols))
@@ -56,7 +56,7 @@ def _block_stream(key, n: int, cols: int, workers: int, draw) -> np.ndarray:
     def fill(b: int) -> None:
         lo = b * BLOCK_SIZE
         hi = min(n, lo + BLOCK_SIZE)
-        out[lo:hi] = draw(block_generator(key, b), (hi - lo, cols))
+        draw(block_generator(key, b), out=out[lo:hi])
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -243,6 +243,23 @@ class TestCommandLine:
             assert f"workers must be >= 1, got {workers}" in proc.stderr
             assert "alpha = " not in proc.stdout
 
+    @pytest.mark.parametrize("argv, message", [
+        (("hedge", "--level", "110", "--epsilon", "0.1", "--workers", "0"),
+         "workers must be >= 1, got 0"),
+        (("hedge", "--level", "110", "--epsilon", "0.1", "--n-paths", "10"),
+         "n_paths must be >= 1000, got 10"),
+        (("hedge", "--interval", "109", "--epsilon", "0.1"), "'109' must look like LO:HI"),
+        (("hedge", "--level", "110", "--epsilon", "1.5"), "epsilon must be in [0,1], got 1.5"),
+        (("table-point", "--epsilons", "1.5"), "epsilons must lie in [0,1]"),
+    ])
+    def test_bad_input_is_one_error_line(self, argv, message):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert proc.stdout == ""
+
     def test_hedge_requires_one_signal(self):
         proc = run_cli("hedge", "--epsilon", "0.1")
         assert proc.returncode != 0

@@ -37,6 +37,18 @@ def capped_se(d: np.ndarray, cap: float = 10.0) -> float:
     return y.std(ddof=1) / math.sqrt(len(y))
 
 
+def assert_sorted_view_of(batch) -> None:
+    """The batch's sorted view, padded with its implicit zeros, is the full
+    sorted sample of D with its prefix sums of D and D^2, bit for bit."""
+    view = batch.sorted_d
+    assert view.n == batch.w_t.size
+    zeros = np.zeros(view.n - view.d.size)
+    full = np.sort(batch.d_star)
+    assert np.array_equal(np.concatenate([zeros, view.d]), full)
+    assert np.array_equal(np.concatenate([zeros, view.prefix]), np.cumsum(full))
+    assert np.array_equal(np.concatenate([zeros, view.prefix_sq]), np.cumsum(full * full))
+
+
 class TestPayoff:
     @pytest.mark.parametrize("s,k,expected", [(100.0, 110.0, 0.0), (110.0, 110.0, 0.0),
                                               (125.3, 110.0, 15.3)])
@@ -94,7 +106,7 @@ class TestBuildBatchPoint:
         assert np.array_equal(batch.s_t, price_from_brownian(batch.w_t, params.t_expiry, params))
         assert np.all(batch.d_star >= 0.0)
         assert np.array_equal(batch.d_star == 0.0, batch.h == 0.0)
-        assert np.array_equal(batch.sorted_d.d, np.sort(batch.d_star))
+        assert_sorted_view_of(batch)
 
     def test_normalizer_is_closed_form(self, batch, params):
         assert batch.e_qg_h == bs_call_price(params)
@@ -133,7 +145,7 @@ class TestBuildBatchIndicator:
         assert np.array_equal(batch.qg_density, batch.z_f / batch.p_g)
         expected_d = np.where(batch.h > 0.0, batch.h * batch.qg_density / batch.e_qg_h, 0.0)
         assert np.array_equal(batch.d_star, expected_d)
-        assert np.array_equal(batch.sorted_d.d, np.sort(batch.d_star))
+        assert_sorted_view_of(batch)
 
     def test_capped_unit_mass_against_quadrature(self, batch):
         target = CAPPED_TARGETS[("interval", batch.signal.observed)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -274,3 +275,109 @@ class TestBatchState:
         # w_t plus sorted D and its two prefix sums, 8 bytes each per draw
         make_hedge_plan(batch, epsilon=0.1)
         assert _held_bytes(batch) <= 32 * 10**5
+
+
+class TestSortedView:
+    def test_zero_atom_is_a_count(self):
+        view = SortedD.from_sample([0.0, 0.7, 0.0, 0.2, 0.7])
+        assert view.n == 5 and list(view.d) == [0.2, 0.7, 0.7]
+        assert list(view.prefix) == list(np.cumsum([0.2, 0.7, 0.7]))
+        assert view.count(0.0) == 2 and view.count(0.7) == 5
+
+    def test_positives_with_sample_size(self):
+        view = SortedD.from_sample([0.7, 0.2], 4)
+        assert view.n == 4 and list(view.d) == [0.2, 0.7]
+        assert SortedD.from_sample([], 3).count(0.0) == 3
+
+    @pytest.mark.parametrize("bad", [[0.1, -1e-300, 0.2], [0.0, float("nan"), 1.0], [-INF]])
+    def test_rejects_negative_or_nan(self, bad):
+        with pytest.raises(ValueError, match="nonnegative and not NaN"):
+            SortedD.from_sample(bad)
+
+    def test_rejects_bad_sample_size(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            SortedD.from_sample([])
+        with pytest.raises(ValueError, match="below"):
+            SortedD.from_sample([0.1, 0.2], 1)
+
+
+def _solutions(batch, targets) -> list[str]:
+    """Every solver output on the batch at each target, as exact reprs."""
+    out = []
+    for target in targets:
+        k_eps = solve_k_for_epsilon(batch, target)
+        k_alpha = solve_k_for_alpha(batch, target)
+        out.append(repr((k_eps, k_alpha, alpha_from_k(batch, k_eps),
+                         success_prob_from_k(batch, k_eps), alpha_from_k(batch, k_alpha.k),
+                         success_prob_from_k(batch, k_alpha.k))))
+        for kind in ("epsilon", "alpha"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", AtomGapWarning)
+                plan = make_hedge_plan(batch, **{kind: target})
+            gap = [w.category is AtomGapWarning for w in caught]
+            out.append(repr((plan, gap)))
+    return out
+
+
+def _brute_force_alpha(d, alpha: float) -> tuple[float, float]:
+    """Scan every tie-group end of the full sorted sample for the last affordable one."""
+    d = np.sort(np.asarray(d, dtype=float))
+    n = d.size
+    prefix = np.cumsum(d)
+    best = (0.0, 0.0)
+    for m in range(n):
+        if (m == n - 1 or d[m + 1] > d[m]) and prefix[m] / n <= alpha:
+            best = (float(d[m]), float(prefix[m] / n))
+    return best
+
+
+# nonnegative samples with many zeros and ties
+TIE_HEAVY = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([0.125, 0.5, 1.0, 3.0]),
+              st.floats(min_value=1e-6, max_value=10.0)),
+    min_size=1, max_size=60,
+)
+TARGETS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4)
+
+
+class TestZeroAtomEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(TIE_HEAVY, TARGETS)
+    def test_positive_view_solves_like_full_sample(self, values, targets):
+        d = np.asarray(values)
+        full = synthetic_batch(d, e_qg_h=1.7)
+        positives = dataclasses.replace(full, sorted_d=SortedD.from_sample(d[d > 0], d.size))
+        targets = [0.0, 1.0, *targets]
+        assert _solutions(positives, targets) == _solutions(full, targets)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TIE_HEAVY, TARGETS)
+    def test_alpha_bisection_matches_group_scan(self, values, targets):
+        b = synthetic_batch(values)
+        for alpha in (0.0, 1.0, *targets):
+            assert tuple(solve_k_for_alpha(b, alpha)) == _brute_force_alpha(values, alpha)
+
+    def test_alpha_bisection_on_large_tie_groups(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            values = rng.choice([0.0, 0.25, 0.5, 0.75, 2.0], size=int(rng.integers(1, 500)))
+            b = synthetic_batch(values)
+            for alpha in rng.uniform(0.0, 1.0, size=5):
+                assert tuple(solve_k_for_alpha(b, alpha)) == _brute_force_alpha(values, alpha)
+
+    @pytest.mark.parametrize("strike, zeros", [(100000.0, "all"), (0.0, "none")])
+    @pytest.mark.parametrize("n", [1, 5000])
+    def test_edge_batches(self, params, strike, zeros, n):
+        p = dataclasses.replace(params, strike=strike)
+        batch = build_batch(point_signal_from_price(110.0, p), None, n, p, seed=3)
+        view = batch.sorted_d
+        assert view.n == n
+        assert view.d.size == (0 if zeros == "all" else n)
+        full = dataclasses.replace(batch, sorted_d=SortedD.from_sample(batch.d_star))
+        targets = [0.0, 0.01, 0.1, 0.5, 1.0]
+        assert _solutions(batch, targets) == _solutions(full, targets)
+        if zeros == "all":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AtomGapWarning)
+                plan = make_hedge_plan(batch, epsilon=0.1)
+            assert (plan.k, plan.alpha, plan.success_prob) == (0.0, 0.0, 1.0)
