@@ -12,9 +12,12 @@ from .insider_signal import (
     ConditioningMode,
     IntervalIndicator,
     PointValue,
+    SignalDraws,
     SignalSpec,
     density_indicator,
     density_point,
+    draw_interval,
+    draw_point,
     indicator_prob,
     interval_signal_from_prices,
     point_signal_from_price,

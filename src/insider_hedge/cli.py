@@ -27,11 +27,14 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .insider_signal import (
     AcceptanceRateError,
     ConditioningMode,
+    draw_interval,
+    draw_point,
     interval_signal_from_prices,
     point_signal_from_price,
 )
@@ -126,14 +129,24 @@ class CellResult:
     flags: str
 
 
-def _plan_cell(batch, epsilon: float) -> tuple[HedgePlan, list[str]]:
+def _plan(batch, **target) -> tuple[HedgePlan, list]:
+    """make_hedge_plan, with the warnings it raises (every AtomGapWarning) returned, not shown."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AtomGapWarning)
-        plan = make_hedge_plan(batch, epsilon=epsilon)
-    flags = ["atom_gap"] if any(issubclass(w.category, AtomGapWarning) for w in caught) else []
-    if plan.alpha < 2.0 * plan.mc_stderr_alpha:
-        flags.append("below_se_floor")
-    return plan, flags
+        plan = make_hedge_plan(batch, **target)
+    return plan, caught
+
+
+def _plan_row(batch, epsilons) -> list[tuple[HedgePlan, list[str]]]:
+    """(plan, flags) per epsilon on one batch."""
+    row = []
+    for epsilon in epsilons:
+        plan, caught = _plan(batch, epsilon=epsilon)
+        flags = ["atom_gap"] if any(issubclass(w.category, AtomGapWarning) for w in caught) else []
+        if plan.alpha < 2.0 * plan.mc_stderr_alpha:
+            flags.append("below_se_floor")
+        row.append((plan, flags))
+    return row
 
 
 def _cell(descriptor: str, epsilon: float, plan: HedgePlan, flags: list[str],
@@ -155,30 +168,31 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     """Point-signal table: one row per (level, epsilon, conditioning mode).
 
     Levels are stock prices of the post-expiry price, converted to
-    Brownian space internally.  Both conditioning modes are computed
-    from per-level derived seeds so their disagreement is visible in
-    the output: cells where the two modes differ by more than 3
-    combined standard errors carry the mode_disagree flag.
+    Brownian space internally.  Each conditioning mode draws one stream
+    of n_paths normals, from its own derived seed and stream tag, and
+    maps it to every level (common random numbers): each cell keeps its
+    sampling law, while the errors of one mode's rows are correlated
+    across levels.  The two modes stay independent, so their
+    disagreement is visible in the output: cells where the two modes
+    differ by more than 3 combined standard errors carry the
+    mode_disagree flag.
     """
     modes = (ConditioningMode.BRIDGE_EXACT, ConditioningMode.PAPER_SHIFT)
+    signals = [point_signal_from_price(level, config.model) for level in config.levels]
+    rows = []
+    for j, mode in enumerate(modes):
+        draws = draw_point(mode, config.n_paths, derive_seed(config.seed, j),
+                           workers=config.workers)
+        # each batch is released once its row is planned: one batch is alive at a time
+        rows.append([_plan_row(build_batch(signal, mode, draws, config.model), config.epsilons)
+                     for signal in signals])
     cells: list[CellResult] = []
-    for i_level, level in enumerate(config.levels):
-        signal = point_signal_from_price(level, config.model)
-        batches = {
-            mode: build_batch(signal, mode, config.n_paths, config.model,
-                              derive_seed(config.seed, i_level, j), workers=config.workers)
-            for j, mode in enumerate(modes)
-        }
-        for epsilon in config.epsilons:
-            pair = {}
-            for mode in modes:
-                plan, flags = _plan_cell(batches[mode], epsilon)
-                pair[mode] = (plan, flags)
-            b_plan, s_plan = pair[modes[0]][0], pair[modes[1]][0]
+    for level, bridge_row, shift_row in zip(config.levels, *rows):
+        for epsilon, (b_plan, b_flags), (s_plan, s_flags) in zip(config.epsilons,
+                                                                  bridge_row, shift_row):
             gap = abs(b_plan.alpha - s_plan.alpha)
             band = 3.0 * math.hypot(b_plan.mc_stderr_alpha, s_plan.mc_stderr_alpha)
-            for mode in modes:
-                plan, flags = pair[mode]
+            for mode, plan, flags in ((modes[0], b_plan, b_flags), (modes[1], s_plan, s_flags)):
                 if gap > band:
                     flags = flags + ["mode_disagree"]
                 cells.append(_cell(f"S={level:g}", epsilon, plan, flags,
@@ -189,20 +203,23 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
 def run_table_indicator(config: RunConfig) -> list[CellResult]:
     """Indicator-signal table: one row per (interval, epsilon), observed G=1.
 
-    Intervals are stock-price ranges for the post-expiry price; each
-    cell uses n_paths draws of the exact interval sampler.  An interval
-    whose conditioning event has probability below
+    Intervals are stock-price ranges for the post-expiry price.  The
+    table draws n_paths uniforms and bridge normals once, from one
+    derived seed, and the exact interval sampler maps them to each
+    interval (common random numbers, as in run_table_point).  An
+    interval whose conditioning event has probability below
     insider_signal.SIGNAL_PROB_FLOOR yields NaN cells flagged
     acceptance_floor instead of aborting the run.  The mode column
     keeps the label "rejection" for output-format compatibility.
     """
+    draws = draw_interval(config.n_paths, derive_seed(config.seed), workers=config.workers)
     cells: list[CellResult] = []
-    for i_sig, (lo, hi) in enumerate(config.intervals):
+    for lo, hi in config.intervals:
         signal = interval_signal_from_prices(lo, hi, config.model, observed=1)
         descriptor = f"S=[{lo:g}..{hi:g}]"
         try:
-            batch = build_batch(signal, None, config.n_paths, config.model,
-                                derive_seed(config.seed, i_sig), workers=config.workers)
+            # as in run_table_point, the batch is released once its row is planned
+            row = _plan_row(build_batch(signal, None, draws, config.model), config.epsilons)
         except AcceptanceRateError:
             nan = float("nan")
             for epsilon in config.epsilons:
@@ -212,8 +229,7 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
                     flags="acceptance_floor",
                 ))
             continue
-        for epsilon in config.epsilons:
-            plan, flags = _plan_cell(batch, epsilon)
+        for epsilon, (plan, flags) in zip(config.epsilons, row):
             cells.append(_cell(descriptor, epsilon, plan, flags,
                                config.n_paths, "rejection"))
     return cells
@@ -517,6 +533,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.level is not None:
             signal = point_signal_from_price(args.level, config.model)
             mode = config.mode
+            draw = partial(draw_point, mode)
         else:
             intervals = _parse_intervals(args.interval)
             if len(intervals) != 1:
@@ -524,9 +541,13 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             (lo, hi), = intervals
             signal = interval_signal_from_prices(lo, hi, config.model, observed=args.observed)
             mode = None
-        batch = build_batch(signal, mode, config.n_paths, config.model,
-                            config.seed, workers=config.workers)
-        plan = make_hedge_plan(batch, epsilon=args.epsilon, alpha=args.alpha)
+            draw = draw_interval
+        # no reference to the draws is kept here, so build_batch can free them early
+        batch = build_batch(signal, mode, draw(config.n_paths, config.seed, workers=config.workers),
+                            config.model)
+        plan, caught = _plan(batch, epsilon=args.epsilon, alpha=args.alpha)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         for name in ("k", "alpha", "success_prob", "initial_capital",
                      "mc_stderr_alpha", "mc_stderr_success"):
             print(f"{name} = {_fmt_num(getattr(plan, name))}")

@@ -21,13 +21,17 @@ the two can be compared cell by cell (see the CLI report).  Interval
 conditioning uses an exact interval sampler: W_{T+delta} by inverse CDF
 from its normal law restricted to [a, b] (or to the complement), then
 W_T from the same Gaussian bridge.
+
+Sampling is split in two steps: draw_point / draw_interval fill the
+random streams, and the samplers map those draws to W_T for one signal.
+A table draws once and maps the same draws for each of its signals.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -52,6 +56,9 @@ __all__ = [
     "density_point",
     "density_indicator",
     "indicator_prob",
+    "SignalDraws",
+    "draw_point",
+    "draw_interval",
     "sample_point_conditional",
     "sample_indicator_conditional",
     "AcceptanceRateError",
@@ -189,38 +196,78 @@ def _bridge(w_tdelta, z, p: ModelParams):
     return w_tdelta * p.t_expiry / td + math.sqrt(p.t_expiry * p.delta / td) * z
 
 
-def sample_point_conditional(g_w: float, n: int, mode: ConditioningMode,
-                             p: ModelParams, seed: int, workers: int = 1) -> np.ndarray:
-    """n draws of W_T given W_{T+delta} = g_w, under the chosen mode.
+class SignalDraws(NamedTuple):
+    """Random input of a conditional sampler, drawn before it meets a signal.
+
+    z holds standard normals: the bridge or shift noise of W_T.  u holds
+    uniforms on (0, 1] that place W_{T+delta} for interval signals, and
+    is None for point signals.  The draws do not depend on the signal's
+    value, so one set serves every level or interval of a table.  The
+    arrays are read-only: the samplers below map them to W_T in new arrays.
+    """
+
+    z: np.ndarray
+    u: np.ndarray | None = None
+
+
+def _read_only(draws: SignalDraws) -> SignalDraws:
+    # shared draws must come out of every sampler unchanged
+    for a in draws:
+        if a is not None:
+            a.flags.writeable = False
+    return draws
+
+
+def draw_point(mode: ConditioningMode, n: int, seed: int, workers: int = 1) -> SignalDraws:
+    """n standard normals for the point sampler of `mode`.
+
+    Each mode draws from its own stream tag, so the two modes' estimates
+    stay independent even under one seed.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    tag = (STREAM_POINT_BRIDGE if ConditioningMode(mode) is ConditioningMode.BRIDGE_EXACT
+           else STREAM_POINT_SHIFT)
+    return _read_only(SignalDraws(standard_normal_stream((seed, tag), n, workers=workers)))
+
+
+def draw_interval(n: int, seed: int, workers: int = 1) -> SignalDraws:
+    """n uniforms on (0, 1] and n bridge normals for the interval sampler."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    u = uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n, workers=workers)
+    # on (0, 1]: a zero would map to an infinite quantile
+    np.subtract(1.0, u, out=u)
+    z = standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n, workers=workers)
+    return _read_only(SignalDraws(z, u))
+
+
+def sample_point_conditional(g_w: float, mode: ConditioningMode, draws: SignalDraws,
+                             p: ModelParams) -> np.ndarray:
+    """W_T given W_{T+delta} = g_w under the chosen mode, one per normal in draws.z.
 
     bridge_exact samples the exact conditional law
     N(g T/(T+d), T d/(T+d)); paper_shift samples g - N(0, delta).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    mode = ConditioningMode(mode)
-    if mode is ConditioningMode.BRIDGE_EXACT:
-        z = standard_normal_stream((seed, STREAM_POINT_BRIDGE), n, workers=workers)
-        return _bridge(g_w, z, p)
-    z = standard_normal_stream((seed, STREAM_POINT_SHIFT), n, workers=workers)
-    return g_w - math.sqrt(p.delta) * z
+    if ConditioningMode(mode) is ConditioningMode.BRIDGE_EXACT:
+        return _bridge(g_w, draws.z, p)
+    return g_w - math.sqrt(p.delta) * draws.z
 
 
 class AcceptanceRateError(RuntimeError):
     """Raised when P(G = observed) of an interval signal is below SIGNAL_PROB_FLOOR."""
 
 
-def sample_indicator_conditional(spec: IntervalIndicator, n: int, p: ModelParams,
-                                 seed: int, workers: int = 1) -> BrownianPair:
-    """Exact draws of (W_T, W_{T+delta}) given G = spec.observed.
+def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
+                                 p: ModelParams) -> BrownianPair:
+    """Exact draws of (W_T, W_{T+delta}) given G = spec.observed, from draw_interval's draws.
 
-    W_{T+delta} / sqrt(T+d) is drawn by inverse CDF from the standard
+    W_{T+delta} / sqrt(T+d) is the inverse CDF at draws.u of the standard
     normal restricted to [a, b] / sqrt(T+d) (G = 1) or to its complement
-    (G = 0); W_T then follows the Gaussian bridge.  Fails up front when
-    the closed form P(G = observed) falls below SIGNAL_PROB_FLOOR.
+    (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
+    Fails before any work when the closed form P(G = observed) falls
+    below SIGNAL_PROB_FLOOR.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     sd = math.sqrt(p.t_signal)
     lo, hi = spec.a_w / sd, spec.b_w / sd
     mass = float(_normal_mass(lo, hi, spec.observed))
@@ -228,23 +275,19 @@ def sample_indicator_conditional(spec: IntervalIndicator, n: int, p: ModelParams
         raise AcceptanceRateError(
             f"P(G={spec.observed}) = {mass:.3e} below the acceptance floor {SIGNAL_PROB_FLOOR:.1e}"
         )
-    # on (0, 1]: a zero would map to an infinite quantile
-    u = 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n, workers=workers)
+    u = draws.u * mass
     if spec.observed == 1:
         # invert on the lower of [lo, hi] and its reflection, as in _normal_mass
-        u *= mass
         u += ndtr(min(lo, -hi))
-        w_td = ndtri(u)
+        w_td = ndtri(u, out=u)
         w_td *= -sd if lo + hi > 0 else sd
         # rounding at the endpoints may step outside [a, b], or reach inf at u = 1
         np.clip(w_td, spec.a_w, spec.b_w, out=w_td)
     else:
         # below the interval for u * mass <= Phi(lo), else above it
         below = ndtr(lo)
-        u *= mass
         upper = u > below
         u -= below * upper
-        w_td = ndtri(u)
+        w_td = ndtri(u, out=u)
         w_td *= np.where(upper, -sd, sd)
-    z = standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n, workers=workers)
-    return BrownianPair(_bridge(w_td, z, p), w_td)
+    return BrownianPair(_bridge(w_td, draws.z, p), w_td)

@@ -29,6 +29,7 @@ from .insider_signal import (
     ConditioningMode,
     IntervalIndicator,
     PointValue,
+    SignalDraws,
     SignalSpec,
     density_indicator,
     density_point,
@@ -79,15 +80,6 @@ def _signal_density(signal: SignalSpec, w_t, p: ModelParams):
     return density_indicator(signal.observed, w_t, p.t_expiry, spec=signal, p=p)
 
 
-def _columns(signal: SignalSpec, w_t, p: ModelParams) -> dict[str, np.ndarray]:
-    """The per-draw columns other than D, from the draws of W_T."""
-    p_g = _signal_density(signal, w_t, p)
-    s_t = price_from_brownian(w_t, p.t_expiry, p)
-    h = payoff_call(s_t, p.strike)
-    z_f = rn_density(w_t, p)
-    return dict(s_t=s_t, h=h, z_f=z_f, p_g=p_g, qg_density=z_f / p_g)
-
-
 def _itm_d(signal: SignalSpec, w_t, p: ModelParams, e_qg_h: float) -> np.ndarray:
     """D on the draws with H > 0, in draw order; the one definition of D.
 
@@ -115,7 +107,8 @@ class ConditionalBatch:
     """Conditional draws of W_T, the sorted view of D and the normalizer.
 
     The columns s_t, h, z_f, p_g, qg_density and d_star are recomputed
-    from w_t on every read.  Invariants (held exactly, by construction):
+    from w_t on every read, each from only the columns it needs.
+    Invariants (held exactly, by construction):
       qg_density == z_f / p_g
       d_star == h * qg_density / e_qg_h, with d_star == 0 iff h == 0
       s_t == price_from_brownian(w_t, t_expiry)
@@ -131,14 +124,25 @@ class ConditionalBatch:
     sorted_d: SortedD
     e_qg_h: float
 
-    def _derive(self, name: str) -> np.ndarray:
-        return _columns(self.signal, self.w_t, self.params)[name]
+    @property
+    def s_t(self) -> np.ndarray:
+        return price_from_brownian(self.w_t, self.params.t_expiry, self.params)
 
-    s_t = property(lambda self: self._derive("s_t"))
-    h = property(lambda self: self._derive("h"))
-    z_f = property(lambda self: self._derive("z_f"))
-    p_g = property(lambda self: self._derive("p_g"))
-    qg_density = property(lambda self: self._derive("qg_density"))
+    @property
+    def h(self) -> np.ndarray:
+        return payoff_call(self.s_t, self.params.strike)
+
+    @property
+    def z_f(self) -> np.ndarray:
+        return rn_density(self.w_t, self.params)
+
+    @property
+    def p_g(self) -> np.ndarray:
+        return _signal_density(self.signal, self.w_t, self.params)
+
+    @property
+    def qg_density(self) -> np.ndarray:
+        return self.z_f / self.p_g
 
     @property
     def d_star(self) -> np.ndarray:
@@ -147,23 +151,29 @@ class ConditionalBatch:
         return d_star
 
 
-def build_batch(signal: SignalSpec, mode: ConditioningMode | None, n: int,
-                p: ModelParams, seed: int, workers: int = 1) -> ConditionalBatch:
-    """Draw n conditional samples for the signal and sort their densities D.
+def build_batch(signal: SignalSpec, mode: ConditioningMode | None, draws: SignalDraws,
+                p: ModelParams) -> ConditionalBatch:
+    """Map the draws to conditional samples for the signal and sort their densities D.
 
-    For a PointValue signal `mode` selects the conditional sampler; for
-    an IntervalIndicator it is ignored (the exact interval sampler is used).
+    For a PointValue signal `mode` selects the conditional sampler and
+    `draws` come from draw_point; for an IntervalIndicator `mode` is
+    ignored and `draws` come from draw_interval.  The draws are only
+    read, so one set can serve many signals.
     """
+    n = draws.z.size
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(signal, PointValue):
         mode = ConditioningMode(mode) if mode is not None else ConditioningMode.BRIDGE_EXACT
-        w_t = sample_point_conditional(signal.g_w, n, mode, p, seed, workers=workers)
+        w_t = sample_point_conditional(signal.g_w, mode, draws, p)
     elif isinstance(signal, IntervalIndicator):
         mode = None
-        w_t = sample_indicator_conditional(signal, n, p, seed, workers=workers).w_t
+        w_t = sample_indicator_conditional(signal, draws, p).w_t
     else:
         raise TypeError(f"unsupported signal {signal!r}")
+    # a caller that kept no reference (the one-signal case) frees the draws here,
+    # before D is computed, which keeps peak RSS down
+    del draws
     e_qg_h = bs_call_price(p)
     d = _itm_d(signal, w_t, p, e_qg_h)
     return ConditionalBatch(signal=signal, mode=mode, params=p, w_t=w_t,

@@ -19,7 +19,6 @@ from scipy.special import ndtr
 
 from insider_hedge import (
     build_atom_table,
-    build_batch,
     bs_call_price,
     density_indicator,
     density_point,
@@ -45,6 +44,7 @@ from insider_hedge.tree_oracle import (
 )
 from fractions import Fraction
 
+from test_measure_engine import seeded_batch
 from test_np_solver import synthetic_batch
 
 N_PATHS = 1_000_000
@@ -274,7 +274,7 @@ def test_criterion_4_unit_mass(params):
     # (ii) capped means against frozen quadrature targets, n = 10^6
     for (mode, level), target in CAPPED_TARGETS_POINT.items():
         sig = point_signal_from_price(level, params)
-        batch = build_batch(sig, mode, N_PATHS, params, seed=41)
+        batch = seeded_batch(sig, mode, N_PATHS, params, seed=41)
         capped = np.minimum(batch.d_star, 10.0)
         se = capped.std(ddof=1) / math.sqrt(N_PATHS)
         gap = abs(capped.mean() - target)
@@ -285,7 +285,7 @@ def test_criterion_4_unit_mass(params):
             failures.append(f"capped mean off for point {level} {mode}: {gap:.6f}")
     for ((lo, hi), observed), target in CAPPED_TARGETS_INTERVAL.items():
         sig = interval_signal_from_prices(lo, hi, params, observed=observed)
-        batch = build_batch(sig, None, N_PATHS, params, seed=42)
+        batch = seeded_batch(sig, None, N_PATHS, params, seed=42)
         capped = np.minimum(batch.d_star, 10.0)
         se = capped.std(ddof=1) / math.sqrt(N_PATHS)
         gap = abs(capped.mean() - target)

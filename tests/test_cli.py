@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from insider_hedge import insider_signal
 from insider_hedge.cli import (
     CSV_HEADER,
     RunConfig,
@@ -155,6 +157,49 @@ class TestTables:
         assert strip(base) == strip(again) == strip(threaded)
 
 
+class TestSharedDraws:
+    """Each table draws its random streams once and maps them to every row."""
+
+    @staticmethod
+    def count_fills(monkeypatch) -> dict:
+        counts = {"normal": 0, "uniform": 0}
+        for name, kind in (("standard_normal_stream", "normal"), ("uniform_stream", "uniform")):
+            def counted(*args, _fill=getattr(insider_signal, name), _kind=kind, **kwargs):
+                counts[_kind] += 1
+                return _fill(*args, **kwargs)
+            monkeypatch.setattr(insider_signal, name, counted)
+        return counts
+
+    def test_point_table_fills_one_stream_per_mode(self, params, monkeypatch):
+        counts = self.count_fills(monkeypatch)
+        config = RunConfig(model=params, levels=(105.0, 110.0, 115.0), epsilons=(0.1, 0.25),
+                           n_paths=2000, seed=3)
+        assert len(run_table_point(config)) == 12
+        assert counts == {"normal": 2, "uniform": 0}
+
+    @pytest.mark.parametrize("middle", [(108.0, 112.0), (500.0, 501.0)])
+    def test_indicator_table_fills_each_stream_once(self, params, monkeypatch, middle):
+        # an interval below the acceptance floor gets NaN cells and costs no draws
+        counts = self.count_fills(monkeypatch)
+        config = RunConfig(model=params, signal_kind="interval",
+                           intervals=((109.0, 111.0), middle, (112.0, 114.0)),
+                           epsilons=(0.1, 0.25), n_paths=2000, seed=3)
+        cells = run_table_indicator(config)
+        assert counts == {"normal": 1, "uniform": 1}
+        floor = [c for c in cells if c.flags == "acceptance_floor"]
+        assert len(floor) == (2 if middle[0] == 500.0 else 0)
+        assert all(math.isnan(c.alpha) for c in floor)
+
+    def test_rows_do_not_depend_on_the_rest_of_the_grid(self, params):
+        common = dict(model=params, n_paths=2000, seed=17)
+        alone = run_table_point(RunConfig(levels=(110.0,), **common))
+        full = run_table_point(RunConfig(**common))
+        assert alone == [c for c in full if c.signal == "S=110"]
+        alone = run_table_indicator(RunConfig(intervals=((109.0, 111.0),), **common))
+        full = run_table_indicator(RunConfig(**common))
+        assert alone == [c for c in full if c.signal == "S=[109..111]"]
+
+
 class TestOutputs:
     def test_csv_format(self, small_config, tmp_path):
         cells = run_table_indicator(small_config)
@@ -234,6 +279,15 @@ class TestCommandLine:
                        "--n-paths", "5000", "--seed", "1")
         assert proc.returncode == 0
         assert "mode = rejection" in proc.stdout
+
+    def test_hedge_atom_gap_is_one_warning_line(self):
+        proc = run_cli("hedge", "--level", "105", "--epsilon", "0.1",
+                       "--n-paths", "200000", "--seed", "3")
+        assert proc.returncode == 0
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("warning: atom at k=0: success probability")
+        assert "cli.py" not in line and "make_hedge_plan" not in line
+        assert "success_prob = " in proc.stdout
 
     def test_hedge_rejects_nonpositive_workers(self):
         for workers in ("0", "-2"):

@@ -13,12 +13,22 @@ from insider_hedge import (
     PointValue,
     density_indicator,
     density_point,
+    draw_interval,
+    draw_point,
     indicator_prob,
     interval_signal_from_prices,
     point_signal_from_price,
     sample_indicator_conditional,
     sample_point_conditional,
     std_normal_cdf,
+)
+from insider_hedge.rng import (
+    STREAM_INTERVAL_BRIDGE,
+    STREAM_INTERVAL_SIGNAL,
+    STREAM_POINT_BRIDGE,
+    STREAM_POINT_SHIFT,
+    standard_normal_stream,
+    uniform_stream,
 )
 
 G_110 = 0.328590719217  # Brownian value of stock level 110 at T + delta
@@ -161,14 +171,16 @@ class TestDensityIndicator:
 class TestPointSampler:
     def test_bridge_moments(self, params):
         n = 400_000
-        w = sample_point_conditional(G_110, n, ConditioningMode.BRIDGE_EXACT, params, seed=4)
+        mode = ConditioningMode.BRIDGE_EXACT
+        w = sample_point_conditional(G_110, mode, draw_point(mode, n, seed=4), params)
         mean, var = 0.304250665942, 0.0185185185185
         assert abs(w.mean() - mean) <= 4.0 * math.sqrt(var / n)
         assert abs(w.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / n)
 
     def test_shift_moments(self, params):
         n = 400_000
-        w = sample_point_conditional(G_110, n, ConditioningMode.PAPER_SHIFT, params, seed=4)
+        mode = ConditioningMode.PAPER_SHIFT
+        w = sample_point_conditional(G_110, mode, draw_point(mode, n, seed=4), params)
         assert abs(w.mean() - G_110) <= 4.0 * math.sqrt(params.delta / n)
         assert abs(w.var(ddof=1) - params.delta) <= 4.0 * params.delta * math.sqrt(2.0 / n)
 
@@ -176,19 +188,20 @@ class TestPointSampler:
         p = ModelParams(mu=0.08, sigma=0.25, s0=100.0, strike=110.0,
                         t_expiry=0.25, delta=1e-12)
         for mode in ConditioningMode:
-            w = sample_point_conditional(0.7, 5_000, mode, p, seed=1)
+            w = sample_point_conditional(0.7, mode, draw_point(mode, 5_000, seed=1), p)
             assert np.max(np.abs(w - 0.7)) <= 1e-4
 
     def test_deterministic_and_worker_invariant(self, params):
         for mode in ConditioningMode:
-            a = sample_point_conditional(G_110, 150_000, mode, params, seed=8, workers=1)
-            b = sample_point_conditional(G_110, 150_000, mode, params, seed=8, workers=3)
+            a = sample_point_conditional(G_110, mode, draw_point(mode, 150_000, seed=8), params)
+            b = sample_point_conditional(G_110, mode, draw_point(mode, 150_000, seed=8, workers=3),
+                                         params)
             assert np.array_equal(a, b)
 
     def test_modes_use_distinct_streams(self, params):
-        a = sample_point_conditional(G_110, 1000, ConditioningMode.BRIDGE_EXACT, params, seed=8)
-        b = sample_point_conditional(G_110, 1000, ConditioningMode.PAPER_SHIFT, params, seed=8)
-        assert not np.array_equal(a, b)
+        a = draw_point(ConditioningMode.BRIDGE_EXACT, 1000, seed=8)
+        b = draw_point(ConditioningMode.PAPER_SHIFT, 1000, seed=8)
+        assert not np.array_equal(a.z, b.z)
 
 
 class TestIndicatorSampler:
@@ -220,7 +233,7 @@ class TestIndicatorSampler:
                     above = np.maximum(stats.norm.sf(hi) - stats.norm.sf(x), 0.0)
                     return (below + above) / prob
 
-            pair = sample_indicator_conditional(sig, n, params, seed=seed)
+            pair = sample_indicator_conditional(sig, draw_interval(n, seed), params)
             assert len(pair.w_t) == n
             inside = (pair.w_tdelta >= sig.a_w) & (pair.w_tdelta <= sig.b_w)
             assert np.all(inside) if sig.observed == 1 else not np.any(inside)
@@ -231,13 +244,13 @@ class TestIndicatorSampler:
 
     def test_observed_zero_keeps_complement(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
-        pair = sample_indicator_conditional(sig, 50_000, params, seed=2)
+        pair = sample_indicator_conditional(sig, draw_interval(50_000, seed=2), params)
         assert np.all((pair.w_tdelta < sig.a_w) | (pair.w_tdelta > sig.b_w))
 
     def test_sure_event_recovers_unconditional_law(self, params):
         sig = IntervalIndicator(-60.0, 60.0, observed=1)
         n = 300_000
-        pair = sample_indicator_conditional(sig, n, params, seed=12)
+        pair = sample_indicator_conditional(sig, draw_interval(n, seed=12), params)
         td = params.t_signal
         assert abs(pair.w_tdelta.var(ddof=1) - td) <= 4.0 * td * math.sqrt(2.0 / n)
 
@@ -245,11 +258,37 @@ class TestIndicatorSampler:
         rare = IntervalIndicator(5.0, 5.01, observed=1)
         assert indicator_prob(rare, params) < 1e-4
         with pytest.raises(AcceptanceRateError):
-            sample_indicator_conditional(rare, 100, params, seed=1)
+            sample_indicator_conditional(rare, draw_interval(100, seed=1), params)
 
     def test_deterministic_and_worker_invariant(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
-        a = sample_indicator_conditional(sig, 150_000, params, seed=5, workers=1)
-        b = sample_indicator_conditional(sig, 150_000, params, seed=5, workers=4)
+        a = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params)
+        b = sample_indicator_conditional(sig, draw_interval(150_000, seed=5, workers=4), params)
         assert np.array_equal(a.w_t, b.w_t)
         assert np.array_equal(a.w_tdelta, b.w_tdelta)
+
+
+class TestDraws:
+    def test_stream_keys(self):
+        # a seeded hedge draws the same streams as before sampling was split
+        n, seed = 70_000, 13
+        assert np.array_equal(draw_point(ConditioningMode.BRIDGE_EXACT, n, seed).z,
+                              standard_normal_stream((seed, STREAM_POINT_BRIDGE), n))
+        assert np.array_equal(draw_point(ConditioningMode.PAPER_SHIFT, n, seed).z,
+                              standard_normal_stream((seed, STREAM_POINT_SHIFT), n))
+        draws = draw_interval(n, seed)
+        assert np.array_equal(draws.u, 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n))
+        assert np.array_equal(draws.z, standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n))
+
+    def test_samplers_leave_shared_draws_unchanged(self, params):
+        point = draw_point(ConditioningMode.BRIDGE_EXACT, 5_000, seed=3)
+        interval = draw_interval(5_000, seed=3)
+        before = [a.copy() for a in (point.z, interval.z, interval.u)]
+        for mode in ConditioningMode:
+            sample_point_conditional(G_110, mode, point, params)
+        for observed in (1, 0):
+            sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
+            sample_indicator_conditional(sig, interval, params)
+        after = (point.z, interval.z, interval.u)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert not any(a.flags.writeable for a in after)

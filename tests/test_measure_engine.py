@@ -6,9 +6,12 @@ import pytest
 from insider_hedge import (
     ConditioningMode,
     IntervalIndicator,
+    SignalDraws,
     bs_call_price,
     build_batch,
     density_point,
+    draw_interval,
+    draw_point,
     interval_signal_from_prices,
     payoff_call,
     point_signal_from_price,
@@ -30,6 +33,15 @@ CAPPED_TARGETS = {
     ("interval", 1): 0.368306,
     ("interval", 0): 0.985354,
 }
+
+
+def seeded_batch(signal, mode, n, p, seed, workers=1):
+    """build_batch on draws from `seed`, made as the hedge command makes them."""
+    if isinstance(signal, IntervalIndicator):
+        draws = draw_interval(n, seed, workers=workers)
+    else:
+        draws = draw_point(mode or ConditioningMode.BRIDGE_EXACT, n, seed, workers=workers)
+    return build_batch(signal, mode, draws, p)
 
 
 def capped_se(d: np.ndarray, cap: float = 10.0) -> float:
@@ -97,7 +109,7 @@ class TestBuildBatchPoint:
     @pytest.fixture(params=["bridge_exact", "paper_shift"])
     def batch(self, request, params):
         sig = point_signal_from_price(110.0, params)
-        return build_batch(sig, ConditioningMode(request.param), 200_000, params, seed=42)
+        return seeded_batch(sig, ConditioningMode(request.param), 200_000, params, seed=42)
 
     def test_per_sample_identities(self, batch, params):
         assert np.array_equal(batch.qg_density, batch.z_f / batch.p_g)
@@ -122,15 +134,15 @@ class TestBuildBatchPoint:
         assert frac == np.mean(batch.s_t <= params.strike)
         # independent draw of the same conditional law, different seed
         sig = point_signal_from_price(110.0, params)
-        other = build_batch(sig, batch.mode, 200_000, params, seed=43)
+        other = seeded_batch(sig, batch.mode, 200_000, params, seed=43)
         other_frac = np.mean(other.s_t <= params.strike)
         se = 2.0 * math.sqrt(0.25 / 200_000)
         assert abs(frac - other_frac) <= 4.0 * se
 
     def test_single_sample_deterministic(self, params):
         sig = point_signal_from_price(110.0, params)
-        one = build_batch(sig, "bridge_exact", 1, params, seed=11)
-        two = build_batch(sig, "bridge_exact", 1, params, seed=11)
+        one = seeded_batch(sig, "bridge_exact", 1, params, seed=11)
+        two = seeded_batch(sig, "bridge_exact", 1, params, seed=11)
         for name in ("w_t", "s_t", "h", "z_f", "p_g", "qg_density", "d_star"):
             assert np.array_equal(getattr(one, name), getattr(two, name)), name
 
@@ -139,7 +151,7 @@ class TestBuildBatchIndicator:
     @pytest.fixture(params=[1, 0])
     def batch(self, request, params):
         sig = interval_signal_from_prices(109.0, 111.0, params, observed=request.param)
-        return build_batch(sig, None, 200_000, params, seed=42)
+        return seeded_batch(sig, None, 200_000, params, seed=42)
 
     def test_per_sample_identities(self, batch):
         assert np.array_equal(batch.qg_density, batch.z_f / batch.p_g)
@@ -153,7 +165,7 @@ class TestBuildBatchIndicator:
         assert abs(got - target) <= 4.0 * capped_se(batch.d_star) + 1e-6
 
     def test_worker_invariance(self, batch, params):
-        again = build_batch(batch.signal, None, 200_000, params, seed=42, workers=4)
+        again = seeded_batch(batch.signal, None, 200_000, params, seed=42, workers=4)
         assert np.array_equal(batch.d_star, again.d_star)
 
 
@@ -161,8 +173,12 @@ class TestBatchValidation:
     def test_rejects_bad_n(self, params):
         sig = point_signal_from_price(110.0, params)
         with pytest.raises(ValueError):
-            build_batch(sig, "bridge_exact", 0, params, seed=1)
+            draw_point("bridge_exact", 0, seed=1)
+        with pytest.raises(ValueError):
+            draw_interval(0, seed=1)
+        with pytest.raises(ValueError):
+            build_batch(sig, "bridge_exact", SignalDraws(np.empty(0)), params)
 
     def test_rejects_unknown_signal(self, params):
         with pytest.raises(TypeError):
-            build_batch("not a signal", None, 10, params, seed=1)
+            seeded_batch("not a signal", None, 10, params, seed=1)

@@ -12,7 +12,6 @@ from insider_hedge import (
     ConditionalBatch,
     PointValue,
     alpha_from_k,
-    build_batch,
     interval_signal_from_prices,
     make_hedge_plan,
     point_signal_from_price,
@@ -21,6 +20,8 @@ from insider_hedge import (
     success_prob_from_k,
 )
 from insider_hedge.np_solver import SortedD
+
+from test_measure_engine import seeded_batch
 
 INF = float("inf")
 
@@ -261,7 +262,7 @@ class TestBatchState:
             sig = point_signal_from_price(110.0, params)
         else:
             sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
-        return build_batch(sig, None, 10**5, params, seed=5)
+        return seeded_batch(sig, None, 10**5, params, seed=5)
 
     def test_planning_does_not_mutate_the_batch(self, batch):
         before = dict(vars(batch))
@@ -369,7 +370,7 @@ class TestZeroAtomEquivalence:
     @pytest.mark.parametrize("n", [1, 5000])
     def test_edge_batches(self, params, strike, zeros, n):
         p = dataclasses.replace(params, strike=strike)
-        batch = build_batch(point_signal_from_price(110.0, p), None, n, p, seed=3)
+        batch = seeded_batch(point_signal_from_price(110.0, p), None, n, p, seed=3)
         view = batch.sorted_d
         assert view.n == n
         assert view.d.size == (0 if zeros == "all" else n)
