@@ -38,8 +38,6 @@ from .model_core import (
     bs_call_price,
     price_from_brownian,
     rn_density,
-    sample_brownian_pairs,
-    std_normal_cdf,
 )
 from .np_solver import (
     AtomGapWarning,

@@ -33,6 +33,7 @@ from . import __version__
 from .insider_signal import (
     AcceptanceRateError,
     ConditioningMode,
+    check_signal_prob,
     draw_interval,
     draw_point,
     interval_signal_from_prices,
@@ -74,7 +75,7 @@ DEFAULT_EPSILONS = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25)
 
 DEFAULT_CONFIG_KEYS = (
     "mu", "sigma", "s0", "strike", "t_expiry", "delta",
-    "signal.kind", "signal.levels", "signal.intervals",
+    "signal.levels", "signal.intervals",
     "epsilons", "mode", "n_paths", "seed", "output", "format",
 )
 
@@ -428,7 +429,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
     return RunConfig(
         model=model,
-        signal_kind=pick(getattr(args, "signal_kind", None), "signal.kind", str, "point"),
         levels=pick(getattr(args, "levels", None), "signal.levels", _parse_floats, DEFAULT_LEVELS),
         intervals=pick(getattr(args, "intervals", None), "signal.intervals",
                        _parse_intervals, DEFAULT_INTERVALS),
@@ -540,6 +540,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 raise ValueError(f"--interval takes one LO:HI, got {args.interval!r}")
             (lo, hi), = intervals
             signal = interval_signal_from_prices(lo, hi, config.model, observed=args.observed)
+            # a signal below the floor is refused before its 2n draws are filled
+            check_signal_prob(signal, config.model)
             mode = None
             draw = draw_interval
         # no reference to the draws is kept here, so build_batch can free them early

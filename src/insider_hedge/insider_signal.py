@@ -56,6 +56,7 @@ __all__ = [
     "density_point",
     "density_indicator",
     "indicator_prob",
+    "check_signal_prob",
     "SignalDraws",
     "draw_point",
     "draw_interval",
@@ -168,6 +169,23 @@ def indicator_prob(spec: IntervalIndicator, p: ModelParams) -> float:
     return float(_normal_mass(spec.a_w / sd, spec.b_w / sd, spec.observed))
 
 
+class AcceptanceRateError(RuntimeError):
+    """Raised when P(G = observed) of an interval signal is below SIGNAL_PROB_FLOOR."""
+
+
+def check_signal_prob(spec: IntervalIndicator, p: ModelParams) -> float:
+    """indicator_prob(spec, p), or AcceptanceRateError when it is below SIGNAL_PROB_FLOOR.
+
+    Callers run it before drawing, so a refused signal costs no draws.
+    """
+    mass = indicator_prob(spec, p)
+    if mass < SIGNAL_PROB_FLOOR:
+        raise AcceptanceRateError(
+            f"P(G={spec.observed}) = {mass:.3e} below the acceptance floor {SIGNAL_PROB_FLOOR:.1e}"
+        )
+    return mass
+
+
 def density_indicator(value: int, w_t, t, spec: IntervalIndicator, p: ModelParams):
     """p_t^1 or p_t^0 for the indicator signal.
 
@@ -254,10 +272,6 @@ def sample_point_conditional(g_w: float, mode: ConditioningMode, draws: SignalDr
     return g_w - math.sqrt(p.delta) * draws.z
 
 
-class AcceptanceRateError(RuntimeError):
-    """Raised when P(G = observed) of an interval signal is below SIGNAL_PROB_FLOOR."""
-
-
 def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
                                  p: ModelParams) -> BrownianPair:
     """Exact draws of (W_T, W_{T+delta}) given G = spec.observed, from draw_interval's draws.
@@ -265,16 +279,11 @@ def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
     W_{T+delta} / sqrt(T+d) is the inverse CDF at draws.u of the standard
     normal restricted to [a, b] / sqrt(T+d) (G = 1) or to its complement
     (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
-    Fails before any work when the closed form P(G = observed) falls
-    below SIGNAL_PROB_FLOOR.
+    Fails before any work through check_signal_prob.
     """
+    mass = check_signal_prob(spec, p)
     sd = math.sqrt(p.t_signal)
     lo, hi = spec.a_w / sd, spec.b_w / sd
-    mass = float(_normal_mass(lo, hi, spec.observed))
-    if mass < SIGNAL_PROB_FLOOR:
-        raise AcceptanceRateError(
-            f"P(G={spec.observed}) = {mass:.3e} below the acceptance floor {SIGNAL_PROB_FLOOR:.1e}"
-        )
     u = draws.u * mass
     if spec.observed == 1:
         # invert on the lower of [lo, hi] and its reflection, as in _normal_mass

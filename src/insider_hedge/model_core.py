@@ -18,17 +18,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .rng import STREAM_PAIRS, standard_normal_stream
-
 __all__ = [
     "ModelParams",
     "BrownianPair",
-    "std_normal_cdf",
     "price_from_brownian",
     "brownian_from_price",
     "rn_density",
     "bs_call_price",
-    "sample_brownian_pairs",
 ]
 
 
@@ -87,11 +83,6 @@ class BrownianPair(NamedTuple):
     w_tdelta: np.ndarray
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF, accurate to ~1e-15 (erfc based)."""
-    return ndtr(x)
-
-
 def price_from_brownian(w, t, p: ModelParams):
     """Stock level at time t for Brownian value w."""
     return p.s0 * np.exp(p.sigma * w + (p.mu - 0.5 * p.sigma**2) * t)
@@ -114,39 +105,15 @@ def rn_density(w, p: ModelParams, t: float | None = None):
     return np.exp(-th * w - 0.5 * th * th * t)
 
 
-def bs_call_price(p: ModelParams, s0: float | None = None, strike: float | None = None,
-                  t_expiry: float | None = None, sigma: float | None = None) -> float:
+def bs_call_price(p: ModelParams) -> float:
     """Zero-rate Black-Scholes call price S0*Phi(d1) - K*Phi(d2).
 
-    The keyword overrides make parameter-grid checks cheap without
-    building new ModelParams.  Degenerate sigma*sqrt(T) == 0 and
-    strike == 0 return the intrinsic value / spot so the function stays
-    total on limiting inputs.
+    ModelParams keeps sigma and T positive; a zero strike returns the
+    spot, where d1 would be infinite.
     """
-    s = p.s0 if s0 is None else s0
-    k = p.strike if strike is None else strike
-    t = p.t_expiry if t_expiry is None else t_expiry
-    vol = p.sigma if sigma is None else sigma
-    sig_sqrt_t = vol * math.sqrt(t)
-    if k == 0.0:
-        return s
-    if sig_sqrt_t == 0.0:
-        return max(s - k, 0.0)
-    d1 = (math.log(s / k) + 0.5 * sig_sqrt_t**2) / sig_sqrt_t
+    if p.strike == 0.0:
+        return p.s0
+    sig_sqrt_t = p.sigma * math.sqrt(p.t_expiry)
+    d1 = (math.log(p.s0 / p.strike) + 0.5 * sig_sqrt_t**2) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
-    return float(s * ndtr(d1) - k * ndtr(d2))
-
-
-def sample_brownian_pairs(n: int, p: ModelParams, seed: int, workers: int = 1) -> BrownianPair:
-    """n independent draws of (W_T, W_{T+delta}) under P.
-
-    W_T ~ N(0, T) and the increment ~ N(0, delta) is independent of it.
-    Output is bit-identical for identical (n, seed) regardless of
-    `workers` (see rng module).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = standard_normal_stream((seed, STREAM_PAIRS), n, cols=2, workers=workers)
-    w_t = math.sqrt(p.t_expiry) * z[:, 0]
-    w_tdelta = w_t + math.sqrt(p.delta) * z[:, 1]
-    return BrownianPair(w_t, w_tdelta)
+    return float(p.s0 * ndtr(d1) - p.strike * ndtr(d2))

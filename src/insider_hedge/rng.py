@@ -5,7 +5,9 @@ fixed-size blocks: block ``b`` of stream ``key`` comes from its own
 counter-based Philox generator seeded from ``SeedSequence([*key, b])``.
 Block boundaries depend only on the draw index, never on the worker
 count, so a stream can be filled by any number of threads and still
-produce bit-identical output.
+produce bit-identical output.  A stream is one flat array of standard
+normals or of uniforms; the samplers key theirs by (seed, stream tag),
+so every tag below fixes the draws behind a table's numbers.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ __all__ = ["BLOCK_SIZE", "block_generator", "standard_normal_stream", "uniform_s
 BLOCK_SIZE = 1 << 16
 
 # stream tags keep the samplers of different quantities decorrelated
-STREAM_PAIRS = 1
 STREAM_POINT_BRIDGE = 2
 STREAM_POINT_SHIFT = 3
 STREAM_INTERVAL_SIGNAL = 4
@@ -46,11 +47,11 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _block_stream(key, n: int, cols: int, workers: int, draw) -> np.ndarray:
-    """n rows of `cols` draws, block b filled in place by draw(block_generator(key, b), out=rows)."""
+def _block_stream(key, n: int, workers: int, draw) -> np.ndarray:
+    """n draws, block b filled in place by draw(block_generator(key, b), out=block)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = np.empty((n, cols))
+    out = np.empty(n)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def fill(b: int) -> None:
@@ -64,18 +65,17 @@ def _block_stream(key, n: int, cols: int, workers: int, draw) -> np.ndarray:
     else:
         for b in range(n_blocks):
             fill(b)
-    return out[:, 0] if cols == 1 else out
+    return out
 
 
-def standard_normal_stream(key, n: int, cols: int = 1, workers: int = 1) -> np.ndarray:
-    """n rows of `cols` iid standard normals, reproducible for fixed key.
+def standard_normal_stream(key, n: int, workers: int = 1) -> np.ndarray:
+    """n iid standard normals, reproducible for fixed key.
 
     The output is independent of `workers`; threads fill disjoint blocks.
-    Returns shape (n,) when cols == 1, else (n, cols).
     """
-    return _block_stream(key, n, cols, workers, np.random.Generator.standard_normal)
+    return _block_stream(key, n, workers, np.random.Generator.standard_normal)
 
 
 def uniform_stream(key, n: int, workers: int = 1) -> np.ndarray:
     """n iid uniforms on [0, 1), reproducible for fixed key and independent of `workers`."""
-    return _block_stream(key, n, 1, workers, np.random.Generator.random)
+    return _block_stream(key, n, workers, np.random.Generator.random)

@@ -14,14 +14,14 @@ exactly:
 
 Paths are tuples of moves (1 = up, 0 = down).  A market with `periods`
 steps carries the signal on time-N paths and the payoff on time-T nodes,
-T = hedge_horizon <= N.  Rational arithmetic is used up to 12 periods;
-larger markets fall back to floats with 1e-12 tolerances.
+T = hedge_horizon <= N.  Every quantity is a Fraction at every depth,
+so each identity is checked with exact equality.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -48,9 +48,7 @@ __all__ = [
     "market_from_text",
 ]
 
-EXACT_PERIOD_LIMIT = 12
 ENUM_ATOM_LIMIT = 24
-FLOAT_TOL = 1e-12
 
 Path = tuple  # tuple of 0/1 moves
 
@@ -148,6 +146,15 @@ class TreeMarket:
     def signal_prob(self, g) -> Fraction:
         return self.cond_signal_prob((), g)
 
+    def rn_density(self, prefix: Path) -> Fraction:
+        """Risk-neutral density z on the node: (q/p)^j ((1-q)/(1-p))^(t-j), j ups in t steps."""
+        q, p, ups = self.q, self.p_up, sum(prefix)
+        return (q / p) ** ups * ((1 - q) / (1 - p)) ** (len(prefix) - ups)
+
+    def signal_density(self, prefix: Path, g) -> Fraction:
+        """Signal density P(G=g | node) / P(G=g)."""
+        return self.cond_signal_prob(prefix, g) / self.signal_prob(g)
+
     def _normalize_signal(self, signal: Mapping) -> dict:
         keys = list(signal.keys())
         if all(isinstance(k, int) for k in keys):
@@ -210,66 +217,50 @@ class AtomTable:
     market: TreeMarket
     atoms: tuple
     e_qg_h: Fraction
-    exact: bool
-
-    def signal_prob(self, g):
-        return sum((a.prob for a in self.atoms if a.g == g), start=_zero(self.exact))
 
 
-def _zero(exact: bool):
-    return Fraction(0) if exact else 0.0
-
-
-def _cast(x, exact: bool):
-    return x if exact else float(x)
-
-
-def _eq(exact: bool):
-    if exact:
-        return lambda a, b: a == b
-    return lambda a, b: abs(a - b) <= FLOAT_TOL
-
-
-def build_atom_table(m: TreeMarket, exact: bool | None = None) -> AtomTable:
+def build_atom_table(m: TreeMarket) -> AtomTable:
     """Exact per-atom densities for the market.
 
-    z on a node with j ups in T steps is (q/p)^j ((1-q)/(1-p))^(T-j);
-    the signal density is the conditional over the prior probability.
-    Markets deeper than 12 periods are evaluated in floats.
+    z is TreeMarket.rn_density on the horizon node, p_g its
+    signal_density; D = h z / (p_g E_QG[H]).
     """
-    if exact is None:
-        exact = m.periods <= EXACT_PERIOD_LIMIT
-    th = m.hedge_horizon
-    q, p = _cast(m.q, exact), _cast(m.p_up, exact)
-    e_qf_h = sum(
-        _cast(m.qf_prob(prefix), exact) * _cast(m.payoff[sum(prefix)], exact)
-        for prefix in _paths(th)
-    )
+    e_qf_h = sum(m.qf_prob(prefix) * m.payoff[sum(prefix)] for prefix in _paths(m.hedge_horizon))
     if e_qf_h <= 0:
         raise ValueError("payoff has zero risk-neutral expectation; D is undefined")
     atoms = []
-    for prefix in _paths(th):
-        ups = sum(prefix)
-        z = (q / p) ** ups * ((1 - q) / (1 - p)) ** (th - ups)
-        h = _cast(m.payoff[ups], exact)
+    for prefix in _paths(m.hedge_horizon):
+        z = m.rn_density(prefix)
+        h = m.payoff[sum(prefix)]
         for g in m.signal_values:
-            cond = _cast(m.cond_signal_prob(prefix, g), exact)
-            prior = _cast(m.signal_prob(g), exact)
-            p_g = cond / prior
+            p_g = m.signal_density(prefix, g)
             qg = z / p_g
             atoms.append(TreeAtom(
                 prefix=prefix, g=g,
-                prob=_cast(m.prob(prefix), exact) * cond,
+                prob=m.prob(prefix) * m.cond_signal_prob(prefix, g),
                 z_f=z, p_g=p_g, qg_density=qg, h=h,
                 d_star=h * qg / e_qf_h,
             ))
-    table = AtomTable(market=m, atoms=tuple(atoms), e_qg_h=e_qf_h, exact=exact)
-    eq = _eq(exact)
     total_p = sum(a.prob for a in atoms)
     total_qg = sum(a.prob * a.qg_density for a in atoms)
-    if not (eq(total_p, 1) and eq(total_qg, 1)):
+    if not (total_p == 1 and total_qg == 1):
         raise AssertionError(f"atom masses do not normalize: P={total_p}, Q_G={total_qg}")
-    return table
+    return AtomTable(market=m, atoms=tuple(atoms), e_qg_h=e_qf_h)
+
+
+def _insider_mass(table: AtomTable) -> dict:
+    """Insider-measure mass of every enlarged atom (prefix, g) up to the horizon.
+
+    Horizon atoms carry prob * qg_density; earlier ones sum their two
+    children, from the horizon back to the root.
+    """
+    m = table.market
+    mass = {(a.prefix, a.g): a.prob * a.qg_density for a in table.atoms}
+    for t in range(m.hedge_horizon - 1, -1, -1):
+        for prefix in _paths(t):
+            for g in m.signal_values:
+                mass[(prefix, g)] = mass[(prefix + (1,), g)] + mass[(prefix + (0,), g)]
+    return mass
 
 
 @dataclass(frozen=True)
@@ -292,77 +283,60 @@ def verify_theorems(table: AtomTable) -> TheoremReport:
     (e) the tilted density D has unit conditional mass given each signal
         value.
 
-    Checks are exact on rational tables and 1e-12 otherwise; the report
-    lists every violated identity with the offending atom.
+    Every check is an exact equality; the report lists every violated
+    identity with the offending atom.
     """
     m = table.market
-    exact = table.exact
-    eq = _eq(exact)
     th = m.hedge_horizon
-    q, p = _cast(m.q, exact), _cast(m.p_up, exact)
     failures = []
     n_checks = 0
 
-    qg_mass = {(a.prefix, a.g): a.prob * a.qg_density for a in table.atoms}
-    qg_node = {}
-    qg_sig = {}
-    for (prefix, g), w in qg_mass.items():
-        qg_node[prefix] = qg_node.get(prefix, _zero(exact)) + w
-        qg_sig[g] = qg_sig.get(g, _zero(exact)) + w
+    mass = _insider_mass(table)
+    qg_node = {prefix: sum(mass[(prefix, g)] for g in m.signal_values) for prefix in _paths(th)}
+    qg_sig = {g: mass[((), g)] for g in m.signal_values}
 
     # (a) product form of the insider measure on atoms
-    for (prefix, g), w in qg_mass.items():
+    for a in table.atoms:
         n_checks += 1
-        if not eq(w, qg_node[prefix] * qg_sig[g]):
-            failures.append(f"(a) independence fails at atom ({prefix}, {g!r})")
+        if mass[(a.prefix, a.g)] != qg_node[a.prefix] * qg_sig[a.g]:
+            failures.append(f"(a) independence fails at atom ({a.prefix}, {a.g!r})")
 
     # (b) marginals
     for prefix in _paths(th):
         n_checks += 1
-        if not eq(qg_node[prefix], _cast(m.qf_prob(prefix), exact)):
+        if qg_node[prefix] != m.qf_prob(prefix):
             failures.append(f"(b) node marginal differs from risk-neutral law at {prefix}")
     for g in m.signal_values:
         n_checks += 1
-        if not eq(qg_sig[g], _cast(m.signal_prob(g), exact)):
+        if qg_sig[g] != m.signal_prob(g):
             failures.append(f"(b) signal marginal differs from prior at {g!r}")
 
     # (c) z/p martingale under P on the enlarged tree
-    def z_f(prefix):
-        ups = sum(prefix)
-        return (q / p) ** ups * ((1 - q) / (1 - p)) ** (len(prefix) - ups)
-
-    def p_sig(prefix, g):
-        return _cast(m.cond_signal_prob(prefix, g), exact) / _cast(m.signal_prob(g), exact)
+    def z_over_p(prefix, g):
+        return m.rn_density(prefix) / m.signal_density(prefix, g)
 
     for t in range(th):
         for prefix in _paths(t):
             for g in m.signal_values:
                 n_checks += 1
-                cond_here = _cast(m.cond_signal_prob(prefix, g), exact)
-                expect = _zero(exact)
-                for move, pm in ((1, p), (0, 1 - p)):
-                    nxt = prefix + (move,)
-                    move_prob = pm * _cast(m.cond_signal_prob(nxt, g), exact) / cond_here
-                    expect = expect + move_prob * z_f(nxt) / p_sig(nxt, g)
-                if not eq(expect, z_f(prefix) / p_sig(prefix, g)):
+                cond_here = m.cond_signal_prob(prefix, g)
+                expect = sum(
+                    pm * m.cond_signal_prob(prefix + (mv,), g) / cond_here
+                    * z_over_p(prefix + (mv,), g)
+                    for mv, pm in ((1, m.p_up), (0, 1 - m.p_up))
+                )
+                if expect != z_over_p(prefix, g):
                     failures.append(f"(c) z/p not a martingale at ({prefix}, {g!r})")
 
     # (d) price martingale under the insider measure on the enlarged tree
-    qg_t: dict = dict(qg_mass)
-    for t in range(th - 1, -1, -1):
-        for prefix in _paths(t):
-            for g in m.signal_values:
-                qg_t[(prefix, g)] = qg_t[(prefix + (1,), g)] + qg_t[(prefix + (0,), g)]
     for t in range(th):
         for prefix in _paths(t):
             for g in m.signal_values:
                 n_checks += 1
-                mass = qg_t[(prefix, g)]
                 expect = sum(
-                    qg_t[(prefix + (mv,), g)] * _cast(m.price(prefix + (mv,)), exact)
-                    for mv in (0, 1)
-                ) / mass
-                if not eq(expect, _cast(m.price(prefix), exact)):
+                    mass[(prefix + (mv,), g)] * m.price(prefix + (mv,)) for mv in (0, 1)
+                ) / mass[(prefix, g)]
+                if expect != m.price(prefix):
                     failures.append(f"(d) price not a QG-martingale at ({prefix}, {g!r})")
 
     # (e) unit conditional mass of D
@@ -370,7 +344,7 @@ def verify_theorems(table: AtomTable) -> TheoremReport:
         n_checks += 1
         pg = sum(a.prob for a in table.atoms if a.g == g)
         mean_d = sum(a.prob * a.d_star for a in table.atoms if a.g == g) / pg
-        if not eq(mean_d, 1):
+        if mean_d != 1:
             failures.append(f"(e) E[D | G={g!r}] = {mean_d} != 1")
 
     return TheoremReport(passed=not failures, n_checks=n_checks, failures=tuple(failures))
@@ -379,14 +353,8 @@ def verify_theorems(table: AtomTable) -> TheoremReport:
 def perturb_atom(table: AtomTable, index: int = 0, rel=Fraction(1, 10**6)) -> AtomTable:
     """Negative control: one atom's insider density nudged by a factor 1+rel."""
     atoms = list(table.atoms)
-    a = atoms[index]
-    factor = (1 + rel) if table.exact else float(1 + rel)
-    atoms[index] = TreeAtom(
-        prefix=a.prefix, g=a.g, prob=a.prob, z_f=a.z_f, p_g=a.p_g,
-        qg_density=a.qg_density * factor, h=a.h, d_star=a.d_star,
-    )
-    return AtomTable(market=table.market, atoms=tuple(atoms),
-                     e_qg_h=table.e_qg_h, exact=table.exact)
+    atoms[index] = replace(atoms[index], qg_density=atoms[index].qg_density * (1 + rel))
+    return replace(table, atoms=tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +372,9 @@ def conditional_law(table: AtomTable, g) -> list:
     return law
 
 
-def _threshold_candidates(law, exact: bool):
+def _threshold_candidates(law):
     """(k, P(D<=k), E[D 1{D<=k}]) at k = 0 and at each distinct value of D."""
-    zero = _zero(exact)
+    zero = Fraction(0)
     cands = [(zero, zero, zero)]
     cum_p, cum_cost = zero, zero
     for i, (_, d, pc) in enumerate(law):
@@ -424,7 +392,7 @@ def _threshold_candidates(law, exact: bool):
 def achievable_levels(table: AtomTable, g):
     """Exactly attainable (success probability, capital fraction) pairs."""
     law = conditional_law(table, g)
-    return [(cp, cc) for _, cp, cc in _threshold_candidates(law, table.exact)]
+    return [(cp, cc) for _, cp, cc in _threshold_candidates(law)]
 
 
 @dataclass(frozen=True)
@@ -445,12 +413,13 @@ class ExactHedge:
 def exact_quantile_hedge(table: AtomTable, g, *, epsilon=None, alpha=None) -> ExactHedge:
     """Solve either problem exactly on the conditional law of D given G=g.
 
-    Pass Fractions for exact target comparisons on rational tables.
+    The law is rational, so every comparison with the target is exact
+    (a float target is compared at its exact binary value).
     """
     if (epsilon is None) == (alpha is None):
         raise ValueError("pass exactly one of epsilon= / alpha=")
     law = conditional_law(table, g)
-    cands = _threshold_candidates(law, table.exact)
+    cands = _threshold_candidates(law)
     if epsilon is not None:
         if not 0 <= epsilon <= 1:
             raise ValueError("epsilon must be in [0,1]")
@@ -491,11 +460,10 @@ def exhaustive_optimality_check(table: AtomTable, g, alpha) -> bool:
     """
     law = conditional_law(table, g)
     solver = exact_quantile_hedge(table, g, alpha=alpha)
-    slack = 0 if table.exact else FLOAT_TOL
     return all(
-        p_a <= solver.success_prob + slack
+        p_a <= solver.success_prob
         for _, p_a, cost in _enumerate_sets(law)
-        if cost <= alpha + slack
+        if cost <= alpha
     )
 
 
@@ -508,12 +476,11 @@ def exhaustive_epsilon_check(table: AtomTable, g, epsilon) -> bool:
     """
     law = conditional_law(table, g)
     solver = exact_quantile_hedge(table, g, epsilon=epsilon)
-    slack = 0 if table.exact else FLOAT_TOL
     best = None
     for _, p_a, cost in _enumerate_sets(law):
-        if p_a >= 1 - epsilon - slack and (best is None or cost < best):
+        if p_a >= 1 - epsilon and (best is None or cost < best):
             best = cost
-    return best is not None and _eq(table.exact)(best, solver.alpha)
+    return best is not None and best == solver.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -541,42 +508,29 @@ def knockout_target(table: AtomTable, thresholds: Mapping) -> dict:
         if a.g not in thresholds:
             raise ValueError(f"no threshold supplied for signal value {a.g!r}")
         keep = a.d_star <= thresholds[a.g]
-        out[(a.prefix, a.g)] = a.h if keep else _zero(table.exact)
+        out[(a.prefix, a.g)] = a.h if keep else Fraction(0)
     return out
 
 
 def replicate_on_tree(m: TreeMarket, target: Mapping) -> TreeStrategy:
     """Backward-induction replication of a horizon target on the enlarged tree.
 
-    `target` maps (horizon prefix, signal value) -> value; plain
-    {prefix -> value} or {ups -> value} maps are broadcast over signal
-    values.  Values must be nonnegative.  The returned strategy matches
-    the target exactly, is self-financing along every edge and keeps a
-    nonnegative value process.
+    `target` maps (horizon prefix, signal value) -> value, or horizon
+    ups -> value, broadcast over nodes and signal values.  Values must
+    be nonnegative.  The returned strategy matches the target exactly,
+    is self-financing along every edge and keeps a nonnegative value
+    process.
     """
-    th = m.hedge_horizon
-    exact = m.periods <= EXACT_PERIOD_LIMIT
-    tgt = _normalize_target(m, target, exact)
-    if any(v < 0 for v in tgt.values()):
+    values = _normalize_target(m, target)
+    if any(v < 0 for v in values.values()):
         raise ValueError("target must be nonnegative")
-
-    # insider-measure mass of enlarged atoms, built from the horizon up
-    mass = {}
-    table = build_atom_table(m, exact=exact)
-    for a in table.atoms:
-        mass[(a.prefix, a.g)] = a.prob * a.qg_density
-    for t in range(th - 1, -1, -1):
-        for prefix in _paths(t):
-            for g in m.signal_values:
-                mass[(prefix, g)] = mass[(prefix + (1,), g)] + mass[(prefix + (0,), g)]
-
-    values = dict(tgt)
+    mass = _insider_mass(build_atom_table(m))
     holdings = {}
-    for t in range(th - 1, -1, -1):
+    for t in range(m.hedge_horizon - 1, -1, -1):
         for prefix in _paths(t):
-            s_here = _cast(m.price(prefix), exact)
-            s_up = _cast(m.price(prefix + (1,)), exact)
-            s_dn = _cast(m.price(prefix + (0,)), exact)
+            s_here = m.price(prefix)
+            s_up = m.price(prefix + (1,))
+            s_dn = m.price(prefix + (0,))
             for g in m.signal_values:
                 v_up = values[(prefix + (1,), g)]
                 v_dn = values[(prefix + (0,), g)]
@@ -587,7 +541,7 @@ def replicate_on_tree(m: TreeMarket, target: Mapping) -> TreeStrategy:
                 # self-financing must hold along both edges
                 for v_next, s_next in ((v_up, s_up), (v_dn, s_dn)):
                     gap = v_next - v_here - xi * (s_next - s_here)
-                    if not _eq(exact)(gap, 0):
+                    if gap != 0:
                         raise AssertionError(
                             f"self-financing violated at ({prefix}, {g!r}): gap {gap}"
                         )
@@ -599,29 +553,16 @@ def replicate_on_tree(m: TreeMarket, target: Mapping) -> TreeStrategy:
     return TreeStrategy(values=values, holdings=holdings, initial_capital=initial)
 
 
-def _normalize_target(m: TreeMarket, target: Mapping, exact: bool) -> dict:
-    keys = list(target.keys())
-    th = m.hedge_horizon
-    if keys and all(isinstance(k, tuple) and len(k) == 2 and isinstance(k[0], tuple) for k in keys):
-        out = {k: _cast(_rat(v) if exact else v, exact) for k, v in target.items()}
-        for prefix in _paths(th):
-            for g in m.signal_values:
-                if (prefix, g) not in out:
-                    raise ValueError(f"target missing atom ({prefix}, {g!r})")
-        return out
-    if keys and all(isinstance(k, int) for k in keys):
-        by_node = {j: target[j] for j in target}
-        expand = {prefix: by_node[sum(prefix)] for prefix in _paths(th)}
-    else:
-        expand = {tuple(k): v for k, v in target.items()}
-        for prefix in _paths(th):
-            if prefix not in expand:
-                raise ValueError(f"target missing horizon node {prefix}")
-    return {
-        (prefix, g): _cast(_rat(v) if exact else v, exact)
-        for prefix, v in expand.items()
-        for g in m.signal_values
-    }
+def _normalize_target(m: TreeMarket, target: Mapping) -> dict:
+    """The target as {(horizon prefix, g): Fraction} over every enlarged horizon atom."""
+    atoms = [(prefix, g) for prefix in _paths(m.hedge_horizon) for g in m.signal_values]
+    if target and all(isinstance(k, int) for k in target):
+        return {(prefix, g): _rat(target[sum(prefix)]) for prefix, g in atoms}
+    odd = [k for k in target if k not in atoms] or [a for a in atoms if a not in target]
+    if odd:
+        raise ValueError("target must be keyed by horizon ups or by every (horizon prefix, "
+                         f"signal) pair; {odd[0]!r} is unknown or missing")
+    return {atom: _rat(target[atom]) for atom in atoms}
 
 
 # ---------------------------------------------------------------------------

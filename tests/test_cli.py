@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from insider_hedge import insider_signal
+from insider_hedge import cli, insider_signal
 from insider_hedge.cli import (
     CSV_HEADER,
     RunConfig,
@@ -63,6 +63,16 @@ class TestConfigFile:
         cfg.write_text("volatility = 0.3\n")
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_config_file(str(cfg))
+
+    def test_signal_kind_is_not_a_config_key(self, tmp_path):
+        # an empty level grid must fail, whatever the file says about the signal kind
+        cfg = tmp_path / "kind.cfg"
+        cfg.write_text("signal.kind = interval\nsignal.levels =\n")
+        proc = run_cli("table-point", "--config", str(cfg), "--n-paths", "2000")
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "signal.kind" in line
+        assert proc.stdout == ""
 
     def test_env_var_supplies_default(self, tmp_path, monkeypatch):
         cfg = tmp_path / "env.cfg"
@@ -313,6 +323,17 @@ class TestCommandLine:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and message in line
         assert proc.stdout == ""
+
+    def test_hedge_refuses_rare_interval_before_drawing(self, monkeypatch, capsys):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("draw_interval ran for a signal below the floor")
+
+        monkeypatch.setattr(cli, "draw_interval", no_draws)
+        assert main(["hedge", "--interval", "180:190", "--epsilon", "0.1"]) == 1
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert line.startswith("error: P(G=1) = ") and "below the acceptance floor" in line
+        assert out == ""
 
     def test_hedge_requires_one_signal(self):
         proc = run_cli("hedge", "--epsilon", "0.1")

@@ -20,7 +20,6 @@ from insider_hedge import (
     point_signal_from_price,
     sample_indicator_conditional,
     sample_point_conditional,
-    std_normal_cdf,
 )
 from insider_hedge.rng import (
     STREAM_INTERVAL_BRIDGE,

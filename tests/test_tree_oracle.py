@@ -123,6 +123,29 @@ class TestVerifyTheorems:
             assert report.passed, f"seed {seed}: {report.failures}"
 
 
+def thirteen_period_market():
+    # deeper than any market the suite draws: every value must still be a Fraction
+    return TreeMarket(periods=13, hedge_horizon=4, u=F(3, 2), d=F(2, 3), p_up=F(11, 20), s0=1,
+                      payoff={j: max(F(3, 2) ** (2 * j - 4) - 1, F(0)) for j in range(5)},
+                      signal={j: j % 3 for j in range(14)})
+
+
+class TestRationalArithmetic:
+    @pytest.mark.parametrize("market", [*(random_market(seed) for seed in range(20)),
+                                        thirteen_period_market()],
+                             ids=[*(f"random{seed}" for seed in range(20)), "periods13"])
+    def test_every_value_is_a_fraction(self, market):
+        table = build_atom_table(market)
+        assert type(table.e_qg_h) is F
+        for a in table.atoms:
+            assert all(type(v) is F for v in (a.prob, a.z_f, a.p_g, a.qg_density, a.h, a.d_star))
+        report = verify_theorems(table)
+        assert report.passed, report.failures
+        strat = replicate_on_tree(market, dict(market.payoff))
+        for part in (strat.values, strat.holdings, strat.initial_capital):
+            assert all(type(v) is F for v in part.values())
+
+
 class TestEquivalenceValidation:
     def test_revealing_signal_rejected(self):
         # 1{S_2 >= 2} is settled by the first move on the down branch
@@ -254,6 +277,12 @@ class TestReplication:
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             replicate_on_tree(reference_market(), {0: -1, 1: 1})
+
+    def test_prefix_target_rejected(self):
+        # targets are keyed by horizon ups or by (horizon prefix, signal) pairs only
+        with pytest.raises(ValueError,
+                           match=r"target must be keyed by horizon ups .*; \(0,\) is unknown"):
+            replicate_on_tree(reference_market(), {(0,): 0, (1,): 1})
 
 
 class TestSerialization:
