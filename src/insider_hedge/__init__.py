@@ -25,9 +25,7 @@ from .insider_signal import (
     sample_point_conditional,
 )
 from .measure_engine import (
-    ConditionalBatch,
     build_batch,
-    payoff_call,
     qg_density_indicator,
     qg_density_point,
 )
@@ -42,6 +40,7 @@ from .model_core import (
 from .np_solver import (
     AtomGapWarning,
     HedgePlan,
+    SortedD,
     alpha_from_k,
     make_hedge_plan,
     solve_k_for_alpha,

@@ -130,19 +130,19 @@ class CellResult:
     flags: str
 
 
-def _plan(batch, **target) -> tuple[HedgePlan, list]:
+def _plan(view, **target) -> tuple[HedgePlan, list]:
     """make_hedge_plan, with the warnings it raises (every AtomGapWarning) returned, not shown."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AtomGapWarning)
-        plan = make_hedge_plan(batch, **target)
+        plan = make_hedge_plan(view, **target)
     return plan, caught
 
 
-def _plan_row(batch, epsilons) -> list[tuple[HedgePlan, list[str]]]:
-    """(plan, flags) per epsilon on one batch."""
+def _plan_row(view, epsilons) -> list[tuple[HedgePlan, list[str]]]:
+    """(plan, flags) per epsilon on one sorted view of D."""
     row = []
     for epsilon in epsilons:
-        plan, caught = _plan(batch, epsilon=epsilon)
+        plan, caught = _plan(view, epsilon=epsilon)
         flags = ["atom_gap"] if any(issubclass(w.category, AtomGapWarning) for w in caught) else []
         if plan.alpha < 2.0 * plan.mc_stderr_alpha:
             flags.append("below_se_floor")
@@ -184,8 +184,8 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     for j, mode in enumerate(modes):
         draws = draw_point(mode, config.n_paths, derive_seed(config.seed, j),
                            workers=config.workers)
-        # each batch is released once its row is planned: one batch is alive at a time
-        rows.append([_plan_row(build_batch(signal, mode, draws, config.model), config.epsilons)
+        # each view of D is released once its row is planned: one is alive at a time
+        rows.append([_plan_row(build_batch(signal, draws, config.model), config.epsilons)
                      for signal in signals])
     cells: list[CellResult] = []
     for level, bridge_row, shift_row in zip(config.levels, *rows):
@@ -219,8 +219,8 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
         signal = interval_signal_from_prices(lo, hi, config.model, observed=1)
         descriptor = f"S=[{lo:g}..{hi:g}]"
         try:
-            # as in run_table_point, the batch is released once its row is planned
-            row = _plan_row(build_batch(signal, None, draws, config.model), config.epsilons)
+            # as in run_table_point, the view of D is released once its row is planned
+            row = _plan_row(build_batch(signal, draws, config.model), config.epsilons)
         except AcceptanceRateError:
             nan = float("nan")
             for epsilon in config.epsilons:
@@ -545,9 +545,9 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             mode = None
             draw = draw_interval
         # no reference to the draws is kept here, so build_batch can free them early
-        batch = build_batch(signal, mode, draw(config.n_paths, config.seed, workers=config.workers),
-                            config.model)
-        plan, caught = _plan(batch, epsilon=args.epsilon, alpha=args.alpha)
+        view = build_batch(signal, draw(config.n_paths, config.seed, workers=config.workers),
+                           config.model)
+        plan, caught = _plan(view, epsilon=args.epsilon, alpha=args.alpha)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         for name in ("k", "alpha", "success_prob", "initial_capital",

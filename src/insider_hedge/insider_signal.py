@@ -24,7 +24,8 @@ W_T from the same Gaussian bridge.
 
 Sampling is split in two steps: draw_point / draw_interval fill the
 random streams, and the samplers map those draws to W_T for one signal.
-A table draws once and maps the same draws for each of its signals.
+Point draws carry their conditioning mode.  A table draws once and maps
+the same draws for each of its signals.
 """
 from __future__ import annotations
 
@@ -219,18 +220,20 @@ class SignalDraws(NamedTuple):
 
     z holds standard normals: the bridge or shift noise of W_T.  u holds
     uniforms on (0, 1] that place W_{T+delta} for interval signals, and
-    is None for point signals.  The draws do not depend on the signal's
-    value, so one set serves every level or interval of a table.  The
-    arrays are read-only: the samplers below map them to W_T in new arrays.
+    is None for point signals; mode is the conditioning mode of point
+    draws, and None for interval draws.  The draws do not depend on the
+    signal's value, so one set serves every level or interval of a table.
+    The arrays are read-only: the samplers map them to W_T in new arrays.
     """
 
     z: np.ndarray
     u: np.ndarray | None = None
+    mode: ConditioningMode | None = None
 
 
 def _read_only(draws: SignalDraws) -> SignalDraws:
     # shared draws must come out of every sampler unchanged
-    for a in draws:
+    for a in (draws.z, draws.u):
         if a is not None:
             a.flags.writeable = False
     return draws
@@ -244,9 +247,10 @@ def draw_point(mode: ConditioningMode, n: int, seed: int, workers: int = 1) -> S
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tag = (STREAM_POINT_BRIDGE if ConditioningMode(mode) is ConditioningMode.BRIDGE_EXACT
-           else STREAM_POINT_SHIFT)
-    return _read_only(SignalDraws(standard_normal_stream((seed, tag), n, workers=workers)))
+    mode = ConditioningMode(mode)
+    tag = STREAM_POINT_BRIDGE if mode is ConditioningMode.BRIDGE_EXACT else STREAM_POINT_SHIFT
+    return _read_only(SignalDraws(standard_normal_stream((seed, tag), n, workers=workers),
+                                  mode=mode))
 
 
 def draw_interval(n: int, seed: int, workers: int = 1) -> SignalDraws:
@@ -260,14 +264,16 @@ def draw_interval(n: int, seed: int, workers: int = 1) -> SignalDraws:
     return _read_only(SignalDraws(z, u))
 
 
-def sample_point_conditional(g_w: float, mode: ConditioningMode, draws: SignalDraws,
-                             p: ModelParams) -> np.ndarray:
-    """W_T given W_{T+delta} = g_w under the chosen mode, one per normal in draws.z.
+def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams) -> np.ndarray:
+    """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z.
 
     bridge_exact samples the exact conditional law
     N(g T/(T+d), T d/(T+d)); paper_shift samples g - N(0, delta).
+    Draws without a mode (draw_interval's) raise ValueError.
     """
-    if ConditioningMode(mode) is ConditioningMode.BRIDGE_EXACT:
+    if draws.mode is None:
+        raise ValueError("a point signal needs draw_point draws, which carry a mode")
+    if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
         return _bridge(g_w, draws.z, p)
     return g_w - math.sqrt(p.delta) * draws.z
 
@@ -279,8 +285,10 @@ def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
     W_{T+delta} / sqrt(T+d) is the inverse CDF at draws.u of the standard
     normal restricted to [a, b] / sqrt(T+d) (G = 1) or to its complement
     (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
-    Fails before any work through check_signal_prob.
+    Fails before any work on draw_point's draws, and through check_signal_prob.
     """
+    if draws.u is None:
+        raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
     mass = check_signal_prob(spec, p)
     sd = math.sqrt(p.t_signal)
     lo, hi = spec.a_w / sd, spec.b_w / sd

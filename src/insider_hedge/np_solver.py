@@ -1,7 +1,7 @@
 """Threshold solvers for the two quantile-hedging problems.
 
-Working on a conditional batch with tilted densities D_i, the solvers
-locate the level k of the optimal success set {D <= k} and evaluate
+On the sorted tilted densities D_i of a conditional sample (a `SortedD`),
+the solvers locate the level k of the optimal success set {D <= k} and evaluate
 
     success probability = (1/n) sum 1{D_i <= k}
     capital fraction    = (1/n) sum D_i 1{D_i <= k}   (clamped to [0,1])
@@ -17,15 +17,14 @@ probability.  Conventions on a finite sample:
     mean of D stays within the budget, so the attained budget never
     exceeds the target.
 
-All solvers read the batch's sorted view of D and its prefix sums
-(`batch.sorted_d`, a `SortedD`), so the epsilon -> k -> alpha -> k round
-trip reproduces the original threshold bit for bit.  Every out-of-the-
-money draw has D = 0, which lies in every success set {D <= k}; the view
-keeps only the positive D and counts this zero atom, so ranks and counts
-on the full sample are offsets into the positive part.  Atoms of D can make
-an exact hit of either target impossible; the solvers then return the
-conservative level and report the attained value next to the target (a
-warning, never an error).
+All solvers read the same view of D and its prefix sums, so the
+epsilon -> k -> alpha -> k round trip reproduces the original threshold
+bit for bit.  Every out-of-the-money draw has D = 0, which lies in every
+success set {D <= k}; the view keeps only the positive D and counts this
+zero atom, so ranks and counts on the full sample are offsets into the
+positive part.  Atoms of D can make an exact hit of either target
+impossible; the solvers then return the conservative level and report
+the attained value next to the target (a warning, never an error).
 """
 from __future__ import annotations
 
@@ -96,8 +95,9 @@ class HedgePlan:
             raise ValueError(f"success_prob out of [0,1]: {self.success_prob}")
 
 
-class SortedD(NamedTuple):
-    """Sorted positive tilted densities D, prefix sums of D and D^2, sample size n.
+@dataclass(frozen=True)
+class SortedD:
+    """Sorted positive D, prefix sums of D and D^2, sample size n, normalizer E_QG[H].
 
     The other n - len(d) draws of the sample have D = 0; they are not
     stored and sit before d in sorted order.  Since adding zeros is
@@ -109,9 +109,10 @@ class SortedD(NamedTuple):
     prefix: np.ndarray
     prefix_sq: np.ndarray
     n: int
+    e_qg_h: float
 
     @classmethod
-    def from_sample(cls, d_star, n: int | None = None) -> SortedD:
+    def from_sample(cls, d_star, e_qg_h: float, n: int | None = None) -> SortedD:
         """Sort a sample of D once for all threshold solves on it.
 
         d_star holds every nonzero D of a sample of size n, which
@@ -130,7 +131,7 @@ class SortedD(NamedTuple):
             d = d[zeros:].copy()
         prefix_sq = d * d
         np.cumsum(prefix_sq, out=prefix_sq)
-        return cls(d, np.cumsum(d), prefix_sq, n)
+        return cls(d, np.cumsum(d), prefix_sq, n, e_qg_h)
 
     def count(self, k: float) -> int:
         """Number of draws with D <= k, for k >= 0."""
@@ -142,7 +143,7 @@ def _epsilon_rank(n: int, epsilon: float) -> int:
     return n - int(math.floor(epsilon * n + 1e-9))
 
 
-def solve_k_for_epsilon(batch, epsilon: float) -> float:
+def solve_k_for_epsilon(view: SortedD, epsilon: float) -> float:
     """Empirical threshold with P(D <= k) >= 1 - epsilon on the sample.
 
     Returns the order statistic at rank ceil((1-eps) n); rank 0 (eps = 1)
@@ -150,7 +151,7 @@ def solve_k_for_epsilon(batch, epsilon: float) -> float:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
-    d, _, _, n = batch.sorted_d
+    d, n = view.d, view.n
     # rank within the positive part, past the n - len(d) zeros
     rank = _epsilon_rank(n, epsilon) - (n - d.size)
     if rank <= 0:
@@ -158,21 +159,20 @@ def solve_k_for_epsilon(batch, epsilon: float) -> float:
     return float(d[rank - 1])
 
 
-def success_prob_from_k(batch, k: float) -> SuccessEstimate:
+def success_prob_from_k(view: SortedD, k: float) -> SuccessEstimate:
     """Sample success probability P(D <= k) with its binomial stderr."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    sorted_d = batch.sorted_d
-    n = sorted_d.n
-    p = sorted_d.count(k) / n
+    n = view.n
+    p = view.count(k) / n
     return SuccessEstimate(p, math.sqrt(p * (1.0 - p) / n))
 
 
-def alpha_from_k(batch, k: float) -> AlphaEstimate:
+def alpha_from_k(view: SortedD, k: float) -> AlphaEstimate:
     """Capital fraction E[D 1{D <= k}] on the sample, clamped to [0,1]."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d, prefix, prefix_sq, n = batch.sorted_d
+    d, prefix, prefix_sq, n = view.d, view.prefix, view.prefix_sq, view.n
     idx = int(np.searchsorted(d, k, side="right")) - 1
     if idx < 0:
         # only zeros (or nothing) lie below k: no capital, no spread
@@ -185,7 +185,7 @@ def alpha_from_k(batch, k: float) -> AlphaEstimate:
     return AlphaEstimate(min(max(float(mean), 0.0), 1.0), math.sqrt(var / n))
 
 
-def solve_k_for_alpha(batch, alpha: float) -> BudgetThreshold:
+def solve_k_for_alpha(view: SortedD, alpha: float) -> BudgetThreshold:
     """Largest threshold whose capital fraction stays within the budget.
 
     Groups tied values of the sorted sample and returns the largest
@@ -195,7 +195,7 @@ def solve_k_for_alpha(batch, alpha: float) -> BudgetThreshold:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    d, prefix, _, n = batch.sorted_d
+    d, prefix, n = view.d, view.prefix, view.n
     # prefix / n is nondecreasing for D >= 0: bisect for the last affordable index
     m = bisect.bisect_right(prefix, alpha, key=lambda s: s / n) - 1
     if 0 <= m < d.size - 1 and d[m + 1] == d[m]:
@@ -206,7 +206,7 @@ def solve_k_for_alpha(batch, alpha: float) -> BudgetThreshold:
     return BudgetThreshold(float(d[m]), float(prefix[m] / n))
 
 
-def make_hedge_plan(batch, *, epsilon: float | None = None,
+def make_hedge_plan(view: SortedD, *, epsilon: float | None = None,
                     alpha: float | None = None) -> HedgePlan:
     """Solve for the given target and package the result.
 
@@ -215,15 +215,14 @@ def make_hedge_plan(batch, *, epsilon: float | None = None,
     """
     if (epsilon is None) == (alpha is None):
         raise ValueError("pass exactly one of epsilon= / alpha=")
-    sorted_d = batch.sorted_d
     if epsilon is not None:
-        k = solve_k_for_epsilon(batch, epsilon)
-        succ = success_prob_from_k(batch, k)
-        a = alpha_from_k(batch, k)
+        k = solve_k_for_epsilon(view, epsilon)
+        succ = success_prob_from_k(view, k)
+        a = alpha_from_k(view, k)
         # a tie group extending past the requested rank means the target
         # success level is not attainable exactly
-        rank = _epsilon_rank(sorted_d.n, epsilon)
-        if rank >= 1 and sorted_d.count(k) > rank:
+        rank = _epsilon_rank(view.n, epsilon)
+        if rank >= 1 and view.count(k) > rank:
             warnings.warn(
                 f"atom at k={k:.6g}: success probability {succ.prob:.6g} attained "
                 f"for target {1.0 - epsilon:.6g}",
@@ -231,16 +230,16 @@ def make_hedge_plan(batch, *, epsilon: float | None = None,
                 stacklevel=2,
             )
     else:
-        k, attained = solve_k_for_alpha(batch, alpha)
-        succ = success_prob_from_k(batch, k)
-        a = alpha_from_k(batch, k)
+        k, attained = solve_k_for_alpha(view, alpha)
+        succ = success_prob_from_k(view, k)
+        a = alpha_from_k(view, k)
         # on an atom-free sample the unattained budget is below the next
         # order statistic's contribution; a larger gap means a tie group
         # straddles the target (the next order statistic above k >= 0 is
         # always positive)
-        d = sorted_d.d
+        d = view.d
         nxt = int(np.searchsorted(d, k, side="right"))
-        if nxt < d.size and alpha - attained >= float(d[nxt]) / sorted_d.n - 1e-15:
+        if nxt < d.size and alpha - attained >= float(d[nxt]) / view.n - 1e-15:
             warnings.warn(
                 f"atom above k={k:.6g}: budget {attained:.6g} attained "
                 f"for target {alpha:.6g}",
@@ -251,7 +250,7 @@ def make_hedge_plan(batch, *, epsilon: float | None = None,
         k=k,
         alpha=a.alpha,
         success_prob=succ.prob,
-        initial_capital=a.alpha * batch.e_qg_h,
+        initial_capital=a.alpha * view.e_qg_h,
         mc_stderr_alpha=a.stderr,
         mc_stderr_success=succ.stderr,
         knockout_payoff=f"H*1{{D <= {k:.6g}}}",

@@ -413,11 +413,16 @@ class ExactHedge:
 def exact_quantile_hedge(table: AtomTable, g, *, epsilon=None, alpha=None) -> ExactHedge:
     """Solve either problem exactly on the conditional law of D given G=g.
 
-    The law is rational, so every comparison with the target is exact
-    (a float target is compared at its exact binary value).
+    The law and the target are rational, so every comparison with the
+    target is exact.  A float target raises TypeError: no float stands
+    exactly for a level such as 9/13, and its binary value lies to one
+    side of it.
     """
     if (epsilon is None) == (alpha is None):
         raise ValueError("pass exactly one of epsilon= / alpha=")
+    target = alpha if epsilon is None else epsilon
+    if not isinstance(target, (int, Fraction)):
+        raise TypeError(f"target must be an int or a Fraction, got {target!r}")
     law = conditional_law(table, g)
     cands = _threshold_candidates(law)
     if epsilon is not None:

@@ -44,7 +44,7 @@ from insider_hedge.tree_oracle import (
 )
 from fractions import Fraction
 
-from test_measure_engine import seeded_batch
+from test_measure_engine import full_sample, seeded_batch
 from test_np_solver import synthetic_batch
 
 N_PATHS = 1_000_000
@@ -274,23 +274,23 @@ def test_criterion_4_unit_mass(params):
     # (ii) capped means against frozen quadrature targets, n = 10^6
     for (mode, level), target in CAPPED_TARGETS_POINT.items():
         sig = point_signal_from_price(level, params)
-        batch = seeded_batch(sig, mode, N_PATHS, params, seed=41)
-        capped = np.minimum(batch.d_star, 10.0)
+        d = full_sample(seeded_batch(sig, mode, N_PATHS, params, seed=41))
+        capped = np.minimum(d, 10.0)
         se = capped.std(ddof=1) / math.sqrt(N_PATHS)
         gap = abs(capped.mean() - target)
-        raw = batch.d_star.mean()
+        raw = d.mean()
         print(f"  point {level:g} {mode}: E[D^10]={capped.mean():.6f} vs {target} "
               f"(4SE={4 * se:.5f}); raw mean {raw:.3f}")
         if gap > 4.0 * se + 1e-5:
             failures.append(f"capped mean off for point {level} {mode}: {gap:.6f}")
     for ((lo, hi), observed), target in CAPPED_TARGETS_INTERVAL.items():
         sig = interval_signal_from_prices(lo, hi, params, observed=observed)
-        batch = seeded_batch(sig, None, N_PATHS, params, seed=42)
-        capped = np.minimum(batch.d_star, 10.0)
+        d = full_sample(seeded_batch(sig, None, N_PATHS, params, seed=42))
+        capped = np.minimum(d, 10.0)
         se = capped.std(ddof=1) / math.sqrt(N_PATHS)
         gap = abs(capped.mean() - target)
         print(f"  interval [{lo:g},{hi:g}] G={observed}: E[D^10]={capped.mean():.6f} "
-              f"vs {target} (4SE={4 * se:.5f}); raw mean {batch.d_star.mean():.3f}")
+              f"vs {target} (4SE={4 * se:.5f}); raw mean {d.mean():.3f}")
         if gap > 4.0 * se + 1e-5:
             failures.append(f"capped mean off for [{lo},{hi}] G={observed}: {gap:.6f}")
 

@@ -171,7 +171,7 @@ class TestPointSampler:
     def test_bridge_moments(self, params):
         n = 400_000
         mode = ConditioningMode.BRIDGE_EXACT
-        w = sample_point_conditional(G_110, mode, draw_point(mode, n, seed=4), params)
+        w = sample_point_conditional(G_110, draw_point(mode, n, seed=4), params)
         mean, var = 0.304250665942, 0.0185185185185
         assert abs(w.mean() - mean) <= 4.0 * math.sqrt(var / n)
         assert abs(w.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / n)
@@ -179,7 +179,7 @@ class TestPointSampler:
     def test_shift_moments(self, params):
         n = 400_000
         mode = ConditioningMode.PAPER_SHIFT
-        w = sample_point_conditional(G_110, mode, draw_point(mode, n, seed=4), params)
+        w = sample_point_conditional(G_110, draw_point(mode, n, seed=4), params)
         assert abs(w.mean() - G_110) <= 4.0 * math.sqrt(params.delta / n)
         assert abs(w.var(ddof=1) - params.delta) <= 4.0 * params.delta * math.sqrt(2.0 / n)
 
@@ -187,13 +187,13 @@ class TestPointSampler:
         p = ModelParams(mu=0.08, sigma=0.25, s0=100.0, strike=110.0,
                         t_expiry=0.25, delta=1e-12)
         for mode in ConditioningMode:
-            w = sample_point_conditional(0.7, mode, draw_point(mode, 5_000, seed=1), p)
+            w = sample_point_conditional(0.7, draw_point(mode, 5_000, seed=1), p)
             assert np.max(np.abs(w - 0.7)) <= 1e-4
 
     def test_deterministic_and_worker_invariant(self, params):
         for mode in ConditioningMode:
-            a = sample_point_conditional(G_110, mode, draw_point(mode, 150_000, seed=8), params)
-            b = sample_point_conditional(G_110, mode, draw_point(mode, 150_000, seed=8, workers=3),
+            a = sample_point_conditional(G_110, draw_point(mode, 150_000, seed=8), params)
+            b = sample_point_conditional(G_110, draw_point(mode, 150_000, seed=8, workers=3),
                                          params)
             assert np.array_equal(a, b)
 
@@ -284,10 +284,22 @@ class TestDraws:
         interval = draw_interval(5_000, seed=3)
         before = [a.copy() for a in (point.z, interval.z, interval.u)]
         for mode in ConditioningMode:
-            sample_point_conditional(G_110, mode, point, params)
+            sample_point_conditional(G_110, point._replace(mode=mode), params)
         for observed in (1, 0):
             sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
             sample_indicator_conditional(sig, interval, params)
         after = (point.z, interval.z, interval.u)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert not any(a.flags.writeable for a in after)
+
+    def test_point_draws_carry_their_mode(self):
+        for mode in ConditioningMode:
+            assert draw_point(mode.value, 10, seed=1).mode is mode
+        assert draw_interval(10, seed=1).mode is None
+
+    def test_mismatched_draws_fail_by_name(self, params):
+        sig = interval_signal_from_prices(109.0, 111.0, params)
+        with pytest.raises(ValueError, match="needs draw_interval draws"):
+            sample_indicator_conditional(sig, draw_point("bridge_exact", 100, seed=1), params)
+        with pytest.raises(ValueError, match="needs draw_point draws"):
+            sample_point_conditional(G_110, draw_interval(100, seed=1), params)

@@ -9,16 +9,18 @@ from insider_hedge import (
     SignalDraws,
     bs_call_price,
     build_batch,
+    density_indicator,
     density_point,
     draw_interval,
     draw_point,
     interval_signal_from_prices,
-    payoff_call,
     point_signal_from_price,
     price_from_brownian,
     qg_density_indicator,
     qg_density_point,
     rn_density,
+    sample_indicator_conditional,
+    sample_point_conditional,
 )
 
 G_110 = 0.328590719217
@@ -35,13 +37,38 @@ CAPPED_TARGETS = {
 }
 
 
+def seeded_draws(signal, mode, n, seed, workers=1):
+    """The draws the hedge command makes for the signal; `mode` picks the point stream."""
+    if isinstance(signal, IntervalIndicator):
+        return draw_interval(n, seed, workers=workers)
+    return draw_point(mode or ConditioningMode.BRIDGE_EXACT, n, seed, workers=workers)
+
+
 def seeded_batch(signal, mode, n, p, seed, workers=1):
     """build_batch on draws from `seed`, made as the hedge command makes them."""
+    return build_batch(signal, seeded_draws(signal, mode, n, seed, workers), p)
+
+
+def independent_d(signal, draws, p) -> np.ndarray:
+    """D of every draw, zeros included, in draw order, from the public model and
+    signal functions: H * (Z_T / p_T^G) / E_QG[H] where H > 0, else 0."""
     if isinstance(signal, IntervalIndicator):
-        draws = draw_interval(n, seed, workers=workers)
+        w_t = sample_indicator_conditional(signal, draws, p).w_t
+        p_g = density_indicator(signal.observed, w_t, p.t_expiry, signal, p)
     else:
-        draws = draw_point(mode or ConditioningMode.BRIDGE_EXACT, n, seed, workers=workers)
-    return build_batch(signal, mode, draws, p)
+        w_t = sample_point_conditional(signal.g_w, draws, p)
+        p_g = density_point(signal.g_w, w_t, p.t_expiry, p)
+    h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
+    # out of the money, D = 0 without dividing: E_QG[H] itself is 0 for a far strike
+    itm = h > 0.0
+    d = np.zeros(h.size)
+    d[itm] = h[itm] * (rn_density(w_t[itm], p) / p_g[itm]) / bs_call_price(p)
+    return d
+
+
+def full_sample(view) -> np.ndarray:
+    """The sorted sample of D the view stands for: its n - len(d) zeros, then d."""
+    return np.concatenate([np.zeros(view.n - view.d.size), view.d])
 
 
 def capped_se(d: np.ndarray, cap: float = 10.0) -> float:
@@ -49,23 +76,21 @@ def capped_se(d: np.ndarray, cap: float = 10.0) -> float:
     return y.std(ddof=1) / math.sqrt(len(y))
 
 
-def assert_sorted_view_of(batch) -> None:
-    """The batch's sorted view, padded with its implicit zeros, is the full
-    sorted sample of D with its prefix sums of D and D^2, bit for bit."""
-    view = batch.sorted_d
-    assert view.n == batch.w_t.size
+def assert_sorted_view_of(view, d: np.ndarray) -> None:
+    """The view, padded with its implicit zeros, is the sorted sample d with
+    its prefix sums of D and D^2, bit for bit."""
+    assert view.n == d.size
     zeros = np.zeros(view.n - view.d.size)
-    full = np.sort(batch.d_star)
+    full = np.sort(d)
     assert np.array_equal(np.concatenate([zeros, view.d]), full)
     assert np.array_equal(np.concatenate([zeros, view.prefix]), np.cumsum(full))
     assert np.array_equal(np.concatenate([zeros, view.prefix_sq]), np.cumsum(full * full))
 
 
-class TestPayoff:
-    @pytest.mark.parametrize("s,k,expected", [(100.0, 110.0, 0.0), (110.0, 110.0, 0.0),
-                                              (125.3, 110.0, 15.3)])
-    def test_call(self, s, k, expected):
-        assert payoff_call(s, k) == pytest.approx(expected, abs=1e-12)
+def assert_same_view(a, b) -> None:
+    assert (a.n, a.e_qg_h) == (b.n, b.e_qg_h)
+    for name in ("d", "prefix", "prefix_sq"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestQgDensityPoint:
@@ -107,35 +132,40 @@ class TestQgDensityIndicator:
 
 class TestBuildBatchPoint:
     @pytest.fixture(params=["bridge_exact", "paper_shift"])
-    def batch(self, request, params):
-        sig = point_signal_from_price(110.0, params)
-        return seeded_batch(sig, ConditioningMode(request.param), 200_000, params, seed=42)
+    def mode(self, request):
+        return ConditioningMode(request.param)
 
-    def test_per_sample_identities(self, batch, params):
-        assert np.array_equal(batch.qg_density, batch.z_f / batch.p_g)
-        expected_d = np.where(batch.h > 0.0, batch.h * batch.qg_density / batch.e_qg_h, 0.0)
-        assert np.array_equal(batch.d_star, expected_d)
-        assert np.array_equal(batch.s_t, price_from_brownian(batch.w_t, params.t_expiry, params))
-        assert np.all(batch.d_star >= 0.0)
-        assert np.array_equal(batch.d_star == 0.0, batch.h == 0.0)
-        assert_sorted_view_of(batch)
+    @pytest.fixture()
+    def draws(self, mode):
+        return draw_point(mode, 200_000, seed=42)
+
+    @pytest.fixture()
+    def batch(self, draws, params):
+        return build_batch(point_signal_from_price(110.0, params), draws, params)
+
+    def test_per_sample_identities(self, batch, draws, params):
+        d = independent_d(point_signal_from_price(110.0, params), draws, params)
+        assert np.all(d >= 0.0)
+        assert_sorted_view_of(batch, d)
 
     def test_normalizer_is_closed_form(self, batch, params):
         assert batch.e_qg_h == bs_call_price(params)
 
-    def test_capped_unit_mass_against_quadrature(self, batch, params):
-        key = ("point", batch.mode.value, 110.0)
-        target = CAPPED_TARGETS[key]
-        got = np.minimum(batch.d_star, 10.0).mean()
-        assert abs(got - target) <= 4.0 * capped_se(batch.d_star) + 1e-6
+    def test_capped_unit_mass_against_quadrature(self, batch, mode):
+        target = CAPPED_TARGETS[("point", mode.value, 110.0)]
+        d = full_sample(batch)
+        got = np.minimum(d, 10.0).mean()
+        assert abs(got - target) <= 4.0 * capped_se(d) + 1e-6
 
-    def test_zero_atom_matches_conditional_otm_probability(self, batch, params):
-        frac = np.mean(batch.d_star == 0.0)
-        assert frac == np.mean(batch.s_t <= params.strike)
-        # independent draw of the same conditional law, different seed
+    def test_zero_atom_matches_conditional_otm_probability(self, batch, draws, mode, params):
         sig = point_signal_from_price(110.0, params)
-        other = seeded_batch(sig, batch.mode, 200_000, params, seed=43)
-        other_frac = np.mean(other.s_t <= params.strike)
+        frac = (batch.n - batch.d.size) / batch.n
+        s_t = price_from_brownian(sample_point_conditional(sig.g_w, draws, params),
+                                  params.t_expiry, params)
+        assert frac == np.mean(s_t <= params.strike)
+        # independent draw of the same conditional law, different seed
+        other = seeded_batch(sig, mode, 200_000, params, seed=43)
+        other_frac = (other.n - other.d.size) / other.n
         se = 2.0 * math.sqrt(0.25 / 200_000)
         assert abs(frac - other_frac) <= 4.0 * se
 
@@ -143,30 +173,34 @@ class TestBuildBatchPoint:
         sig = point_signal_from_price(110.0, params)
         one = seeded_batch(sig, "bridge_exact", 1, params, seed=11)
         two = seeded_batch(sig, "bridge_exact", 1, params, seed=11)
-        for name in ("w_t", "s_t", "h", "z_f", "p_g", "qg_density", "d_star"):
-            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        assert_same_view(one, two)
+        assert_sorted_view_of(one, independent_d(sig, draw_point("bridge_exact", 1, 11), params))
 
 
 class TestBuildBatchIndicator:
     @pytest.fixture(params=[1, 0])
-    def batch(self, request, params):
-        sig = interval_signal_from_prices(109.0, 111.0, params, observed=request.param)
-        return seeded_batch(sig, None, 200_000, params, seed=42)
+    def signal(self, request, params):
+        return interval_signal_from_prices(109.0, 111.0, params, observed=request.param)
 
-    def test_per_sample_identities(self, batch):
-        assert np.array_equal(batch.qg_density, batch.z_f / batch.p_g)
-        expected_d = np.where(batch.h > 0.0, batch.h * batch.qg_density / batch.e_qg_h, 0.0)
-        assert np.array_equal(batch.d_star, expected_d)
-        assert_sorted_view_of(batch)
+    @pytest.fixture()
+    def draws(self):
+        return draw_interval(200_000, seed=42)
 
-    def test_capped_unit_mass_against_quadrature(self, batch):
-        target = CAPPED_TARGETS[("interval", batch.signal.observed)]
-        got = np.minimum(batch.d_star, 10.0).mean()
-        assert abs(got - target) <= 4.0 * capped_se(batch.d_star) + 1e-6
+    @pytest.fixture()
+    def batch(self, signal, draws, params):
+        return build_batch(signal, draws, params)
 
-    def test_worker_invariance(self, batch, params):
-        again = seeded_batch(batch.signal, None, 200_000, params, seed=42, workers=4)
-        assert np.array_equal(batch.d_star, again.d_star)
+    def test_per_sample_identities(self, batch, signal, draws, params):
+        assert_sorted_view_of(batch, independent_d(signal, draws, params))
+
+    def test_capped_unit_mass_against_quadrature(self, batch, signal):
+        target = CAPPED_TARGETS[("interval", signal.observed)]
+        d = full_sample(batch)
+        got = np.minimum(d, 10.0).mean()
+        assert abs(got - target) <= 4.0 * capped_se(d) + 1e-6
+
+    def test_worker_invariance(self, batch, signal, params):
+        assert_same_view(batch, seeded_batch(signal, None, 200_000, params, seed=42, workers=4))
 
 
 class TestBatchValidation:
@@ -177,8 +211,16 @@ class TestBatchValidation:
         with pytest.raises(ValueError):
             draw_interval(0, seed=1)
         with pytest.raises(ValueError):
-            build_batch(sig, "bridge_exact", SignalDraws(np.empty(0)), params)
+            build_batch(sig, SignalDraws(np.empty(0), mode=ConditioningMode.BRIDGE_EXACT), params)
 
     def test_rejects_unknown_signal(self, params):
         with pytest.raises(TypeError):
             seeded_batch("not a signal", None, 10, params, seed=1)
+
+    def test_rejects_mismatched_draws(self, params):
+        point = point_signal_from_price(110.0, params)
+        interval = interval_signal_from_prices(109.0, 111.0, params)
+        with pytest.raises(ValueError, match="needs draw_interval draws"):
+            build_batch(interval, draw_point("bridge_exact", 100, seed=1), params)
+        with pytest.raises(ValueError, match="needs draw_point draws"):
+            build_batch(point, draw_interval(100, seed=1), params)

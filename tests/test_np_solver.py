@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from insider_hedge import (
     AtomGapWarning,
-    ConditionalBatch,
-    PointValue,
     alpha_from_k,
     interval_signal_from_prices,
     make_hedge_plan,
@@ -21,22 +19,14 @@ from insider_hedge import (
 )
 from insider_hedge.np_solver import SortedD
 
-from test_measure_engine import seeded_batch
+from test_measure_engine import independent_d, seeded_batch, seeded_draws
 
 INF = float("inf")
 
 
-def synthetic_batch(d, e_qg_h: float = 1.0) -> ConditionalBatch:
-    """Batch with prescribed tilted densities D for the solvers.
-
-    Only the sorted view of D and the normalizer are meaningful: there
-    are no draws, so the columns derived from w_t cannot be read.
-    """
-    d = np.asarray(d, dtype=float)
-    return ConditionalBatch(
-        signal=PointValue(0.0), mode=None, params=None, w_t=np.zeros(d.size),
-        sorted_d=SortedD.from_sample(d), e_qg_h=e_qg_h,
-    )
+def synthetic_batch(d, e_qg_h: float = 1.0) -> SortedD:
+    """The solvers' sorted view of prescribed tilted densities D."""
+    return SortedD.from_sample(d, e_qg_h)
 
 
 # the two conditional laws of D on the worked two-period tree market,
@@ -62,7 +52,7 @@ class TestSolveKForEpsilon:
         d = np.arange(1, 1_000_001, dtype=float)
         b = synthetic_batch(d / d.sum() * 9e5)  # keeps values distinct
         k = solve_k_for_epsilon(b, 0.1)
-        assert np.searchsorted(b.sorted_d.d, k, side="right") == 900_000
+        assert np.searchsorted(b.d, k, side="right") == 900_000
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -243,15 +233,14 @@ class TestMakeHedgePlan:
             make_hedge_plan(TREE_G1, epsilon=0.1, alpha=0.1)
 
 
-def _held_bytes(batch) -> int:
-    """Bytes of the ndarray buffers a batch keeps alive (a view counts its base)."""
+def _held_bytes(view) -> int:
+    """Bytes of the ndarray buffers a view keeps alive (a slice counts its base)."""
     buffers = {}
-    for value in vars(batch).values():
-        for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                buffers[id(a)] = a.nbytes
+    for a in vars(view).values():
+        if isinstance(a, np.ndarray):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a.nbytes
     return sum(buffers.values())
 
 
@@ -273,33 +262,33 @@ class TestBatchState:
         assert all(after[name] is value for name, value in before.items())
 
     def test_batch_holds_draws_and_sorted_view_only(self, batch):
-        # w_t plus sorted D and its two prefix sums, 8 bytes each per draw
+        # sorted D and its two prefix sums, 8 bytes each per draw: no draws are kept
         make_hedge_plan(batch, epsilon=0.1)
-        assert _held_bytes(batch) <= 32 * 10**5
+        assert _held_bytes(batch) <= 24 * 10**5
 
 
 class TestSortedView:
     def test_zero_atom_is_a_count(self):
-        view = SortedD.from_sample([0.0, 0.7, 0.0, 0.2, 0.7])
+        view = SortedD.from_sample([0.0, 0.7, 0.0, 0.2, 0.7], 1.0)
         assert view.n == 5 and list(view.d) == [0.2, 0.7, 0.7]
         assert list(view.prefix) == list(np.cumsum([0.2, 0.7, 0.7]))
         assert view.count(0.0) == 2 and view.count(0.7) == 5
 
     def test_positives_with_sample_size(self):
-        view = SortedD.from_sample([0.7, 0.2], 4)
+        view = SortedD.from_sample([0.7, 0.2], 1.0, 4)
         assert view.n == 4 and list(view.d) == [0.2, 0.7]
-        assert SortedD.from_sample([], 3).count(0.0) == 3
+        assert SortedD.from_sample([], 1.0, 3).count(0.0) == 3
 
     @pytest.mark.parametrize("bad", [[0.1, -1e-300, 0.2], [0.0, float("nan"), 1.0], [-INF]])
     def test_rejects_negative_or_nan(self, bad):
         with pytest.raises(ValueError, match="nonnegative and not NaN"):
-            SortedD.from_sample(bad)
+            SortedD.from_sample(bad, 1.0)
 
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ValueError, match="empty batch"):
-            SortedD.from_sample([])
+            SortedD.from_sample([], 1.0)
         with pytest.raises(ValueError, match="below"):
-            SortedD.from_sample([0.1, 0.2], 1)
+            SortedD.from_sample([0.1, 0.2], 1.0, 1)
 
 
 def _solutions(batch, targets) -> list[str]:
@@ -347,7 +336,7 @@ class TestZeroAtomEquivalence:
     def test_positive_view_solves_like_full_sample(self, values, targets):
         d = np.asarray(values)
         full = synthetic_batch(d, e_qg_h=1.7)
-        positives = dataclasses.replace(full, sorted_d=SortedD.from_sample(d[d > 0], d.size))
+        positives = SortedD.from_sample(d[d > 0], 1.7, d.size)
         targets = [0.0, 1.0, *targets]
         assert _solutions(positives, targets) == _solutions(full, targets)
 
@@ -370,11 +359,12 @@ class TestZeroAtomEquivalence:
     @pytest.mark.parametrize("n", [1, 5000])
     def test_edge_batches(self, params, strike, zeros, n):
         p = dataclasses.replace(params, strike=strike)
-        batch = seeded_batch(point_signal_from_price(110.0, p), None, n, p, seed=3)
-        view = batch.sorted_d
-        assert view.n == n
-        assert view.d.size == (0 if zeros == "all" else n)
-        full = dataclasses.replace(batch, sorted_d=SortedD.from_sample(batch.d_star))
+        sig = point_signal_from_price(110.0, p)
+        batch = seeded_batch(sig, None, n, p, seed=3)
+        assert batch.n == n
+        assert batch.d.size == (0 if zeros == "all" else n)
+        d = independent_d(sig, seeded_draws(sig, None, n, seed=3), p)
+        full = SortedD.from_sample(d, batch.e_qg_h)
         targets = [0.0, 0.01, 0.1, 0.5, 1.0]
         assert _solutions(batch, targets) == _solutions(full, targets)
         if zeros == "all":

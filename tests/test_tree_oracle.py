@@ -199,6 +199,19 @@ class TestExactQuantileHedge:
         assert sol.k == 0 and sol.alpha == 0
         assert sol.success_prob == F(4, 13)
 
+    def test_attainable_rational_level_is_hit(self, table):
+        # 9/13 = 1 - P(success) of the zero-capital plan given G = 0
+        sol = exact_quantile_hedge(table, 0, epsilon=F(9, 13))
+        assert sol.exact
+        assert sol.k == 0 and sol.alpha == 0
+        assert sol.success_prob == F(4, 13)
+
+    @pytest.mark.parametrize("target", [{"epsilon": 9 / 13}, {"alpha": 0.5}])
+    def test_float_target_rejected(self, table, target):
+        # no float equals 9/13, and its binary value would miss the attainable level
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            exact_quantile_hedge(table, 0, **target)
+
     def test_requires_single_target(self, table):
         with pytest.raises(ValueError):
             exact_quantile_hedge(table, 1)
