@@ -25,7 +25,9 @@ W_T from the same Gaussian bridge.
 Sampling is split in two steps: draw_point / draw_interval fill the
 random streams, and the samplers map those draws to W_T for one signal.
 Point draws carry their conditioning mode.  A table draws once and maps
-the same draws for each of its signals.
+the same draws for each of its signals.  Point draws are sorted: given
+the signal, W_T is a monotone affine map of one normal, so every point
+sample of W_T comes out in ascending order.
 """
 from __future__ import annotations
 
@@ -218,12 +220,14 @@ def _bridge(w_tdelta, z, p: ModelParams):
 class SignalDraws(NamedTuple):
     """Random input of a conditional sampler, drawn before it meets a signal.
 
-    z holds standard normals: the bridge or shift noise of W_T.  u holds
-    uniforms on (0, 1] that place W_{T+delta} for interval signals, and
-    is None for point signals; mode is the conditioning mode of point
-    draws, and None for interval draws.  The draws do not depend on the
-    signal's value, so one set serves every level or interval of a table.
-    The arrays are read-only: the samplers map them to W_T in new arrays.
+    z holds standard normals: the bridge or shift noise of W_T.  Point
+    draws hold them in ascending order, so that a point signal's W_T
+    comes out ascending; interval draws in stream order, aligned with u.  u holds uniforms on (0, 1] that place W_{T+delta}
+    for interval signals, and is None for point signals; mode is the
+    conditioning mode of point draws, and None for interval draws.  The
+    draws do not depend on the signal's value, so one set serves every
+    level or interval of a table.  The arrays are read-only: the samplers
+    map them to W_T in new arrays.
     """
 
     z: np.ndarray
@@ -240,17 +244,21 @@ def _read_only(draws: SignalDraws) -> SignalDraws:
 
 
 def draw_point(mode: ConditioningMode, n: int, seed: int, workers: int = 1) -> SignalDraws:
-    """n standard normals for the point sampler of `mode`.
+    """n standard normals for the point sampler of `mode`, sorted ascending.
 
     Each mode draws from its own stream tag, so the two modes' estimates
-    stay independent even under one seed.
+    stay independent even under one seed.  The normals are sorted once
+    here, so that every signal's W_T, S_T and D come out sorted too (see
+    sample_point_conditional); the draws are iid, so their order carries
+    no information.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     mode = ConditioningMode(mode)
     tag = STREAM_POINT_BRIDGE if mode is ConditioningMode.BRIDGE_EXACT else STREAM_POINT_SHIFT
-    return _read_only(SignalDraws(standard_normal_stream((seed, tag), n, workers=workers),
-                                  mode=mode))
+    z = standard_normal_stream((seed, tag), n, workers=workers)
+    z.sort()
+    return _read_only(SignalDraws(z, mode=mode))
 
 
 def draw_interval(n: int, seed: int, workers: int = 1) -> SignalDraws:
@@ -270,12 +278,17 @@ def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams) -> 
     bridge_exact samples the exact conditional law
     N(g T/(T+d), T d/(T+d)); paper_shift samples g - N(0, delta).
     Draws without a mode (draw_interval's) raise ValueError.
+
+    W_T comes out in nondecreasing order for draw_point's ascending
+    normals: the bridge is increasing in z, and the shift, decreasing in
+    z, reads them in reverse.  Rounding is monotone, so scaling by or
+    adding a constant keeps the order exactly.
     """
     if draws.mode is None:
         raise ValueError("a point signal needs draw_point draws, which carry a mode")
     if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
         return _bridge(g_w, draws.z, p)
-    return g_w - math.sqrt(p.delta) * draws.z
+    return g_w - math.sqrt(p.delta) * draws.z[::-1]
 
 
 def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,

@@ -116,9 +116,18 @@ class SortedD:
         """Sort a sample of D once for all threshold solves on it.
 
         d_star holds every nonzero D of a sample of size n, which
-        defaults to len(d_star); the remaining draws are zeros.
+        defaults to len(d_star); the remaining draws are zeros.  A sample
+        that is already nondecreasing (a point signal's D, see
+        measure_engine) is checked in one pass and not sorted again.
+        The view owns a buffer of its positive D only: an unsorted
+        sample is sorted into a new array, a slice of a larger buffer is
+        copied, and an owned sorted float array is kept without a copy.
+        Its arrays are read-only, the kept input included.
         """
-        d = np.sort(np.asarray(d_star, dtype=float))
+        d = np.asarray(d_star, dtype=float)
+        if not (d[1:] >= d[:-1]).all():
+            # a NaN fails the comparison; the sort moves it last, where the check below sees it
+            d = np.sort(d)
         n = d.size if n is None else n
         if n < 1:
             raise ValueError("empty batch")
@@ -127,11 +136,14 @@ class SortedD:
         if d.size and (d[0] < 0.0 or np.isnan(d[-1])):
             raise ValueError(f"D must be nonnegative and not NaN, got range [{d[0]}, {d[-1]}]")
         zeros = int(np.searchsorted(d, 0.0, side="right"))
-        if zeros:
+        if zeros or d.base is not None:
             d = d[zeros:].copy()
         prefix_sq = d * d
         np.cumsum(prefix_sq, out=prefix_sq)
-        return cls(d, np.cumsum(d), prefix_sq, n, e_qg_h)
+        view = cls(d, np.cumsum(d), prefix_sq, n, e_qg_h)
+        for a in (view.d, view.prefix, view.prefix_sq):
+            a.flags.writeable = False
+        return view
 
     def count(self, k: float) -> int:
         """Number of draws with D <= k, for k >= 0."""

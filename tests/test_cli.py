@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from insider_hedge import cli, insider_signal
@@ -200,6 +201,20 @@ class TestSharedDraws:
         assert len(floor) == (2 if middle[0] == 500.0 else 0)
         assert all(math.isnan(c.alpha) for c in floor)
 
+    def test_point_table_sorts_and_gathers_no_d(self, params, monkeypatch):
+        # point W_T comes out ascending: D is a suffix, already sorted
+        calls = {"sort": 0, "flatnonzero": 0}
+        for name in calls:
+            def counted(*args, _fill=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fill(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        assert len(run_table_point(RunConfig(model=params, n_paths=20_000, seed=3))) == 132
+        assert calls == {"sort": 0, "flatnonzero": 0}
+        # interval W_T is not ordered: each of the five rows gathers and sorts its D
+        run_table_indicator(RunConfig(model=params, n_paths=20_000, seed=3))
+        assert calls == {"sort": 5, "flatnonzero": 5}
+
     def test_rows_do_not_depend_on_the_rest_of_the_grid(self, params):
         common = dict(model=params, n_paths=2000, seed=17)
         alone = run_table_point(RunConfig(levels=(110.0,), **common))
@@ -323,6 +338,13 @@ class TestCommandLine:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and message in line
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [("hedge", "--level", "1e6", "--epsilon", "0.1"),
+                                      ("table-point", "--levels", "1e6")])
+    def test_far_out_level_prints_no_numpy_warning(self, argv):
+        proc = run_cli(*argv, "--n-paths", "2000")
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_hedge_refuses_rare_interval_before_drawing(self, monkeypatch, capsys):
         def no_draws(*args, **kwargs):

@@ -2,9 +2,10 @@
 
 The digests are SHA-256 of the CSV that write_cells writes for both
 default-grid tables at n = 20000, seed 0, and of the hedge command's
-stdout for one point and one G = 0 interval case.  A refactor must leave
-them unchanged.  A change that moves sampled numbers on purpose updates
-them and says so in CHANGES.md.
+stdout for a point epsilon hedge, a shift-mode point alpha hedge and a
+G = 0 interval alpha hedge.  A refactor must leave them unchanged.  A
+change that moves sampled numbers on purpose updates them and says so
+in CHANGES.md.
 """
 import hashlib
 from dataclasses import replace
@@ -21,6 +22,8 @@ TABLE_DIGESTS = {
 HEDGE_DIGESTS = {
     ("--level", "110", "--epsilon", "0.1"):
         "74d2e3da9b504043bdc0282e3cc5715db6d75864c35c475861b33e8e7e05af59",
+    ("--level", "112", "--mode", "paper_shift", "--alpha", "0.2"):
+        "2945d7ef9bbf22895b00821832b641ed4ab338971a34c0fbdb340633f8c72c34",
     ("--interval", "109:111", "--observed", "0", "--alpha", "0.2"):
         "fe4562bfef38770c6ccd37d5c4cbecdfa8e510b34f7f594e6e5ce5513ab6867d",
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -197,6 +198,17 @@ class TestPointSampler:
                                          params)
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 5000])
+    @pytest.mark.parametrize("strike", [0.0, 100000.0])
+    @pytest.mark.parametrize("level", [105.0, 115.0])
+    def test_w_t_is_ascending(self, params, level, strike, n):
+        # sorted normals: the bridge maps them increasingly, the shift reads them reversed
+        p = dataclasses.replace(params, strike=strike)
+        g_w = point_signal_from_price(level, p).g_w
+        for mode in ConditioningMode:
+            w = sample_point_conditional(g_w, draw_point(mode, n, seed=6), p)
+            assert w.size == n and np.all(w[1:] >= w[:-1])
+
     def test_modes_use_distinct_streams(self, params):
         a = draw_point(ConditioningMode.BRIDGE_EXACT, 1000, seed=8)
         b = draw_point(ConditioningMode.PAPER_SHIFT, 1000, seed=8)
@@ -269,12 +281,13 @@ class TestIndicatorSampler:
 
 class TestDraws:
     def test_stream_keys(self):
-        # a seeded hedge draws the same streams as before sampling was split
+        # a seeded hedge draws the same streams as before sampling was split;
+        # point draws hold them sorted, interval draws in stream order
         n, seed = 70_000, 13
         assert np.array_equal(draw_point(ConditioningMode.BRIDGE_EXACT, n, seed).z,
-                              standard_normal_stream((seed, STREAM_POINT_BRIDGE), n))
+                              np.sort(standard_normal_stream((seed, STREAM_POINT_BRIDGE), n)))
         assert np.array_equal(draw_point(ConditioningMode.PAPER_SHIFT, n, seed).z,
-                              standard_normal_stream((seed, STREAM_POINT_SHIFT), n))
+                              np.sort(standard_normal_stream((seed, STREAM_POINT_SHIFT), n)))
         draws = draw_interval(n, seed)
         assert np.array_equal(draws.u, 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n))
         assert np.array_equal(draws.z, standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n))

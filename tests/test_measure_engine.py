@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from insider_hedge import (
     draw_interval,
     draw_point,
     interval_signal_from_prices,
+    measure_engine,
     point_signal_from_price,
     price_from_brownian,
     qg_density_indicator,
@@ -175,6 +177,56 @@ class TestBuildBatchPoint:
         two = seeded_batch(sig, "bridge_exact", 1, params, seed=11)
         assert_same_view(one, two)
         assert_sorted_view_of(one, independent_d(sig, draw_point("bridge_exact", 1, 11), params))
+
+
+class TestSortedPointDraws:
+    """Point W_T comes out ascending; the view must not depend on that shortcut."""
+
+    @pytest.mark.parametrize("n", [1, 5000])
+    @pytest.mark.parametrize("strike", [0.0, 110.0, 100000.0])
+    @pytest.mark.parametrize("level", [105.0, 115.0])
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_view_matches_independent_d(self, params, mode, level, strike, n):
+        p = dataclasses.replace(params, strike=strike)
+        sig = point_signal_from_price(level, p)
+        draws = draw_point(mode, n, seed=29)
+        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+
+    def test_unsorted_hand_made_draws_give_the_same_view(self, params):
+        # W_T out of order: the draws below the strike's window are checked, then gathered
+        sig = point_signal_from_price(110.0, params)
+        sorted_draws = draw_point("bridge_exact", 5000, seed=29)
+        shuffled = np.random.default_rng(3).permutation(sorted_draws.z)
+        for z in (shuffled, sorted_draws.z[::-1]):
+            view = build_batch(sig, sorted_draws._replace(z=z), params)
+            assert_same_view(view, build_batch(sig, sorted_draws, params))
+            assert_sorted_view_of(view, independent_d(sig, sorted_draws, params))
+
+    def test_payoff_out_of_order_falls_back_to_the_gather(self, params, monkeypatch):
+        # should rounding ever break the payoff's order, the in-the-money draws are gathered:
+        # here a payoff knocked out on a set of W_T values leaves holes in the suffix
+        sig = point_signal_from_price(110.0, params)
+        draws = draw_point("bridge_exact", 5000, seed=29)
+
+        def knocked_out(w):
+            return np.floor(w * 1e6) % 7 == 0
+
+        def holed_price(w, t, p):
+            s = price_from_brownian(w, t, p)
+            s[knocked_out(w)] = 0.0
+            return s
+
+        monkeypatch.setattr(measure_engine, "price_from_brownian", holed_price)
+        d = independent_d(sig, draws, params)
+        d[knocked_out(sample_point_conditional(sig.g_w, draws, params))] = 0.0
+        assert_sorted_view_of(build_batch(sig, draws, params), d)
+
+    def test_far_out_level_overflows_quietly_to_zero_d(self, params):
+        # p_T^G overflows to inf at S = 1e6; every D is then 0 and no warning escapes
+        sig = point_signal_from_price(1e6, params)
+        for mode in ConditioningMode:
+            view = build_batch(sig, draw_point(mode, 2000, seed=1), params)
+            assert view.n == 2000 and view.d.size == 0
 
 
 class TestBuildBatchIndicator:

@@ -330,15 +330,81 @@ TIE_HEAVY = st.lists(
 TARGETS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4)
 
 
+def _scan_at(d, k: float) -> tuple[int, float]:
+    """#{D <= k} and the clamped capital fraction E[D 1{D <= k}], summed in sorted order
+    over the full sample, zeros included."""
+    d = np.sort(np.asarray(d, dtype=float))
+    count, total = 0, 0.0
+    for x in d:
+        if x <= k:
+            count += 1
+            total += x
+    return count, min(total / d.size, 1.0)
+
+
+def _brute_force_epsilon(d, epsilon: float) -> float:
+    """The order statistic of the full sorted sample at the smallest rank that leaves
+    at most eps n failures (up to float noise in eps n); rank 0 gives k = 0."""
+    d = np.sort(np.asarray(d, dtype=float))
+    n = d.size
+    rank = min(r for r in range(n + 1) if n - r <= epsilon * n + 1e-9)
+    return float(d[rank - 1]) if rank else 0.0
+
+
+class TestSortedInput:
+    @settings(max_examples=300, deadline=None)
+    @given(TIE_HEAVY, st.randoms(use_true_random=False))
+    def test_input_order_does_not_change_the_view(self, values, rnd):
+        # a sorted input skips the sort, the others take it: all give the same bits
+        shuffled = list(values)
+        rnd.shuffle(shuffled)
+        ordered = np.sort(np.asarray(values))
+        inputs = [ordered, ordered[::-1], np.asarray(shuffled), ordered[ordered > 0]]
+        views = [SortedD.from_sample(d, 1.3, len(values)) for d in inputs]
+        for view in views[1:]:
+            for name in ("d", "prefix", "prefix_sq"):
+                assert getattr(view, name).tobytes() == getattr(views[0], name).tobytes()
+            assert view.n == views[0].n
+
+    @pytest.mark.parametrize("bad", [[float("nan")], [0.5, float("nan")], [-2.0, -1.0, 0.5],
+                                     [-INF, 0.0, 1.0]])
+    def test_sorted_input_rejects_negative_or_nan(self, bad):
+        with pytest.raises(ValueError, match="nonnegative and not NaN"):
+            SortedD.from_sample(np.asarray(bad), 1.0)
+
+    def test_view_owns_its_positive_values(self):
+        # a sorted slice of a larger buffer is copied, so the view holds only its own values
+        base = np.linspace(0.0, 1.0, 1001)
+        view = SortedD.from_sample(base[500:], 1.0)
+        assert view.d.size == 501 and _held_bytes(view) == 3 * 8 * 501
+        # a sorted input kept without a copy cannot change the view afterwards
+        owned = np.array([0.1, 0.5, 1.0])
+        view = SortedD.from_sample(owned, 1.0)
+        assert not any(a.flags.writeable for a in (view.d, view.prefix, view.prefix_sq))
+        with pytest.raises(ValueError):
+            owned[0] = 5.0
+        assert view.d[0] == 0.1
+
+
 class TestZeroAtomEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(TIE_HEAVY, TARGETS)
     def test_positive_view_solves_like_full_sample(self, values, targets):
+        # the view stores the positive D only; its k, #{D <= k} and alpha must equal a
+        # scan of the full sorted sample, zeros included
         d = np.asarray(values)
-        full = synthetic_batch(d, e_qg_h=1.7)
-        positives = SortedD.from_sample(d[d > 0], 1.7, d.size)
-        targets = [0.0, 1.0, *targets]
-        assert _solutions(positives, targets) == _solutions(full, targets)
+        n = d.size
+        view = SortedD.from_sample(d[d > 0], 1.7, n)
+        for target in (0.0, 1.0, *targets):
+            k_eps = solve_k_for_epsilon(view, target)
+            assert k_eps == _brute_force_epsilon(d, target)
+            k_alpha = solve_k_for_alpha(view, target)
+            assert tuple(k_alpha) == _brute_force_alpha(d, target)
+            for k in (k_eps, k_alpha.k):
+                count, alpha = _scan_at(d, k)
+                assert view.count(k) == count
+                assert success_prob_from_k(view, k).prob == count / n
+                assert alpha_from_k(view, k).alpha == alpha
 
     @settings(max_examples=300, deadline=None)
     @given(TIE_HEAVY, TARGETS)
