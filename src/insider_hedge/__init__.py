@@ -55,11 +55,8 @@ from .tree_oracle import (
     TreeStrategy,
     build_atom_table,
     exact_quantile_hedge,
-    exhaustive_epsilon_check,
     exhaustive_optimality_check,
     knockout_target,
-    market_from_text,
-    market_to_text,
     random_market,
     reference_market,
     replicate_on_tree,

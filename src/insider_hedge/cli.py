@@ -47,7 +47,6 @@ from .tree_oracle import (
     achievable_levels,
     build_atom_table,
     exact_quantile_hedge,
-    exhaustive_epsilon_check,
     exhaustive_optimality_check,
     perturb_atom,
     random_market,
@@ -253,12 +252,10 @@ def _check_instance(name: str, market) -> tuple[bool, str]:
         return False, f"{name}: FAIL {report.failures[0]}"
     n_levels = 0
     for g in market.signal_values:
-        for success_prob, budget in achievable_levels(table, g):
-            n_levels += 1
-            if not exhaustive_optimality_check(table, g, budget):
-                return False, f"{name}: FAIL budget optimality at g={g!r}, alpha={budget}"
-            if not exhaustive_epsilon_check(table, g, 1 - success_prob):
-                return False, f"{name}: FAIL shortfall optimality at g={g!r}, 1-eps={success_prob}"
+        n_levels += len(achievable_levels(table, g))
+        failures = exhaustive_optimality_check(table, g)
+        if failures:
+            return False, f"{name}: FAIL {failures[0]}"
     return True, f"{name}: ok ({report.n_checks} identities, {n_levels} exhaustive levels)"
 
 
@@ -454,12 +451,16 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int)
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epsilons", type=_parse_floats)
+def _add_sampling_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-paths", dest="n_paths", type=int)
+    sub.add_argument("--workers", type=int, default=1)
+
+
+def _add_table_flags(sub: argparse.ArgumentParser) -> None:
+    _add_sampling_flags(sub)
+    sub.add_argument("--epsilons", type=_parse_floats)
     sub.add_argument("--output", help="write the table here (csv or json)")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    sub.add_argument("--workers", type=int, default=1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -475,23 +476,25 @@ def main(argv: list[str] | None = None) -> int:
 
     p_hedge = commands.add_parser("hedge", help="solve one signal for one target")
     _add_model_flags(p_hedge)
-    _add_run_flags(p_hedge)
+    _add_sampling_flags(p_hedge)
     p_hedge.add_argument("--level", type=float, help="point signal: stock level of S_{T+delta}")
     p_hedge.add_argument("--interval", type=str,
                          help="indicator signal: stock interval LO:HI for S_{T+delta}")
-    p_hedge.add_argument("--observed", type=int, default=1, choices=(0, 1))
-    p_hedge.add_argument("--mode", choices=[m.value for m in ConditioningMode])
+    p_hedge.add_argument("--observed", type=int, choices=(0, 1),
+                         help="with --interval: observed indicator value (default 1)")
+    p_hedge.add_argument("--mode", choices=[m.value for m in ConditioningMode],
+                         help="with --level: conditioning mode (default bridge_exact)")
     p_hedge.add_argument("--epsilon", type=float)
     p_hedge.add_argument("--alpha", type=float)
 
     p_tp = commands.add_parser("table-point", help="point-signal table, both modes")
     _add_model_flags(p_tp)
-    _add_run_flags(p_tp)
+    _add_table_flags(p_tp)
     p_tp.add_argument("--levels", type=_parse_floats)
 
     p_ti = commands.add_parser("table-indicator", help="interval-signal table")
     _add_model_flags(p_ti)
-    _add_run_flags(p_ti)
+    _add_table_flags(p_ti)
     p_ti.add_argument("--intervals", type=_parse_intervals)
 
     p_or = commands.add_parser("oracle", help="exact tree verification suite")
@@ -528,6 +531,10 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         config = build_config(args)
         if (args.level is None) == (args.interval is None):
             parser.error("pass exactly one of --level / --interval")
+        if args.interval is not None and args.mode is not None:
+            parser.error("--mode applies to --level only")
+        if args.level is not None and args.observed is not None:
+            parser.error("--observed applies to --interval only")
         if (args.epsilon is None) == (args.alpha is None):
             parser.error("pass exactly one of --epsilon / --alpha")
         if args.level is not None:
@@ -539,7 +546,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             if len(intervals) != 1:
                 raise ValueError(f"--interval takes one LO:HI, got {args.interval!r}")
             (lo, hi), = intervals
-            signal = interval_signal_from_prices(lo, hi, config.model, observed=args.observed)
+            observed = 1 if args.observed is None else args.observed
+            signal = interval_signal_from_prices(lo, hi, config.model, observed=observed)
             # a signal below the floor is refused before its 2n draws are filled
             check_signal_prob(signal, config.model)
             mode = None

@@ -9,13 +9,16 @@ exactly:
   * independence of the horizon sigma-algebra and the signal under it,
   * the martingale property of z/p and of the price on the enlarged tree,
   * unit conditional mass of the tilted density D,
-  * threshold optimality against brute-force enumeration of success sets,
+  * threshold optimality of both problems (budget and shortfall) at
+    every achievable level, against one brute-force enumeration of the
+    success sets per signal value,
   * the replicating holdings for any nonnegative horizon target.
 
 Paths are tuples of moves (1 = up, 0 = down).  A market with `periods`
-steps carries the signal on time-N paths and the payoff on time-T nodes,
-T = hedge_horizon <= N.  Every quantity is a Fraction at every depth,
-so each identity is checked with exact equality.
+steps carries the signal on time-N paths, keyed by the number of
+terminal ups, and the payoff on time-T nodes, T = hedge_horizon <= N.
+Inputs are exact (ints or Fractions), every quantity is a Fraction at
+every depth, and so each identity is checked with exact equality.
 """
 from __future__ import annotations
 
@@ -39,13 +42,10 @@ __all__ = [
     "achievable_levels",
     "exact_quantile_hedge",
     "exhaustive_optimality_check",
-    "exhaustive_epsilon_check",
     "replicate_on_tree",
     "knockout_target",
     "random_market",
     "reference_market",
-    "market_to_text",
-    "market_from_text",
 ]
 
 ENUM_ATOM_LIMIT = 24
@@ -54,16 +54,10 @@ Path = tuple  # tuple of 0/1 moves
 
 
 def _rat(x) -> Fraction:
-    """Exact rational from int/Fraction/str; floats read via their decimal repr."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    """Exact rational from an int or a Fraction; any other input raises TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"market inputs must be ints or Fractions, got {x!r}")
+    return Fraction(x)
 
 
 def _paths(length: int):
@@ -82,8 +76,11 @@ class TreeMarket:
     p_up : physical up probability in (0,1).
     s0 : initial price (> 0).
     payoff : map {ups at horizon -> nonnegative value}.
-    signal : map {terminal ups -> label} or {terminal path -> label};
-        labels form the finite value set of the signal.
+    signal : map {terminal ups -> label}, one entry for each of
+        0..periods ups; labels form the finite value set of the signal.
+
+    u, d, p_up, s0 and the payoff values are exact: ints or Fractions.
+    Anything else (a float, a string) raises TypeError.
 
     Construction fails when some signal value has zero conditional
     probability at a node before the horizon: the theory requires the
@@ -156,18 +153,10 @@ class TreeMarket:
         return self.cond_signal_prob(prefix, g) / self.signal_prob(g)
 
     def _normalize_signal(self, signal: Mapping) -> dict:
-        keys = list(signal.keys())
-        if all(isinstance(k, int) for k in keys):
-            by_ups = {int(k): v for k, v in signal.items()}
-            missing = [j for j in range(self.periods + 1) if j not in by_ups]
-            if missing:
-                raise ValueError(f"signal missing terminal ups {missing}")
-            return {path: by_ups[sum(path)] for path in _paths(self.periods)}
-        out = {tuple(k): v for k, v in signal.items()}
-        missing = [pth for pth in _paths(self.periods) if pth not in out]
+        missing = [j for j in range(self.periods + 1) if j not in signal]
         if missing:
-            raise ValueError(f"signal missing terminal path {missing[0]}")
-        return out
+            raise ValueError(f"signal missing terminal ups {missing}")
+        return {path: signal[sum(path)] for path in _paths(self.periods)}
 
     def _conditional_signal_probs(self) -> dict:
         # backward recursion over prefixes: P(G=g | prefix)
@@ -185,8 +174,6 @@ class TreeMarket:
         return cond
 
     def _check_equivalence(self) -> None:
-        if len(self.signal_values) < 1:
-            raise ValueError("signal must take at least one value")
         for t in range(self.hedge_horizon + 1):
             for prefix in _paths(t):
                 for g in self.signal_values:
@@ -442,50 +429,57 @@ def exact_quantile_hedge(table: AtomTable, g, *, epsilon=None, alpha=None) -> Ex
                       success_set=success_set, exact=bool(hit))
 
 
-def _enumerate_sets(law):
-    n = len(law)
-    if n > ENUM_ATOM_LIMIT:
-        raise ValueError(f"{n} conditional atoms exceed the enumeration bound {ENUM_ATOM_LIMIT}")
-    for mask in range(1 << n):
-        p_a = cost = 0
-        for i in range(n):
-            if mask >> i & 1:
-                p_a += law[i][2]
-                cost += law[i][2] * law[i][1]
-        yield mask, p_a, cost
+def _subset_sums(law):
+    """(success probability, cost) of every subset of the law's atoms, one at a time.
+
+    The sums over each half of the atoms are listed, 2^(n/2) pairs
+    apiece, and combined lazily, so memory stays small up to the bound.
+    """
+    def listed(atoms):
+        sums = [(Fraction(0), Fraction(0))]
+        for _, d, pc in atoms:
+            sums += [(p_a + pc, cost + pc * d) for p_a, cost in sums]
+        return sums
+
+    half = len(law) // 2
+    for (p_head, c_head), (p_tail, c_tail) in itertools.product(listed(law[:half]),
+                                                                  listed(law[half:])):
+        yield p_head + p_tail, c_head + c_tail
 
 
-def exhaustive_optimality_check(table: AtomTable, g, alpha) -> bool:
-    """Brute-force the budget problem: no success set beats the threshold set.
+def exhaustive_optimality_check(table: AtomTable, g) -> tuple:
+    """Brute-force both problems at every achievable level of g.
 
-    Enumerates every subset of the conditional horizon atoms and checks
-    that any set affordable at the budget has success probability at
-    most the solver's.  Valid at achievable budget levels (the theorem's
-    existence hypothesis); between levels non-threshold sets can win.
+    Enumerates every subset of g's conditional horizon atoms once.  At
+    each achievable level (P, alpha) no set affordable at the budget
+    alpha may beat the solver's success probability, and the cheapest
+    set with success probability >= P must cost the solver's capital
+    fraction at epsilon = 1 - P.  Between levels non-threshold sets can
+    win, so only achievable levels (the theorem's existence hypothesis)
+    are checked.  Returns the failures, each naming g, the side and the
+    level; empty when every level passes.
     """
     law = conditional_law(table, g)
-    solver = exact_quantile_hedge(table, g, alpha=alpha)
-    return all(
-        p_a <= solver.success_prob
-        for _, p_a, cost in _enumerate_sets(law)
-        if cost <= alpha
-    )
-
-
-def exhaustive_epsilon_check(table: AtomTable, g, epsilon) -> bool:
-    """Brute-force the shortfall problem: no cheaper set meets the constraint.
-
-    At achievable success levels 1-epsilon the solver's capital fraction
-    must equal the enumerated minimum cost over all sets with success
-    probability >= 1-epsilon.
-    """
-    law = conditional_law(table, g)
-    solver = exact_quantile_hedge(table, g, epsilon=epsilon)
-    best = None
-    for _, p_a, cost in _enumerate_sets(law):
-        if p_a >= 1 - epsilon and (best is None or cost < best):
-            best = cost
-    return best is not None and best == solver.alpha
+    if len(law) > ENUM_ATOM_LIMIT:
+        raise ValueError(f"{len(law)} conditional atoms exceed the enumeration bound "
+                         f"{ENUM_ATOM_LIMIT}")
+    levels = achievable_levels(table, g)
+    best = [exact_quantile_hedge(table, g, alpha=budget).success_prob for _, budget in levels]
+    beaten = [False] * len(levels)
+    cheapest = [None] * len(levels)
+    for p_a, cost in _subset_sums(law):
+        for i, (level, budget) in enumerate(levels):
+            if cost <= budget and p_a > best[i]:
+                beaten[i] = True
+            if p_a >= level and (cheapest[i] is None or cost < cheapest[i]):
+                cheapest[i] = cost
+    failures = []
+    for (level, budget), over_budget, cost in zip(levels, beaten, cheapest):
+        if over_budget:
+            failures.append(f"budget optimality at g={g!r}, alpha={budget}")
+        if cost != exact_quantile_hedge(table, g, epsilon=1 - level).alpha:
+            failures.append(f"shortfall optimality at g={g!r}, 1-eps={level}")
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +516,7 @@ def replicate_on_tree(m: TreeMarket, target: Mapping) -> TreeStrategy:
 
     `target` maps (horizon prefix, signal value) -> value, or horizon
     ups -> value, broadcast over nodes and signal values.  Values must
-    be nonnegative.  The returned strategy matches the target exactly,
+    be nonnegative ints or Fractions.  The returned strategy matches the target exactly,
     is self-financing along every edge and keeps a nonnegative value
     process.
     """
@@ -571,56 +565,8 @@ def _normalize_target(m: TreeMarket, target: Mapping) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fixtures: serialization and random instances
+# random and reference instances
 # ---------------------------------------------------------------------------
-
-def market_to_text(m: TreeMarket) -> str:
-    """Human-readable fixture format: one line per parameter, one per atom."""
-    lines = [
-        f"periods = {m.periods}",
-        f"hedge_horizon = {m.hedge_horizon}",
-        f"u = {m.u}",
-        f"d = {m.d}",
-        f"p_up = {m.p_up}",
-        f"s0 = {m.s0}",
-    ]
-    for j in sorted(m.payoff):
-        lines.append(f"payoff {j} = {m.payoff[j]}")
-    for path in _paths(m.periods):
-        word = "".join("u" if mv else "d" for mv in path)
-        lines.append(f"signal {word} = {m.signal[path]}")
-    return "\n".join(lines) + "\n"
-
-
-def market_from_text(text: str) -> TreeMarket:
-    scalars: dict = {}
-    payoff: dict = {}
-    signal: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("payoff "):
-            payoff[int(key.split()[1])] = Fraction(value)
-        elif key.startswith("signal "):
-            word = key.split()[1]
-            path = tuple(1 if c == "u" else 0 for c in word)
-            signal[path] = int(value)
-        else:
-            scalars[key] = value
-    return TreeMarket(
-        periods=int(scalars["periods"]),
-        hedge_horizon=int(scalars["hedge_horizon"]),
-        u=Fraction(scalars["u"]),
-        d=Fraction(scalars["d"]),
-        p_up=Fraction(scalars["p_up"]),
-        s0=Fraction(scalars["s0"]),
-        payoff=payoff,
-        signal=signal,
-    )
-
 
 def random_market(seed: int) -> TreeMarket:
     """Seeded random instance for the verification suite.

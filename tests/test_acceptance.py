@@ -38,7 +38,6 @@ from insider_hedge.np_solver import alpha_from_k, solve_k_for_alpha, solve_k_for
 from insider_hedge.tree_oracle import (
     achievable_levels,
     exact_quantile_hedge,
-    exhaustive_epsilon_check,
     exhaustive_optimality_check,
     perturb_atom,
 )
@@ -332,12 +331,11 @@ def test_criterion_6_exhaustive_optimality():
     for name, market in markets:
         table = build_atom_table(market)
         for g in market.signal_values:
-            for success_prob, budget in achievable_levels(table, g):
-                n_levels += 1
-                if not exhaustive_optimality_check(table, g, budget):
-                    failures.append(f"{name}: budget side at g={g!r}, alpha={budget}")
-                if not exhaustive_epsilon_check(table, g, 1 - success_prob):
-                    failures.append(f"{name}: shortfall side at g={g!r}, target={success_prob}")
+            # one enumeration per signal value checks both sides at every achievable level
+            n_levels += len(achievable_levels(table, g))
+            failures.extend(f"{name}: {f}" for f in exhaustive_optimality_check(table, g))
+    if n_levels != 430:
+        failures.append(f"{n_levels} achievable levels, want 430 across the 101 markets")
     # the known non-existence case must be flagged, not mis-solved
     ref = build_atom_table(reference_market())
     sol = exact_quantile_hedge(ref, 1, epsilon=Fraction(1, 4))

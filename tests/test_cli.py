@@ -275,6 +275,19 @@ class TestOracleSuite:
         assert any("negative-control: mutation detected" in ln for ln in report.lines)
         assert any("non-existence case flagged" in ln for ln in report.lines)
 
+    @pytest.mark.parametrize("target, failure", [
+        ("alpha", "budget optimality at g=0, alpha=0"),
+        ("epsilon", "shortfall optimality at g=0, 1-eps=1"),
+    ])
+    def test_suboptimal_solver_fails_the_suite(self, short_solver, capsys, target, failure):
+        short_solver(target)
+        report = run_oracle_suite(seed=0, instance_count=2)
+        assert report.passed is False
+        assert report.lines[0] == f"reference: FAIL {failure}"
+        assert report.lines[-1] == "oracle suite: FAIL (2 random instances)"
+        assert main(["oracle", "--instances", "2"]) == 1
+        assert "reference: FAIL" in capsys.readouterr().out
+
 
 class TestCommandLine:
     def test_version(self):
@@ -304,6 +317,8 @@ class TestCommandLine:
                        "--n-paths", "5000", "--seed", "1")
         assert proc.returncode == 0
         assert "mode = rejection" in proc.stdout
+        # without --observed the interval signal is observed to hold
+        assert "signal = interval:[0.292061,0.36479]:G=1" in proc.stdout
 
     def test_hedge_atom_gap_is_one_warning_line(self):
         proc = run_cli("hedge", "--level", "105", "--epsilon", "0.1",
@@ -360,6 +375,24 @@ class TestCommandLine:
     def test_hedge_requires_one_signal(self):
         proc = run_cli("hedge", "--epsilon", "0.1")
         assert proc.returncode != 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--level", "110", "--epsilon", "0.1", "--output", "{out}", "--format", "json",
+          "--epsilons", "0.3"),
+         "unrecognized arguments: --output {out} --format json --epsilons 0.3"),
+        (("--interval", "109:111", "--epsilon", "0.1", "--mode", "paper_shift"),
+         "--mode applies to --level only"),
+        (("--level", "110", "--epsilon", "0.1", "--observed", "1"),
+         "--observed applies to --interval only"),
+    ])
+    def test_hedge_refuses_flags_it_would_ignore(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["hedge", *(a.format(out=out) for a in argv)])
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stderr.splitlines()[-1] == f"insider-hedge: error: {message.format(out=out)}"
+        assert stdout == "" and not out.exists()
 
     def test_table_point_byte_identical(self, tmp_path):
         args = ("table-point", "--levels", "110", "--epsilons", "0.1,0.25",

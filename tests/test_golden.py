@@ -1,18 +1,26 @@
-"""Golden outputs: the tables and two hedges, byte for byte.
+"""Golden outputs: the tables, three hedges and the oracle report, byte for byte.
 
 The digests are SHA-256 of the CSV that write_cells writes for both
-default-grid tables at n = 20000, seed 0, and of the hedge command's
+default-grid tables at n = 20000, seed 0, of the hedge command's
 stdout for a point epsilon hedge, a shift-mode point alpha hedge and a
-G = 0 interval alpha hedge.  A refactor must leave them unchanged.  A
-change that moves sampled numbers on purpose updates them and says so
-in CHANGES.md.
+G = 0 interval alpha hedge, and of the oracle suite's report lines
+(seed 0, 100 instances) joined by newlines.  A refactor must leave
+them unchanged.  A change that moves sampled numbers on purpose
+updates them and says so in CHANGES.md.
 """
 import hashlib
 from dataclasses import replace
 
 import pytest
 
-from insider_hedge.cli import RunConfig, main, run_table_indicator, run_table_point, write_cells
+from insider_hedge.cli import (
+    RunConfig,
+    main,
+    run_oracle_suite,
+    run_table_indicator,
+    run_table_point,
+    write_cells,
+)
 
 TABLE_DIGESTS = {
     "point": "25a54814683861844a9e9361e95aa89bbd6396552cb6e94300136b080ae6f97d",
@@ -27,6 +35,8 @@ HEDGE_DIGESTS = {
     ("--interval", "109:111", "--observed", "0", "--alpha", "0.2"):
         "fe4562bfef38770c6ccd37d5c4cbecdfa8e510b34f7f594e6e5ce5513ab6867d",
 }
+
+ORACLE_DIGEST = "a49008d1d97419f87336016278fd21b0c83a892e5bd5dd1c314d36b271f7c7f5"
 
 
 def _sha256(data: bytes) -> str:
@@ -49,3 +59,9 @@ def test_table_csv(kind, params, tmp_path):
 def test_hedge_stdout(args, capsys):
     assert main(["hedge", *args, "--n-paths", "20000", "--seed", "0"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == HEDGE_DIGESTS[args]
+
+
+def test_oracle_report():
+    report = run_oracle_suite(0, 100)
+    assert report.passed
+    assert _sha256("\n".join(report.lines).encode()) == ORACLE_DIGEST

@@ -7,11 +7,8 @@ from insider_hedge import (
     TreeMarket,
     build_atom_table,
     exact_quantile_hedge,
-    exhaustive_epsilon_check,
     exhaustive_optimality_check,
     knockout_target,
-    market_from_text,
-    market_to_text,
     random_market,
     reference_market,
     replicate_on_tree,
@@ -146,6 +143,24 @@ class TestRationalArithmetic:
             assert all(type(v) is F for v in part.values())
 
 
+REFERENCE_INPUTS = dict(periods=2, hedge_horizon=1, u=2, d=F(1, 2), p_up=F(3, 5), s0=1,
+                        payoff={0: 0, 1: 1}, signal={0: 0, 1: 1, 2: 0})
+
+
+class TestMarketInputs:
+    @pytest.mark.parametrize("field, value", [("u", 2.0), ("p_up", "3/5"),
+                                              ("payoff", {0: 0, 1: 0.5})])
+    def test_inexact_input_rejected(self, field, value):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            TreeMarket(**{**REFERENCE_INPUTS, field: value})
+
+    def test_path_keyed_signal_rejected(self):
+        # signals are keyed by the number of terminal ups only
+        signal = {path: int(sum(path) == 1) for path in itertools.product((0, 1), repeat=2)}
+        with pytest.raises(ValueError, match=r"signal missing terminal ups \[0, 1, 2\]"):
+            TreeMarket(**{**REFERENCE_INPUTS, "signal": signal})
+
+
 class TestEquivalenceValidation:
     def test_revealing_signal_rejected(self):
         # 1{S_2 >= 2} is settled by the first move on the down branch
@@ -220,20 +235,31 @@ class TestExactQuantileHedge:
 
 
 class TestExhaustiveChecks:
-    def test_reference_budget_zero(self):
+    def test_reference_both_sides_at_every_level(self):
         table = build_atom_table(reference_market())
-        assert exhaustive_optimality_check(table, 1, F(0))
-        assert exhaustive_optimality_check(table, 1, F(1))
-        assert exhaustive_optimality_check(table, 0, F(0))
+        # the budgets 0 and 1 are the achievable levels of both signal values
+        assert achievable_levels(table, 1) == [(F(1, 2), 0), (1, 1)]
+        assert achievable_levels(table, 0) == [(F(4, 13), 0), (1, 1)]
+        for g in (0, 1):
+            assert exhaustive_optimality_check(table, g) == ()
 
     def test_random_instances_all_achievable_levels(self):
         for seed in range(10):
             table = build_atom_table(random_market(seed))
             for g in table.market.signal_values:
-                for success_prob, budget in achievable_levels(table, g):
-                    assert exhaustive_optimality_check(table, g, budget), (seed, g, budget)
-                    assert exhaustive_epsilon_check(table, g, 1 - success_prob), \
-                        (seed, g, success_prob)
+                assert achievable_levels(table, g)
+                assert exhaustive_optimality_check(table, g) == (), (seed, g)
+
+    @pytest.mark.parametrize("target, failures", [
+        ("alpha", ("budget optimality at g=1, alpha=0", "budget optimality at g=1, alpha=1")),
+        # at the level 1/2 the empty set and the threshold set both cost 0
+        ("epsilon", ("shortfall optimality at g=1, 1-eps=1",)),
+    ])
+    def test_solver_one_candidate_short_is_caught(self, short_solver, target, failures):
+        # given G=1 the levels are (1/2, 0) and (1, 1); only the mutated side fails
+        table = build_atom_table(reference_market())
+        short_solver(target)
+        assert exhaustive_optimality_check(table, 1) == failures
 
     def test_atom_limit_enforced(self):
         # 2^5 = 32 horizon atoms; the parity signal keeps every node alive
@@ -242,7 +268,7 @@ class TestExhaustiveChecks:
                        signal={j: j % 2 for j in range(11)})
         table = build_atom_table(m)
         with pytest.raises(ValueError, match="enumeration bound"):
-            exhaustive_optimality_check(table, 1, F(1, 2))
+            exhaustive_optimality_check(table, 1)
 
 
 class TestReplication:
@@ -298,30 +324,12 @@ class TestReplication:
             replicate_on_tree(reference_market(), {(0,): 0, (1,): 1})
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        m = reference_market()
-        text = market_to_text(m)
-        back = market_from_text(text)
-        assert back.periods == m.periods
-        assert back.hedge_horizon == m.hedge_horizon
-        assert (back.u, back.d, back.p_up, back.s0) == (m.u, m.d, m.p_up, m.s0)
-        assert back.payoff == m.payoff
-        assert back.signal == m.signal
-        assert market_to_text(back) == text
-
-    def test_random_markets_round_trip(self):
-        for seed in (0, 5, 11):
-            m = random_market(seed)
-            back = market_from_text(market_to_text(m))
-            assert market_to_text(back) == market_to_text(m)
-
-
 class TestRandomMarket:
     def test_deterministic(self):
         a = random_market(123)
         b = random_market(123)
-        assert market_to_text(a) == market_to_text(b)
+        fields = ("periods", "hedge_horizon", "u", "d", "p_up", "s0", "payoff", "signal")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
 
     def test_valid_parameters(self):
         for seed in range(30):
