@@ -27,7 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .insider_signal import (
@@ -463,7 +463,9 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="insider-hedge",
         description="Quantile hedging with advance information: tables, single "
@@ -502,7 +504,11 @@ def main(argv: list[str] | None = None) -> int:
     p_or.add_argument("--instances", type=int, default=100)
 
     commands.add_parser("version", help="print the package version")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return _run(parser, args)

@@ -2,12 +2,14 @@
 
 Every stream is identified by an integer key tuple and generated in
 fixed-size blocks: block ``b`` of stream ``key`` comes from its own
-counter-based Philox generator seeded from ``SeedSequence([*key, b])``.
-Block boundaries depend only on the draw index, never on the worker
-count, so a stream can be filled by any number of threads and still
-produce bit-identical output.  A stream is one flat array of standard
-normals or of uniforms; the samplers key theirs by (seed, stream tag),
-so every tag below fixes the draws behind a table's numbers.
+SFC64 generator, seeded once from ``SeedSequence([*key, b])``.  No
+generator is advanced or jumped past its own block, so a small, fast
+generator suffices.  Block boundaries depend only on the draw index,
+never on the worker count, so a stream can be filled by any number of
+threads and still produce bit-identical output.  A stream is one flat
+array of standard normals or of uniforms; the samplers key theirs by
+(seed, stream tag), so every tag below fixes the draws behind a table's
+numbers.
 """
 from __future__ import annotations
 
@@ -38,12 +40,16 @@ def _as_entropy(key) -> list[int]:
 
 def block_generator(key, block: int) -> np.random.Generator:
     """Generator for one block of the stream identified by `key`."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_as_entropy(key) + [block])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(_as_entropy(key) + [block])))
 
 
 def derive_seed(seed: int, *path: int) -> int:
-    """Collision-resistant child seed for (seed, path), e.g. one per table cell."""
-    ss = np.random.SeedSequence(_as_entropy(seed) + [int(p) for p in path])
+    """Collision-resistant child seed for (seed, path), e.g. one per conditioning mode.
+
+    The path length is part of the entropy: SeedSequence pads its entropy
+    with zeros, so without it (s,) and (s, 0) would give the same seed.
+    """
+    ss = np.random.SeedSequence(_as_entropy(seed) + [int(p) for p in path] + [len(path)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

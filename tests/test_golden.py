@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from insider_hedge import __version__, cli
 from insider_hedge.cli import (
     RunConfig,
     main,
@@ -23,17 +24,17 @@ from insider_hedge.cli import (
 )
 
 TABLE_DIGESTS = {
-    "point": "25a54814683861844a9e9361e95aa89bbd6396552cb6e94300136b080ae6f97d",
-    "indicator": "0ffd4180abeb7ff592bfa7a385549ddca47abfaed20929e2cdff2b01fd5361e6",
+    "point": "dacfc9740c8608392ce1c4722ea88f207f9ce7cfffbf40f5e073a76d811e4dc3",
+    "indicator": "28ddf954ab49771ffe2c90115235056a6aaa01c18611f752e9206059b923dee0",
 }
 
 HEDGE_DIGESTS = {
     ("--level", "110", "--epsilon", "0.1"):
-        "74d2e3da9b504043bdc0282e3cc5715db6d75864c35c475861b33e8e7e05af59",
+        "0f3ac2636273d0e0d14acfbee81519e73b78083faf9a758f209348d8ec4a0800",
     ("--level", "112", "--mode", "paper_shift", "--alpha", "0.2"):
-        "2945d7ef9bbf22895b00821832b641ed4ab338971a34c0fbdb340633f8c72c34",
+        "111048b91649dc7a56af2100b721f7ad2448891484c087e1d71146b18f5108f5",
     ("--interval", "109:111", "--observed", "0", "--alpha", "0.2"):
-        "fe4562bfef38770c6ccd37d5c4cbecdfa8e510b34f7f594e6e5ce5513ab6867d",
+        "78f9de18a7db05ce0e25fae97b01248c85ee4de5e650441d84b4cbce12b4368e",
 }
 
 ORACLE_DIGEST = "a49008d1d97419f87336016278fd21b0c83a892e5bd5dd1c314d36b271f7c7f5"
@@ -59,6 +60,27 @@ def test_table_csv(kind, params, tmp_path):
 def test_hedge_stdout(args, capsys):
     assert main(["hedge", *args, "--n-paths", "20000", "--seed", "0"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == HEDGE_DIGESTS[args]
+
+
+def test_hedge_stdout_after_other_calls_in_process(capsys):
+    """main reuses one parser per process; no earlier call may leak into a later one."""
+    parser = cli._parser()
+    # refused by argparse after it has read a mode, a seed and a sample size
+    with pytest.raises(SystemExit) as exc:
+        main(["hedge", "--level", "110", "--mode", "paper_shift", "--seed", "5",
+              "--n-paths", "3000", "--epsilon", "0.2", "--epsilons", "0.3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["hedge", "--level", "110", "--epsilon", "1.5"]) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and out == ""
+    args = ("--level", "110", "--epsilon", "0.1")
+    assert main(["hedge", *args, "--n-paths", "20000", "--seed", "0"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == HEDGE_DIGESTS[args]
+    assert main(["version"]) == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+    assert cli._parser() is parser
 
 
 def test_oracle_report():
