@@ -52,14 +52,11 @@ from .tree_oracle import (
     ExactHedge,
     TheoremReport,
     TreeMarket,
-    TreeStrategy,
     build_atom_table,
     exact_quantile_hedge,
     exhaustive_optimality_check,
-    knockout_target,
     random_market,
     reference_market,
-    replicate_on_tree,
     verify_theorems,
 )
 

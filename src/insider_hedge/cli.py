@@ -98,6 +98,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1000:
             raise ValueError(f"n_paths must be >= 1000, got {self.n_paths}")
+        # SeedSequence splits a larger seed into 32-bit words, so its streams can
+        # coincide with blocks of a smaller seed's (2 + 2 * 2**32 reads seed 2's)
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.signal_kind not in ("point", "interval"):
             raise ValueError(f"signal_kind must be point or interval, got {self.signal_kind}")
         if self.signal_kind == "point" and not self.levels:
@@ -286,7 +290,7 @@ def run_oracle_suite(seed: int, instance_count: int) -> OracleReport:
         lines.append("reference: non-existence case flagged (epsilon=1/4, conservative "
                      f"success={flagged.success_prob})")
 
-    mutated = perturb_atom(table, index=0)
+    mutated = perturb_atom(table)
     if verify_theorems(mutated).passed:
         passed = False
         lines.append("negative-control: FAIL mutation not detected")

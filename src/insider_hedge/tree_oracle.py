@@ -11,8 +11,7 @@ exactly:
   * unit conditional mass of the tilted density D,
   * threshold optimality of both problems (budget and shortfall) at
     every achievable level, against one brute-force enumeration of the
-    success sets per signal value,
-  * the replicating holdings for any nonnegative horizon target.
+    success sets per signal value.
 
 Paths are tuples of moves (1 = up, 0 = down).  A market with `periods`
 steps carries the signal on time-N paths, keyed by the number of
@@ -34,7 +33,6 @@ __all__ = [
     "AtomTable",
     "TheoremReport",
     "ExactHedge",
-    "TreeStrategy",
     "build_atom_table",
     "verify_theorems",
     "perturb_atom",
@@ -42,8 +40,6 @@ __all__ = [
     "achievable_levels",
     "exact_quantile_hedge",
     "exhaustive_optimality_check",
-    "replicate_on_tree",
-    "knockout_target",
     "random_market",
     "reference_market",
 ]
@@ -75,9 +71,11 @@ class TreeMarket:
         risk-neutral up probability q = (1-d)/(u-d) lies in (0,1)).
     p_up : physical up probability in (0,1).
     s0 : initial price (> 0).
-    payoff : map {ups at horizon -> nonnegative value}.
+    payoff : map {ups at horizon -> nonnegative value}, one entry for
+        each of 0..hedge_horizon ups and no other.
     signal : map {terminal ups -> label}, one entry for each of
-        0..periods ups; labels form the finite value set of the signal.
+        0..periods ups and no other; labels form the finite value set
+        of the signal.
 
     u, d, p_up, s0 and the payoff values are exact: ints or Fractions.
     Anything else (a float, a string) raises TypeError.
@@ -113,6 +111,10 @@ class TreeMarket:
                 raise ValueError(f"payoff missing node with {j} ups at the horizon")
             if self.payoff[j] < 0:
                 raise ValueError(f"payoff must be nonnegative, got {self.payoff[j]} at {j} ups")
+        stray = [j for j in payoff if j not in range(self.hedge_horizon + 1)]
+        if stray:
+            raise ValueError(f"payoff key {stray[0]!r} is not a horizon ups count "
+                             f"0..{self.hedge_horizon}")
 
         self.signal = self._normalize_signal(signal)
         self.signal_values = tuple(sorted(set(self.signal.values())))
@@ -156,6 +158,10 @@ class TreeMarket:
         missing = [j for j in range(self.periods + 1) if j not in signal]
         if missing:
             raise ValueError(f"signal missing terminal ups {missing}")
+        stray = [j for j in signal if j not in range(self.periods + 1)]
+        if stray:
+            raise ValueError(f"signal key {stray[0]!r} is not a terminal ups count "
+                             f"0..{self.periods}")
         return {path: signal[sum(path)] for path in _paths(self.periods)}
 
     def _conditional_signal_probs(self) -> dict:
@@ -266,7 +272,8 @@ def verify_theorems(table: AtomTable) -> TheoremReport:
     (c) z/p is a martingale under P on the enlarged tree (all one-step
         conditional expectations up to the horizon);
     (d) the price is a martingale under the insider measure on the
-        enlarged tree;
+        enlarged tree, so every nonnegative horizon target is
+        replicable there;
     (e) the tilted density D has unit conditional mass given each signal
         value.
 
@@ -337,11 +344,11 @@ def verify_theorems(table: AtomTable) -> TheoremReport:
     return TheoremReport(passed=not failures, n_checks=n_checks, failures=tuple(failures))
 
 
-def perturb_atom(table: AtomTable, index: int = 0, rel=Fraction(1, 10**6)) -> AtomTable:
-    """Negative control: one atom's insider density nudged by a factor 1+rel."""
-    atoms = list(table.atoms)
-    atoms[index] = replace(atoms[index], qg_density=atoms[index].qg_density * (1 + rel))
-    return replace(table, atoms=tuple(atoms))
+def perturb_atom(table: AtomTable) -> AtomTable:
+    """Negative control: the first atom's insider density nudged by a factor 1 + 10^-6."""
+    first, *rest = table.atoms
+    nudged = replace(first, qg_density=first.qg_density * (1 + Fraction(1, 10**6)))
+    return replace(table, atoms=(nudged, *rest))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +400,6 @@ class ExactHedge:
     k: object
     alpha: object
     success_prob: object
-    success_set: tuple
     exact: bool
 
 
@@ -424,9 +430,7 @@ def exact_quantile_hedge(table: AtomTable, g, *, epsilon=None, alpha=None) -> Ex
         sel = affordable[-1] if affordable else cands[0]
     k, cum_p, cum_cost = sel
     hit = (cum_p == 1 - epsilon) if epsilon is not None else (cum_cost == alpha)
-    success_set = tuple(prefix for prefix, d, _ in law if d <= k)
-    return ExactHedge(k=k, alpha=cum_cost, success_prob=cum_p,
-                      success_set=success_set, exact=bool(hit))
+    return ExactHedge(k=k, alpha=cum_cost, success_prob=cum_p, exact=bool(hit))
 
 
 def _subset_sums(law):
@@ -480,88 +484,6 @@ def exhaustive_optimality_check(table: AtomTable, g) -> tuple:
         if cost != exact_quantile_hedge(table, g, epsilon=1 - level).alpha:
             failures.append(f"shortfall optimality at g={g!r}, 1-eps={level}")
     return tuple(failures)
-
-
-# ---------------------------------------------------------------------------
-# replication on the enlarged tree
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeStrategy:
-    """Self-financing replication: values and holdings per (node, signal).
-
-    values[(prefix, g)] is the portfolio value, holdings[(prefix, g)]
-    the stock position chosen at that node; initial_capital[g] is the
-    time-0 value given the realized signal.
-    """
-
-    values: dict
-    holdings: dict
-    initial_capital: dict
-
-
-def knockout_target(table: AtomTable, thresholds: Mapping) -> dict:
-    """Target H * 1{D <= k(g)} for signal-dependent thresholds k(g)."""
-    out = {}
-    for a in table.atoms:
-        if a.g not in thresholds:
-            raise ValueError(f"no threshold supplied for signal value {a.g!r}")
-        keep = a.d_star <= thresholds[a.g]
-        out[(a.prefix, a.g)] = a.h if keep else Fraction(0)
-    return out
-
-
-def replicate_on_tree(m: TreeMarket, target: Mapping) -> TreeStrategy:
-    """Backward-induction replication of a horizon target on the enlarged tree.
-
-    `target` maps (horizon prefix, signal value) -> value, or horizon
-    ups -> value, broadcast over nodes and signal values.  Values must
-    be nonnegative ints or Fractions.  The returned strategy matches the target exactly,
-    is self-financing along every edge and keeps a nonnegative value
-    process.
-    """
-    values = _normalize_target(m, target)
-    if any(v < 0 for v in values.values()):
-        raise ValueError("target must be nonnegative")
-    mass = _insider_mass(build_atom_table(m))
-    holdings = {}
-    for t in range(m.hedge_horizon - 1, -1, -1):
-        for prefix in _paths(t):
-            s_here = m.price(prefix)
-            s_up = m.price(prefix + (1,))
-            s_dn = m.price(prefix + (0,))
-            for g in m.signal_values:
-                v_up = values[(prefix + (1,), g)]
-                v_dn = values[(prefix + (0,), g)]
-                w_up = mass[(prefix + (1,), g)]
-                w_dn = mass[(prefix + (0,), g)]
-                v_here = (w_up * v_up + w_dn * v_dn) / (w_up + w_dn)
-                xi = (v_up - v_dn) / (s_up - s_dn)
-                # self-financing must hold along both edges
-                for v_next, s_next in ((v_up, s_up), (v_dn, s_dn)):
-                    gap = v_next - v_here - xi * (s_next - s_here)
-                    if gap != 0:
-                        raise AssertionError(
-                            f"self-financing violated at ({prefix}, {g!r}): gap {gap}"
-                        )
-                if v_here < 0:
-                    raise AssertionError(f"negative value at ({prefix}, {g!r}): {v_here}")
-                values[(prefix, g)] = v_here
-                holdings[(prefix, g)] = xi
-    initial = {g: values[((), g)] for g in m.signal_values}
-    return TreeStrategy(values=values, holdings=holdings, initial_capital=initial)
-
-
-def _normalize_target(m: TreeMarket, target: Mapping) -> dict:
-    """The target as {(horizon prefix, g): Fraction} over every enlarged horizon atom."""
-    atoms = [(prefix, g) for prefix in _paths(m.hedge_horizon) for g in m.signal_values]
-    if target and all(isinstance(k, int) for k in target):
-        return {(prefix, g): _rat(target[sum(prefix)]) for prefix, g in atoms}
-    odd = [k for k in target if k not in atoms] or [a for a in atoms if a not in target]
-    if odd:
-        raise ValueError("target must be keyed by horizon ups or by every (horizon prefix, "
-                         f"signal) pair; {odd[0]!r} is unknown or missing")
-    return {atom: _rat(target[atom]) for atom in atoms}
 
 
 # ---------------------------------------------------------------------------

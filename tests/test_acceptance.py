@@ -310,7 +310,7 @@ def test_criterion_5_tree_theorem_suite():
     ref_report = verify_theorems(ref_table)
     if not ref_report.passed:
         failures.append(f"reference market: {ref_report.failures[:1]}")
-    if verify_theorems(perturb_atom(ref_table, index=0)).passed:
+    if verify_theorems(perturb_atom(ref_table)).passed:
         failures.append("negative control not detected")
     n_checks = ref_report.n_checks
     for seed in range(100):

@@ -372,6 +372,23 @@ class TestCommandLine:
         assert line.startswith("error: P(G=1) = ") and "below the acceptance floor" in line
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [("hedge", "--level", "110", "--epsilon", "0.1"),
+                                      ("table-point", "--levels", "110", "--epsilons", "0.1")])
+    def test_seed_range(self, monkeypatch, capsys, argv):
+        argv = [*argv, "--n-paths", "2000", "--seed"]
+        assert main([*argv, str(2**32 - 1)]) == 0
+        capsys.readouterr()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("draw_point ran for a refused seed")
+
+        monkeypatch.setattr(cli, "draw_point", no_draws)
+        for seed in (2**32, -1):
+            assert main([*argv, str(seed)]) == 1
+            out, err = capsys.readouterr()
+            assert err.splitlines() == [f"error: seed must be in [0, 2**32), got {seed}"]
+            assert out == ""
+
     def test_hedge_requires_one_signal(self):
         proc = run_cli("hedge", "--epsilon", "0.1")
         assert proc.returncode != 0

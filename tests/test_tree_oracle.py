@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +9,8 @@ from insider_hedge import (
     build_atom_table,
     exact_quantile_hedge,
     exhaustive_optimality_check,
-    knockout_target,
     random_market,
     reference_market,
-    replicate_on_tree,
     verify_theorems,
 )
 from insider_hedge.tree_oracle import achievable_levels, conditional_law, perturb_atom
@@ -108,10 +107,31 @@ class TestVerifyTheorems:
 
     def test_negative_control_detected(self):
         table = build_atom_table(reference_market())
-        mutated = perturb_atom(table, index=0, rel=F(1, 10**6))
+        mutated = perturb_atom(table)
         report = verify_theorems(mutated)
         assert not report.passed
         assert any("(a)" in f or "(b)" in f for f in report.failures)
+
+    @pytest.mark.parametrize("identity", ["(c)", "(d)", "(e)"])
+    def test_each_broken_identity_is_named_alone(self, monkeypatch, identity):
+        market = reference_market()
+        table = build_atom_table(market)
+        nudge = 1 + F(1, 10**6)
+        if identity == "(e)":
+            # atom 2 is ((1,), 0), in the money; atoms 0 and 1 have D = 0
+            atoms = list(table.atoms)
+            atoms[2] = replace(atoms[2], d_star=atoms[2].d_star * nudge)
+            table = replace(table, atoms=tuple(atoms))
+        else:
+            # (c) reads the node density, (d) the price; the root value only
+            name = "rn_density" if identity == "(c)" else "price"
+            exact = getattr(market, name)
+            monkeypatch.setattr(market, name,
+                                lambda prefix: exact(prefix) * (nudge if prefix == () else 1))
+        failures = verify_theorems(table).failures
+        assert failures and all(f.startswith(identity) for f in failures), failures
+        if identity != "(e)":
+            assert all(" at ((), " in f for f in failures), failures
 
     def test_random_instances_pass(self):
         for seed in range(20):
@@ -138,9 +158,6 @@ class TestRationalArithmetic:
             assert all(type(v) is F for v in (a.prob, a.z_f, a.p_g, a.qg_density, a.h, a.d_star))
         report = verify_theorems(table)
         assert report.passed, report.failures
-        strat = replicate_on_tree(market, dict(market.payoff))
-        for part in (strat.values, strat.holdings, strat.initial_capital):
-            assert all(type(v) is F for v in part.values())
 
 
 REFERENCE_INPUTS = dict(periods=2, hedge_horizon=1, u=2, d=F(1, 2), p_up=F(3, 5), s0=1,
@@ -152,6 +169,14 @@ class TestMarketInputs:
                                               ("payoff", {0: 0, 1: 0.5})])
     def test_inexact_input_rejected(self, field, value):
         with pytest.raises(TypeError, match="ints or Fractions"):
+            TreeMarket(**{**REFERENCE_INPUTS, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("payoff", {0: 0, 1: 1, 7: 5, -1: 3}, "payoff key 7 is not a horizon ups count 0..1"),
+        ("signal", {0: 0, 1: 1, 2: 0, 9: 1}, "signal key 9 is not a terminal ups count 0..2"),
+    ])
+    def test_stray_key_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
             TreeMarket(**{**REFERENCE_INPUTS, field: value})
 
     def test_path_keyed_signal_rejected(self):
@@ -196,7 +221,6 @@ class TestExactQuantileHedge:
         assert sol.exact
         assert sol.k == 0 and sol.alpha == 0
         assert sol.success_prob == F(1, 2)
-        assert sol.success_set == ((0,),)
 
     def test_quarter_epsilon_flagged(self, table):
         sol = exact_quantile_hedge(table, 1, epsilon=F(1, 4))
@@ -269,59 +293,6 @@ class TestExhaustiveChecks:
         table = build_atom_table(m)
         with pytest.raises(ValueError, match="enumeration bound"):
             exhaustive_optimality_check(table, 1)
-
-
-class TestReplication:
-    def test_replicates_plain_claim(self):
-        m = reference_market()
-        strat = replicate_on_tree(m, {0: 0, 1: 1})
-        # perfect-hedge cost is the risk-neutral expectation, any signal value
-        assert strat.initial_capital == {0: F(1, 3), 1: F(1, 3)}
-        # holdings: value spread over price spread
-        assert strat.holdings[((), 0)] == (F(1) - F(0)) / (F(2) - F(1, 2))
-
-    def test_zero_target_zero_strategy(self):
-        m = reference_market()
-        strat = replicate_on_tree(m, {0: 0, 1: 0})
-        assert all(v == 0 for v in strat.values.values())
-        assert all(x == 0 for x in strat.holdings.values())
-
-    def test_knockout_target_costs_alpha_times_price(self):
-        m = reference_market()
-        table = build_atom_table(m)
-        # zero-capital plan given G=1, perfect hedge given G=0
-        sol1 = exact_quantile_hedge(table, 1, epsilon=F(1, 2))
-        sol0 = exact_quantile_hedge(table, 0, epsilon=F(0))
-        target = knockout_target(table, {1: sol1.k, 0: sol0.k})
-        strat = replicate_on_tree(m, target)
-        assert strat.initial_capital[1] == sol1.alpha * table.e_qg_h == 0
-        assert strat.initial_capital[0] == sol0.alpha * table.e_qg_h == table.e_qg_h
-        assert all(v >= 0 for v in strat.values.values())
-
-    def test_self_financing_on_random_instances(self):
-        for seed in range(10):
-            m = random_market(seed)
-            table = build_atom_table(m)
-            strat = replicate_on_tree(m, dict(m.payoff))
-            for g in m.signal_values:
-                assert strat.initial_capital[g] == table.e_qg_h
-            # edge identity: dV = xi dS along every edge
-            for (prefix, g), xi in strat.holdings.items():
-                for move in (0, 1):
-                    nxt = prefix + (move,)
-                    dv = strat.values[(nxt, g)] - strat.values[(prefix, g)]
-                    ds = m.price(nxt) - m.price(prefix)
-                    assert dv == xi * ds
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            replicate_on_tree(reference_market(), {0: -1, 1: 1})
-
-    def test_prefix_target_rejected(self):
-        # targets are keyed by horizon ups or by (horizon prefix, signal) pairs only
-        with pytest.raises(ValueError,
-                           match=r"target must be keyed by horizon ups .*; \(0,\) is unknown"):
-            replicate_on_tree(reference_market(), {(0,): 0, (1,): 1})
 
 
 class TestRandomMarket:
