@@ -298,6 +298,8 @@ def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
     W_{T+delta} / sqrt(T+d) is the inverse CDF at draws.u of the standard
     normal restricted to [a, b] / sqrt(T+d) (G = 1) or to its complement
     (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
+    Each draw maps on its own, so any subset of draw_interval's draws,
+    taken by index from both arrays alike, gives the same values on it.
     Fails before any work on draw_point's draws, and through check_signal_prob.
     """
     if draws.u is None:

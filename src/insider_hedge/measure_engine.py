@@ -17,22 +17,33 @@ the normalizer; the draws of W_T are dropped once D is computed.
 Every out-of-the-money draw (H = 0) has D = 0, an atom of mass
 P_G(S_T <= K) that lies in every success set.  D is therefore computed
 on the in-the-money draws only, and the sorted view counts the zeros
-instead of storing them.
+instead of storing them.  Draws that cannot reach the strike are not
+even mapped to W_T: build_batch decides in draw space which draws can
+reach a window just below the strike, and feeds only those to the
+samplers.
 
-Point samples of W_T come out ascending (see draw_point), so their
-in-the-money draws are a suffix found by one searchsorted, and their D
-is usually sorted already.  Interval samples depend on two draws each;
-their in-the-money draws are gathered by index.
+Point samples of W_T are a monotone map of draw_point's sorted
+normals, so the draws that can reach the strike are one slice of them,
+found by one searchsorted; the in-the-money draws are a suffix of the
+ascending W_T, and their D is usually sorted already.  Interval samples
+depend on two draws each: a draw is kept when the bridge from the
+largest W_{T+delta} its branch allows reaches the window, and both the
+kept draws and then the in-the-money ones are gathered by index.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .insider_signal import (
+    ConditioningMode,
     IntervalIndicator,
     PointValue,
     SignalDraws,
     SignalSpec,
+    check_signal_prob,
     density_indicator,
     density_point,
     sample_indicator_conditional,
@@ -84,28 +95,13 @@ def _itm_payoff(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return h, w_t[itm]
 
 
-# relative gap below the strike at which the payoff of an ascending W_T is first
-# evaluated: far wider than the rounding of price_from_brownian and
-# brownian_from_price, so every draw below it has S_T < K in floating point too
-_STRIKE_GAP = 1e-9
-
-
 def _itm_payoff_ascending(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """_itm_payoff for an ascending W_T, whose in-the-money draws are a suffix.
 
-    The payoff is evaluated only from just below the strike's Brownian
-    level on (on all draws at strike 0, whose level is -inf).  The draws
-    with H > 0 are the same as _itm_payoff's, element for element, for
-    any W_T: draws below the window that are not all below that level
-    (W_T not ascending), or a window that is not a suffix of H > 0, go
-    to _itm_payoff.
+    The draws with H > 0 are the same as _itm_payoff's, element for
+    element, for any W_T: a payoff whose positive values are not a
+    suffix goes to _itm_payoff.
     """
-    if p.strike > 0.0:
-        w_lo = brownian_from_price(p.strike * (1.0 - _STRIKE_GAP), p.t_expiry, p)
-        start = int(np.searchsorted(w_t, w_lo))
-        if start and w_t[:start].max() >= w_lo:
-            return _itm_payoff(w_t, p)
-        w_t = w_t[start:]
     h = price_from_brownian(w_t, p.t_expiry, p)
     h -= p.strike
     first = h.size - int(np.count_nonzero(h > 0.0))
@@ -116,24 +112,107 @@ def _itm_payoff_ascending(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return (h[first:], w_t[first:]) if first else (h, w_t)
 
 
-def _itm_d(signal: SignalSpec, w_t, p: ModelParams, e_qg_h: float) -> np.ndarray:
-    """D on the draws with H > 0, in draw order; the one definition of D.
+# relative gap below the strike from which draws are sampled: far wider than the
+# rounding of price_from_brownian and brownian_from_price, so every draw whose W_T
+# is below the gap's Brownian level has S_T < K in floating point too
+_STRIKE_GAP = 1e-9
+# relative margin by which a draw-space cut is moved outward: far wider than the
+# rounding of the affine map it inverts and of the ndtri value it repeats
+_CUT_MARGIN = 1e-12
+
+
+def _strike_floor(p: ModelParams) -> float:
+    """The Brownian level below which W_T is out of the money in floating point."""
+    return float(brownian_from_price(p.strike * (1.0 - _STRIKE_GAP), p.t_expiry, p))
+
+
+def _z_cut(c: float, s: float, w_lo: float) -> float:
+    """The normal z at which c + s*z reaches w_lo, moved outward by a margin.
+
+    Every z beyond the cut (below it for s > 0, above it for s < 0) has
+    c + s*z < w_lo in floating point; an infinite c gives an infinite cut.
+    """
+    z = (w_lo - c) / s
+    if math.isfinite(z):
+        z -= math.copysign(_CUT_MARGIN * (1.0 + (abs(w_lo) + abs(c)) / abs(s)), s)
+    return z
+
+
+def _bridge_z_cut(w_td: float, w_lo: float, p: ModelParams) -> float:
+    """_z_cut for the bridge W_T = w_td T/(T+d) + sqrt(T d/(T+d)) z, in its own float operations."""
+    td = p.t_signal
+    return _z_cut(w_td * p.t_expiry / td, math.sqrt(p.t_expiry * p.delta / td), w_lo)
+
+
+def _point_itm(signal: PointValue, draws: SignalDraws,
+               p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """H and W_T on a point signal's in-the-money draws, W_T ascending.
+
+    W_T is a monotone affine map of each normal, so the draws that can
+    reach the strike window are one slice of draw_point's sorted normals:
+    a suffix in bridge mode and a prefix in shift mode, which reads them
+    in reverse.  Only that slice is sampled.  Normals left out of the
+    slice that would still reach the window (normals not sorted) make
+    it sample every draw and gather.
+    """
+    z = draws.z
+    # draws without a mode go to the sampler whole, which refuses them
+    if p.strike > 0.0 and draws.mode is not None:
+        w_lo = _strike_floor(p)
+        if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
+            cut = _bridge_z_cut(signal.g_w, w_lo, p)
+            start = int(np.searchsorted(z, cut))
+            if start and z[:start].max() >= cut:
+                return _itm_payoff(sample_point_conditional(signal.g_w, draws, p), p)
+            z = z[start:]
+        else:
+            cut = _z_cut(signal.g_w, -math.sqrt(p.delta), w_lo)
+            stop = int(np.searchsorted(z, cut, side="right"))
+            if stop < z.size and z[stop:].min() <= cut:
+                return _itm_payoff(sample_point_conditional(signal.g_w, draws, p), p)
+            z = z[:stop]
+    w_t = sample_point_conditional(signal.g_w, draws._replace(z=z), p)
+    return _itm_payoff_ascending(w_t, p)
+
+
+def _interval_candidates(signal: IntervalIndicator, draws: SignalDraws,
+                         p: ModelParams) -> SignalDraws:
+    """The interval draws whose W_T can reach the strike window, gathered by index.
+
+    Each draw's W_T is at most the bridge from the largest W_{T+delta}
+    its branch allows: b for G = 1, where the sampler clips to [a, b];
+    sd * ndtri(Phi(lo)), about a, on the G = 0 branch below the
+    interval, where u * mass <= Phi(lo); the G = 0 branch above the
+    interval has no bound.  The bound repeats the sampler's own float
+    operations, so a draw is left out only if its W_T, as sampled,
+    stays below the window.
+    """
+    mass = check_signal_prob(signal, p)
+    w_lo = _strike_floor(p)
+    if signal.observed == 1:
+        keep = draws.z >= _bridge_z_cut(signal.b_w, w_lo, p)
+    else:
+        sd = math.sqrt(p.t_signal)
+        below = ndtr(signal.a_w / sd)
+        keep = draws.z >= _bridge_z_cut(float(ndtri(below) * sd), w_lo, p)
+        keep |= draws.u * mass > below
+    idx = np.flatnonzero(keep)
+    return SignalDraws(draws.z[idx], draws.u[idx])
+
+
+def _itm_d(signal: SignalSpec, h, w_t, p: ModelParams, e_qg_h: float) -> np.ndarray:
+    """D from H > 0 and W_T on the same draws, in draw order; the one definition of D.
 
     D = H * (Z_T / p_T^G) / E_QG[H] in that operation order, elementwise,
     so each value equals the one the full-sample formula gives; every
-    other draw has D = 0 exactly.  A point sample's W_T is ascending, so
-    its in-the-money draws are a suffix; an interval sample's are
-    gathered by index.  Only D-sized arrays stay alive once they are
-    found, which keeps peak RSS down.
+    other draw has D = 0 exactly.  H's buffer becomes D's.
     """
     if isinstance(signal, PointValue):
-        h, w_t = _itm_payoff_ascending(w_t, p)
         # p_T^G overflows to inf only at a far-out level (S = 1e6 in the default market,
         # where the exact D is below 1e-300); D then comes out 0, an expected result
         with np.errstate(over="ignore"):
             p_g = density_point(signal.g_w, w_t, p.t_expiry, p)
     else:
-        h, w_t = _itm_payoff(w_t, p)
         p_g = density_indicator(signal.observed, w_t, p.t_expiry, spec=signal, p=p)
     qg = rn_density(w_t, p)
     qg /= p_g
@@ -148,21 +227,27 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     `draws` come from draw_point for a PointValue signal, whose mode
     they carry, and from draw_interval for an IntervalIndicator; draws
     of the other kind raise ValueError.  The draws are only read, so one
-    set can serve many signals.  Point draws are sorted, so a point
+    set can serve many signals.  Only the draws that can reach the
+    strike window are sampled; the others count towards D's zero atom.
+    Point draws are sorted, so those draws are one slice and a point
     signal's W_T is ascending: its in-the-money draws are read as a
-    suffix, and its D usually needs no sort.
+    suffix, and its D usually needs no sort.  Interval draws are kept
+    by a bound on W_T from each draw's branch and gathered by index.
     """
     n = draws.z.size
     if isinstance(signal, PointValue):
-        w_t = sample_point_conditional(signal.g_w, draws, p)
+        h, w_t = _point_itm(signal, draws, p)
     elif isinstance(signal, IntervalIndicator):
-        w_t = sample_indicator_conditional(signal, draws, p).w_t
+        # draws without uniforms go to the sampler whole, which refuses them
+        if p.strike > 0.0 and draws.u is not None:
+            draws = _interval_candidates(signal, draws, p)
+        h, w_t = _itm_payoff(sample_indicator_conditional(signal, draws, p).w_t, p)
     else:
         raise TypeError(f"unsupported signal {signal!r}")
     # a caller that kept no reference (the one-signal case) frees the draws here,
     # before D is computed, and W_T goes before D is sorted: both keep peak RSS down
     del draws
     e_qg_h = bs_call_price(p)
-    d = _itm_d(signal, w_t, p, e_qg_h)
+    d = _itm_d(signal, h, w_t, p, e_qg_h)
     del w_t
     return SortedD.from_sample(d, e_qg_h, n)

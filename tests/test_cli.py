@@ -211,9 +211,10 @@ class TestSharedDraws:
             monkeypatch.setattr(np, name, counted)
         assert len(run_table_point(RunConfig(model=params, n_paths=20_000, seed=3))) == 132
         assert calls == {"sort": 0, "flatnonzero": 0}
-        # interval W_T is not ordered: each of the five rows gathers and sorts its D
+        # interval W_T is not ordered: each of the five rows gathers the draws that can
+        # reach the strike, then gathers and sorts its D
         run_table_indicator(RunConfig(model=params, n_paths=20_000, seed=3))
-        assert calls == {"sort": 5, "flatnonzero": 5}
+        assert calls == {"sort": 5, "flatnonzero": 10}
 
     def test_rows_do_not_depend_on_the_rest_of_the_grid(self, params):
         common = dict(model=params, n_paths=2000, seed=17)

@@ -2,8 +2,10 @@
 
 The digests are SHA-256 of the CSV that write_cells writes for both
 default-grid tables at n = 20000, seed 0, of the hedge command's
-stdout for a point epsilon hedge, a shift-mode point alpha hedge and a
-G = 0 interval alpha hedge, and of the oracle suite's report lines
+stdout for a point epsilon hedge, a shift-mode point alpha hedge, a
+G = 0 interval alpha hedge, a G = 1 epsilon hedge on the interval that
+lies furthest below the strike and a shift-mode epsilon hedge at a high
+level, and of the oracle suite's report lines
 (seed 0, 100 instances) joined by newlines.  A refactor must leave
 them unchanged.  A change that moves sampled numbers on purpose
 updates them and says so in CHANGES.md.
@@ -35,6 +37,10 @@ HEDGE_DIGESTS = {
         "111048b91649dc7a56af2100b721f7ad2448891484c087e1d71146b18f5108f5",
     ("--interval", "109:111", "--observed", "0", "--alpha", "0.2"):
         "78f9de18a7db05ce0e25fae97b01248c85ee4de5e650441d84b4cbce12b4368e",
+    ("--interval", "106:108", "--epsilon", "0.1"):
+        "0611058469154314e2f2cc1f51753e06a348d084a3319a48ea6a7e51a1dff7a8",
+    ("--level", "114", "--mode", "paper_shift", "--epsilon", "0.05"):
+        "d12adf36999f31da87d7e1c903f76e4a86a9bbb18b1d97a203a62c0f7bc5f4b8",
 }
 
 ORACLE_DIGEST = "a49008d1d97419f87336016278fd21b0c83a892e5bd5dd1c314d36b271f7c7f5"

@@ -1,19 +1,27 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from insider_hedge import (
+    AcceptanceRateError,
     ConditioningMode,
     IntervalIndicator,
+    ModelParams,
     SignalDraws,
+    brownian_from_price,
     bs_call_price,
     build_batch,
     density_indicator,
     density_point,
     draw_interval,
     draw_point,
+    indicator_prob,
     interval_signal_from_prices,
     measure_engine,
     point_signal_from_price,
@@ -24,6 +32,7 @@ from insider_hedge import (
     sample_indicator_conditional,
     sample_point_conditional,
 )
+from insider_hedge.insider_signal import SIGNAL_PROB_FLOOR
 
 G_110 = 0.328590719217
 
@@ -227,6 +236,124 @@ class TestSortedPointDraws:
         for mode in ConditioningMode:
             view = build_batch(sig, draw_point(mode, 2000, seed=1), params)
             assert view.n == 2000 and view.d.size == 0
+
+
+def strike_fan(z_strike: float) -> np.ndarray:
+    """Ascending normals around z_strike: 64 ulps either side, then steps of 5e-9 out to
+    1e-7, which passes the strike window's lower edge (about 3e-8 below in the
+    default market)."""
+    ulps = z_strike + np.arange(-64, 65) * np.spacing(z_strike)
+    return np.unique(np.concatenate([ulps, z_strike + np.linspace(-1e-7, 1e-7, 41)]))
+
+
+class TestPointPrune:
+    """Only the slice of sorted normals that can reach the strike is sampled."""
+
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_hand_made_draws_at_the_strike(self, params, mode):
+        # the normals that put W_T on the strike's Brownian level, as the sampler maps them
+        sig = point_signal_from_price(110.0, params)
+        w_k = brownian_from_price(params.strike, params.t_expiry, params)
+        td = params.t_signal
+        if mode is ConditioningMode.BRIDGE_EXACT:
+            z_k = (w_k - sig.g_w * params.t_expiry / td) / math.sqrt(
+                params.t_expiry * params.delta / td)
+        else:
+            z_k = (sig.g_w - w_k) / math.sqrt(params.delta)
+        draws = SignalDraws(strike_fan(z_k), mode=mode)
+        view = build_batch(sig, draws, params)
+        assert 0 < view.d.size < view.n
+        assert_sorted_view_of(view, independent_d(sig, draws, params))
+
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_unsorted_hand_made_draws_in_each_mode(self, params, mode):
+        # normals out of order: the slice left out is checked, then every draw is gathered
+        sig = point_signal_from_price(110.0, params)
+        sorted_draws = draw_point(mode, 5000, seed=29)
+        shuffled = np.random.default_rng(4).permutation(sorted_draws.z)
+        for z in (shuffled, sorted_draws.z[::-1]):
+            draws = sorted_draws._replace(z=z)
+            assert_sorted_view_of(build_batch(sig, draws, params),
+                                  independent_d(sig, draws, params))
+
+
+class TestIntervalPrune:
+    """Only the interval draws that can reach the strike are sampled; the view must not show it."""
+
+    @pytest.mark.parametrize("strike", [0.0, 1e-300, 110.0, 1e5])
+    @pytest.mark.parametrize("prices", [(112.0, 114.0), (106.0, 108.0)])
+    @pytest.mark.parametrize("observed", [1, 0])
+    def test_view_matches_independent_d(self, params, observed, prices, strike):
+        # one interval above the default strike of 110 and one below it
+        p = dataclasses.replace(params, strike=strike)
+        sig = interval_signal_from_prices(*prices, p, observed=observed)
+        draws = draw_interval(20_000, seed=31)
+        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+
+    @pytest.mark.parametrize("observed", [1, 0])
+    def test_far_strike_samples_no_draw_below_the_interval(self, params, monkeypatch, observed):
+        # no draw reaches S_T = 1e5: every draw is left out, bar the G = 0 draws above
+        # the interval, whose W_{T+delta} has no bound; the view is all zeros
+        p = dataclasses.replace(params, strike=1e5)
+        sig = interval_signal_from_prices(109.0, 111.0, p, observed=observed)
+        draws = draw_interval(20_000, seed=31)
+        above = np.count_nonzero(
+            sample_indicator_conditional(sig, draws, p).w_tdelta > 0.5 * (sig.a_w + sig.b_w))
+        sampled = []
+
+        def counted(spec, d, q):
+            sampled.append(d.z.size)
+            return sample_indicator_conditional(spec, d, q)
+
+        monkeypatch.setattr(measure_engine, "sample_indicator_conditional", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            view = build_batch(sig, draws, p)
+        assert view.n == 20_000 and view.d.size == 0
+        assert sampled == [0 if observed else above]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=60.0, max_value=160.0), st.floats(min_value=0.1, max_value=30.0),
+           st.one_of(st.sampled_from([0.0, 1e-300, 1e5]),
+                     st.floats(min_value=60.0, max_value=160.0)),
+           st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 1]))
+    def test_random_intervals_strikes_and_seeds(self, lo, width, strike, seed, observed):
+        p = ModelParams(mu=0.08, sigma=0.25, s0=100.0, strike=strike, t_expiry=0.25, delta=0.02)
+        sig = interval_signal_from_prices(lo, lo + width, p, observed=observed)
+        draws = draw_interval(500, seed)
+        if indicator_prob(sig, p) < SIGNAL_PROB_FLOOR:
+            with pytest.raises(AcceptanceRateError):
+                build_batch(sig, draws, p)
+            return
+        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+
+    @pytest.mark.parametrize("observed, prices", [(1, (106.0, 108.0)), (1, (100.0, 104.0)),
+                                                  (0, (106.0, 108.0)), (0, (100.0, 104.0))])
+    def test_hand_made_draws_at_the_bound(self, params, observed, prices):
+        # uniforms that give the largest W_{T+delta} the bound allows: the ends of (0, 1]
+        # for G = 1, the uniforms about Phi(lo) / mass, last below the interval, for G = 0;
+        # normals then put W_T on the strike's Brownian level from there
+        sig = interval_signal_from_prices(*prices, params, observed=observed)
+        if observed == 1:
+            u = np.array([2.0**-53, 0.5, 1.0])
+        else:
+            sd = math.sqrt(params.t_signal)
+            u = float(ndtr(sig.a_w / sd) / indicator_prob(sig, params))
+            u = u + np.arange(-4, 5) * np.spacing(u)
+        w_td = sample_indicator_conditional(sig, SignalDraws(np.zeros(u.size), u), params).w_tdelta
+        below_b = w_td <= sig.b_w
+        assert below_b.any() and (observed or not below_b.all())
+        top = int(np.argmax(np.where(below_b, w_td, -np.inf)))
+        td = params.t_signal
+        w_k = brownian_from_price(params.strike, params.t_expiry, params)
+        z_k = (w_k - w_td[top] * params.t_expiry / td) / math.sqrt(
+            params.t_expiry * params.delta / td)
+        z = strike_fan(z_k)
+        # each normal with the top uniform, and with every other uniform of the fan
+        draws = SignalDraws(np.repeat(z, u.size), np.tile(u, z.size))
+        view = build_batch(sig, draws, params)
+        assert 0 < view.d.size < view.n
+        assert_sorted_view_of(view, independent_d(sig, draws, params))
 
 
 class TestBuildBatchIndicator:
