@@ -22,13 +22,20 @@ even mapped to W_T: build_batch decides in draw space which draws can
 reach a window just below the strike, and feeds only those to the
 samplers.
 
+build_batch walks those draws in blocks of rng.BLOCK_SIZE.  Each block
+is sampled, priced, cut to its in-the-money draws and turned into D,
+which goes straight into one buffer sized to the draws that can reach
+the strike; no temporary is longer than a block.  When that buffer
+comes out full and sorted, the sorted view keeps it as its array of D.
+
 Point samples of W_T are a monotone map of draw_point's sorted
 normals, so the draws that can reach the strike are one slice of them,
-found by one searchsorted; the in-the-money draws are a suffix of the
-ascending W_T, and their D is usually sorted already.  Interval samples
-depend on two draws each: a draw is kept when the bridge from the
-largest W_{T+delta} its branch allows reaches the window, and both the
-kept draws and then the in-the-money ones are gathered by index.
+found by one searchsorted, and its blocks are taken in the order of
+ascending W_T: the in-the-money draws of each block are a suffix of it,
+and D is usually sorted already.  Interval samples depend on two draws
+each: a draw is kept when the bridge from the largest W_{T+delta} its
+branch allows reaches the window, and each block gathers its kept
+draws and then its in-the-money ones by index.
 """
 from __future__ import annotations
 
@@ -57,6 +64,7 @@ from .model_core import (
     rn_density,
 )
 from .np_solver import SortedD
+from .rng import BLOCK_SIZE
 
 __all__ = [
     "qg_density_point",
@@ -90,9 +98,7 @@ def _itm_payoff(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     h = price_from_brownian(w_t, p.t_expiry, p)
     h -= p.strike
     itm = np.flatnonzero(h > 0.0)
-    # the full-sample payoff goes before W_T is gathered, which keeps peak RSS down
-    h = h[itm]
-    return h, w_t[itm]
+    return h[itm], w_t[itm]
 
 
 def _itm_payoff_ascending(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +113,7 @@ def _itm_payoff_ascending(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     first = h.size - int(np.count_nonzero(h > 0.0))
     if not (h[first:] > 0.0).all():
         return _itm_payoff(w_t, p)
-    # slice only past draws out of the money, so that h usually stays the owner of a
-    # D-sized buffer, which SortedD then keeps without a copy
-    return (h[first:], w_t[first:]) if first else (h, w_t)
+    return h[first:], w_t[first:]
 
 
 # relative gap below the strike from which draws are sampled: far wider than the
@@ -144,16 +148,13 @@ def _bridge_z_cut(w_td: float, w_lo: float, p: ModelParams) -> float:
     return _z_cut(w_td * p.t_expiry / td, math.sqrt(p.t_expiry * p.delta / td), w_lo)
 
 
-def _point_itm(signal: PointValue, draws: SignalDraws,
-               p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """H and W_T on a point signal's in-the-money draws, W_T ascending.
+def _point_slice(signal: PointValue, draws: SignalDraws, p: ModelParams) -> tuple[int, int]:
+    """The slice [lo, hi) of draws.z whose W_T can reach the strike window.
 
-    W_T is a monotone affine map of each normal, so the draws that can
-    reach the strike window are one slice of draw_point's sorted normals:
-    a suffix in bridge mode and a prefix in shift mode, which reads them
-    in reverse.  Only that slice is sampled.  Normals left out of the
-    slice that would still reach the window (normals not sorted) make
-    it sample every draw and gather.
+    W_T is a monotone affine map of each normal, so for draw_point's
+    sorted normals these draws are a suffix in bridge mode and a prefix
+    in shift mode.  Normals left out of the slice that would still reach
+    the window (normals not sorted) give the whole of draws.z.
     """
     z = draws.z
     # draws without a mode go to the sampler whole, which refuses them
@@ -162,22 +163,42 @@ def _point_itm(signal: PointValue, draws: SignalDraws,
         if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
             cut = _bridge_z_cut(signal.g_w, w_lo, p)
             start = int(np.searchsorted(z, cut))
-            if start and z[:start].max() >= cut:
-                return _itm_payoff(sample_point_conditional(signal.g_w, draws, p), p)
-            z = z[start:]
+            if not (start and z[:start].max() >= cut):
+                return start, z.size
         else:
             cut = _z_cut(signal.g_w, -math.sqrt(p.delta), w_lo)
             stop = int(np.searchsorted(z, cut, side="right"))
-            if stop < z.size and z[stop:].min() <= cut:
-                return _itm_payoff(sample_point_conditional(signal.g_w, draws, p), p)
-            z = z[:stop]
-    w_t = sample_point_conditional(signal.g_w, draws._replace(z=z), p)
-    return _itm_payoff_ascending(w_t, p)
+            if not (stop < z.size and z[stop:].min() <= cut):
+                return 0, stop
+    return 0, z.size
 
 
-def _interval_candidates(signal: IntervalIndicator, draws: SignalDraws,
-                         p: ModelParams) -> SignalDraws:
-    """The interval draws whose W_T can reach the strike window, gathered by index.
+def _point_blocks(draws: SignalDraws, lo: int, hi: int):
+    """draws.z[lo:hi] one block at a time, in the order of ascending W_T.
+
+    Shift mode maps each block's normals in reverse, so its blocks are
+    taken from hi down: for sorted normals W_T then ascends within and
+    across blocks.
+    """
+    shift = draws.mode is not None and \
+        ConditioningMode(draws.mode) is ConditioningMode.PAPER_SHIFT
+    for i in range(lo, hi, BLOCK_SIZE):
+        j = min(hi, i + BLOCK_SIZE)
+        yield draws._replace(z=draws.z[lo + hi - j:lo + hi - i] if shift else draws.z[i:j])
+
+
+def _interval_candidates(draws: SignalDraws, mass: float, z_cut: float,
+                         below: float | None) -> SignalDraws:
+    """The draws with z >= z_cut or, when below is set, u * mass > below, gathered by index."""
+    keep = draws.z >= z_cut
+    if below is not None:
+        keep |= draws.u * mass > below
+    idx = np.flatnonzero(keep)
+    return SignalDraws(draws.z[idx], draws.u[idx])
+
+
+def _interval_blocks(signal: IntervalIndicator, draws: SignalDraws, p: ModelParams):
+    """The interval draws whose W_T can reach the strike window, one block at a time.
 
     Each draw's W_T is at most the bridge from the largest W_{T+delta}
     its branch allows: b for G = 1, where the sampler clips to [a, b];
@@ -185,28 +206,44 @@ def _interval_candidates(signal: IntervalIndicator, draws: SignalDraws,
     interval, where u * mass <= Phi(lo); the G = 0 branch above the
     interval has no bound.  The bound repeats the sampler's own float
     operations, so a draw is left out only if its W_T, as sampled,
-    stays below the window.
+    stays below the window.  check_signal_prob refuses a signal before
+    the first block.
     """
-    mass = check_signal_prob(signal, p)
-    w_lo = _strike_floor(p)
-    if signal.observed == 1:
-        keep = draws.z >= _bridge_z_cut(signal.b_w, w_lo, p)
+    z, u = draws.z, draws.u
+    # draws without uniforms go to the sampler whole, which refuses them
+    prune = p.strike > 0.0 and u is not None
+    if prune:
+        mass = check_signal_prob(signal, p)
+        w_lo = _strike_floor(p)
+        if signal.observed == 1:
+            z_cut, below = _bridge_z_cut(signal.b_w, w_lo, p), None
+        else:
+            sd = math.sqrt(p.t_signal)
+            below = ndtr(signal.a_w / sd)
+            z_cut = _bridge_z_cut(float(ndtri(below) * sd), w_lo, p)
+    for i in range(0, z.size, BLOCK_SIZE):
+        block = SignalDraws(z[i:i + BLOCK_SIZE], None if u is None else u[i:i + BLOCK_SIZE])
+        yield _interval_candidates(block, mass, z_cut, below) if prune else block
+
+
+def _write_d(signal: SignalSpec, draws: SignalDraws, p: ModelParams, e_qg_h: float,
+             out: np.ndarray, m: int) -> int:
+    """Map one block of draws to W_T and write D of its in-the-money draws into out[m:].
+
+    The one definition of D: D = H * (Z_T / p_T^G) / E_QG[H] in that
+    operation order, elementwise, so each value equals the one the
+    full-sample formula gives; every other draw has D = 0 exactly.
+    Returns the end of the values written.
+    """
+    if isinstance(signal, PointValue):
+        h, w_t = _itm_payoff_ascending(sample_point_conditional(signal.g_w, draws, p), p)
     else:
-        sd = math.sqrt(p.t_signal)
-        below = ndtr(signal.a_w / sd)
-        keep = draws.z >= _bridge_z_cut(float(ndtri(below) * sd), w_lo, p)
-        keep |= draws.u * mass > below
-    idx = np.flatnonzero(keep)
-    return SignalDraws(draws.z[idx], draws.u[idx])
-
-
-def _itm_d(signal: SignalSpec, h, w_t, p: ModelParams, e_qg_h: float) -> np.ndarray:
-    """D from H > 0 and W_T on the same draws, in draw order; the one definition of D.
-
-    D = H * (Z_T / p_T^G) / E_QG[H] in that operation order, elementwise,
-    so each value equals the one the full-sample formula gives; every
-    other draw has D = 0 exactly.  H's buffer becomes D's.
-    """
+        h, w_t = _itm_payoff(sample_indicator_conditional(signal, draws, p).w_t, p)
+    if not h.size:
+        return m
+    if not e_qg_h > 0.0:
+        raise ValueError(f"the call price at strike {p.strike:g} is {e_qg_h:g}, so "
+                         f"D = H / E_QG[H] is undefined on the draws in the money")
     if isinstance(signal, PointValue):
         # p_T^G overflows to inf only at a far-out level (S = 1e6 in the default market,
         # where the exact D is below 1e-300); D then comes out 0, an expected result
@@ -216,9 +253,10 @@ def _itm_d(signal: SignalSpec, h, w_t, p: ModelParams, e_qg_h: float) -> np.ndar
         p_g = density_indicator(signal.observed, w_t, p.t_expiry, spec=signal, p=p)
     qg = rn_density(w_t, p)
     qg /= p_g
-    h *= qg
-    h /= e_qg_h
-    return h
+    d = out[m:m + h.size]
+    np.multiply(h, qg, out=d)
+    d /= e_qg_h
+    return m + h.size
 
 
 def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> SortedD:
@@ -233,21 +271,31 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     signal's W_T is ascending: its in-the-money draws are read as a
     suffix, and its D usually needs no sort.  Interval draws are kept
     by a bound on W_T from each draw's branch and gathered by index.
+
+    The draws are mapped in blocks of rng.BLOCK_SIZE, and each block
+    writes its D into one buffer, as long as the point slice or, for an
+    interval signal, as the sample.  The view keeps that buffer when it
+    comes out full and sorted, the usual point case.  A call price
+    E_QG[H] that underflows to 0 while a draw finishes in the money
+    leaves D undefined and raises ValueError.
     """
     n = draws.z.size
     if isinstance(signal, PointValue):
-        h, w_t = _point_itm(signal, draws, p)
+        lo, hi = _point_slice(signal, draws, p)
+        blocks = _point_blocks(draws, lo, hi)
     elif isinstance(signal, IntervalIndicator):
-        # draws without uniforms go to the sampler whole, which refuses them
-        if p.strike > 0.0 and draws.u is not None:
-            draws = _interval_candidates(signal, draws, p)
-        h, w_t = _itm_payoff(sample_indicator_conditional(signal, draws, p).w_t, p)
+        lo, hi = 0, n
+        blocks = _interval_blocks(signal, draws, p)
     else:
         raise TypeError(f"unsupported signal {signal!r}")
-    # a caller that kept no reference (the one-signal case) frees the draws here,
-    # before D is computed, and W_T goes before D is sorted: both keep peak RSS down
+    # the blocks hold the only other reference, so a caller that kept none (the
+    # one-signal case) frees the draws after the last block, before D is sorted
     del draws
     e_qg_h = bs_call_price(p)
-    d = _itm_d(signal, h, w_t, p, e_qg_h)
-    del w_t
-    return SortedD.from_sample(d, e_qg_h, n)
+    d = np.empty(hi - lo)
+    m = 0
+    for block in blocks:
+        m = _write_d(signal, block, p, e_qg_h, d, m)
+        # gathered interval draws go before the next block is gathered and D is sorted
+        del block
+    return SortedD.from_sample(d if m == d.size else d[:m], e_qg_h, n)

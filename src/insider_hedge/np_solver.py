@@ -122,7 +122,9 @@ class SortedD:
         The view owns a buffer of its positive D only: an unsorted
         sample is sorted into a new array, a slice of a larger buffer is
         copied, and an owned sorted float array is kept without a copy.
-        Its arrays are read-only, the kept input included.
+        build_batch hands over its buffer of D that way when the buffer
+        comes out full and sorted, so D is never held twice.  The view's
+        arrays are read-only, the kept input included.
         """
         d = np.asarray(d_star, dtype=float)
         if not (d[1:] >= d[:-1]).all():

@@ -346,6 +346,9 @@ class TestCommandLine:
         (("hedge", "--interval", "109", "--epsilon", "0.1"), "'109' must look like LO:HI"),
         (("hedge", "--level", "110", "--epsilon", "1.5"), "epsilon must be in [0,1], got 1.5"),
         (("table-point", "--epsilons", "1.5"), "epsilons must lie in [0,1]"),
+        # the call price underflows to 0 while the far level puts every draw in the money
+        (("hedge", "--level", "1e6", "--strike", "1e5", "--epsilon", "0.1", "--n-paths", "2000"),
+         "the call price at strike 100000 is 0"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message):
         proc = run_cli(*argv)

@@ -1,11 +1,13 @@
 """Golden outputs: the tables, three hedges and the oracle report, byte for byte.
 
 The digests are SHA-256 of the CSV that write_cells writes for both
-default-grid tables at n = 20000, seed 0, of the hedge command's
+default-grid tables at n = 20000 and n = 200000, seed 0, of the hedge command's
 stdout for a point epsilon hedge, a shift-mode point alpha hedge, a
 G = 0 interval alpha hedge, a G = 1 epsilon hedge on the interval that
 lies furthest below the strike and a shift-mode epsilon hedge at a high
-level, and of the oracle suite's report lines
+level at n = 20000, of two hedges at n = 200000, a G = 0 interval
+alpha hedge and a shift-mode epsilon hedge, whose draws span several
+random-stream blocks, and of the oracle suite's report lines
 (seed 0, 100 instances) joined by newlines.  A refactor must leave
 them unchanged.  A change that moves sampled numbers on purpose
 updates them and says so in CHANGES.md.
@@ -30,6 +32,12 @@ TABLE_DIGESTS = {
     "indicator": "28ddf954ab49771ffe2c90115235056a6aaa01c18611f752e9206059b923dee0",
 }
 
+# n = 200000: more than three blocks of rng.BLOCK_SIZE draws
+MULTI_BLOCK_TABLE_DIGESTS = {
+    "point": "080d1e039b15ed1a21f9068ade045503f872e9dabdb36bd68545f4ae7819fbb0",
+    "indicator": "7d1e7e7e8a89ae05bd7dc4fa4fd976dea44512e918024e799d11afabdd085fd9",
+}
+
 HEDGE_DIGESTS = {
     ("--level", "110", "--epsilon", "0.1"):
         "0f3ac2636273d0e0d14acfbee81519e73b78083faf9a758f209348d8ec4a0800",
@@ -43,6 +51,13 @@ HEDGE_DIGESTS = {
         "d12adf36999f31da87d7e1c903f76e4a86a9bbb18b1d97a203a62c0f7bc5f4b8",
 }
 
+MULTI_BLOCK_HEDGE_DIGESTS = {
+    ("--interval", "112:114", "--observed", "0", "--alpha", "0.2"):
+        "62f40f925c4f653f408aa7251fbccf56e0f4fb5e9a162bffa41909164f6606b3",
+    ("--level", "115", "--mode", "paper_shift", "--epsilon", "0.01"):
+        "b86a14c28fbbb32ebbecf36b7947226b5e51cc2eca5bbcfca07d5a36cf665d1c",
+}
+
 ORACLE_DIGEST = "a49008d1d97419f87336016278fd21b0c83a892e5bd5dd1c314d36b271f7c7f5"
 
 
@@ -50,22 +65,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("kind", sorted(TABLE_DIGESTS))
-def test_table_csv(kind, params, tmp_path):
-    config = RunConfig(model=params, n_paths=20_000, seed=0)
+def table_digest(kind, params, n_paths, tmp_path) -> str:
+    config = RunConfig(model=params, n_paths=n_paths, seed=0)
     if kind == "point":
         cells = run_table_point(config)
     else:
         cells = run_table_indicator(replace(config, signal_kind="interval"))
     path = tmp_path / f"{kind}.csv"
     write_cells(cells, str(path), "csv")
-    assert _sha256(path.read_bytes()) == TABLE_DIGESTS[kind]
+    return _sha256(path.read_bytes())
+
+
+def hedge_digest(args, n_paths, capsys) -> str:
+    assert main(["hedge", *args, "--n-paths", str(n_paths), "--seed", "0"]) == 0
+    return _sha256(capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_DIGESTS))
+def test_table_csv(kind, params, tmp_path):
+    assert table_digest(kind, params, 20_000, tmp_path) == TABLE_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(MULTI_BLOCK_TABLE_DIGESTS))
+def test_table_csv_multi_block(kind, params, tmp_path):
+    assert table_digest(kind, params, 200_000, tmp_path) == MULTI_BLOCK_TABLE_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("args", sorted(HEDGE_DIGESTS))
 def test_hedge_stdout(args, capsys):
-    assert main(["hedge", *args, "--n-paths", "20000", "--seed", "0"]) == 0
-    assert _sha256(capsys.readouterr().out.encode()) == HEDGE_DIGESTS[args]
+    assert hedge_digest(args, 20_000, capsys) == HEDGE_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(MULTI_BLOCK_HEDGE_DIGESTS))
+def test_hedge_stdout_multi_block(args, capsys):
+    assert hedge_digest(args, 200_000, capsys) == MULTI_BLOCK_HEDGE_DIGESTS[args]
 
 
 def test_hedge_stdout_after_other_calls_in_process(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from insider_hedge import (
     sample_point_conditional,
 )
 from insider_hedge.insider_signal import SIGNAL_PROB_FLOOR
+from insider_hedge.rng import BLOCK_SIZE
 
 G_110 = 0.328590719217
 
@@ -238,6 +240,15 @@ class TestSortedPointDraws:
             assert view.n == 2000 and view.d.size == 0
 
 
+def strike_normal(sig, mode, p) -> float:
+    """The normal that puts a point signal's W_T on the strike's Brownian level in `mode`."""
+    w_k = brownian_from_price(p.strike, p.t_expiry, p)
+    td = p.t_signal
+    if mode is ConditioningMode.BRIDGE_EXACT:
+        return (w_k - sig.g_w * p.t_expiry / td) / math.sqrt(p.t_expiry * p.delta / td)
+    return (sig.g_w - w_k) / math.sqrt(p.delta)
+
+
 def strike_fan(z_strike: float) -> np.ndarray:
     """Ascending normals around z_strike: 64 ulps either side, then steps of 5e-9 out to
     1e-7, which passes the strike window's lower edge (about 3e-8 below in the
@@ -253,14 +264,7 @@ class TestPointPrune:
     def test_hand_made_draws_at_the_strike(self, params, mode):
         # the normals that put W_T on the strike's Brownian level, as the sampler maps them
         sig = point_signal_from_price(110.0, params)
-        w_k = brownian_from_price(params.strike, params.t_expiry, params)
-        td = params.t_signal
-        if mode is ConditioningMode.BRIDGE_EXACT:
-            z_k = (w_k - sig.g_w * params.t_expiry / td) / math.sqrt(
-                params.t_expiry * params.delta / td)
-        else:
-            z_k = (sig.g_w - w_k) / math.sqrt(params.delta)
-        draws = SignalDraws(strike_fan(z_k), mode=mode)
+        draws = SignalDraws(strike_fan(strike_normal(sig, mode, params)), mode=mode)
         view = build_batch(sig, draws, params)
         assert 0 < view.d.size < view.n
         assert_sorted_view_of(view, independent_d(sig, draws, params))
@@ -356,6 +360,93 @@ class TestIntervalPrune:
         assert_sorted_view_of(view, independent_d(sig, draws, params))
 
 
+BLOCK_EDGE_SIZES = [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 7]
+
+
+class TestBlocks:
+    """build_batch maps the draws in blocks of rng.BLOCK_SIZE; the view must not show where."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("strike", [0.0, 110.0])
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_point_view_matches_independent_d(self, params, mode, strike, n):
+        # at strike 0 every draw is mapped, at 110 the slice that can reach the strike
+        p = dataclasses.replace(params, strike=strike)
+        sig = point_signal_from_price(112.0, p)
+        draws = draw_point(mode, n, seed=37)
+        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("strike", [0.0, 110.0])
+    @pytest.mark.parametrize("observed", [1, 0])
+    def test_interval_view_matches_independent_d(self, params, observed, strike, n):
+        p = dataclasses.replace(params, strike=strike)
+        sig = interval_signal_from_prices(109.0, 111.0, p, observed=observed)
+        draws = draw_interval(n, seed=37)
+        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+
+    @pytest.mark.parametrize("mode, far, blocks", [
+        # bridge mode: the slice starts at the first block edge and runs to the end
+        (ConditioningMode.BRIDGE_EXACT, BLOCK_SIZE, [BLOCK_SIZE, BLOCK_SIZE, 7]),
+        # shift mode: the slice ends at the second block edge and is read from there down
+        (ConditioningMode.PAPER_SHIFT, BLOCK_SIZE + 7, [BLOCK_SIZE, BLOCK_SIZE]),
+    ])
+    def test_point_slice_on_a_block_edge(self, params, monkeypatch, mode, far, blocks):
+        # sorted hand-made normals: `far` of them well out of the money, the rest in it
+        sig = point_signal_from_price(110.0, params)
+        z_k = strike_normal(sig, mode, params)
+        rng = np.random.default_rng(8)
+        side = 1.0 if mode is ConditioningMode.BRIDGE_EXACT else -1.0
+        z = np.concatenate([z_k - side * (1.0 + rng.random(far)),
+                            z_k + side * (1e-6 + rng.random(3 * BLOCK_SIZE + 7 - far))])
+        draws = SignalDraws(np.sort(z), mode=mode)
+        sampled = []
+
+        def counted(g_w, d, q):
+            sampled.append(d.z.size)
+            return sample_point_conditional(g_w, d, q)
+
+        monkeypatch.setattr(measure_engine, "sample_point_conditional", counted)
+        view = build_batch(sig, draws, params)
+        assert sampled == blocks
+        assert view.d.size == sum(blocks)
+        monkeypatch.undo()
+        assert_sorted_view_of(view, independent_d(sig, draws, params))
+
+
+class TestBlockMemory:
+    """One build_batch holds no more than its view, one n-sized buffer and two blocks."""
+
+    ALLOWANCE = 2 * BLOCK_SIZE * 8
+
+    @pytest.mark.parametrize("kind", ["bridge_exact", "paper_shift", 0, 1])
+    @pytest.mark.parametrize("strike", [0.0, 110.0])
+    def test_peak_traced_memory(self, params, kind, strike):
+        # at strike 0 every draw is in the money, which makes the largest view
+        n = 4 * BLOCK_SIZE
+        p = dataclasses.replace(params, strike=strike)
+        if kind in (0, 1):
+            sig = interval_signal_from_prices(112.0, 114.0, p, observed=kind)
+            draws = draw_interval(n, seed=5)
+        else:
+            sig = point_signal_from_price(110.0, p)
+            draws = draw_point(kind, n, seed=5)
+        # a first call leaves whatever numpy and scipy allocate once out of the count
+        build_batch(sig, draws, p)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            view = build_batch(sig, draws, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        view_bytes = view.d.nbytes + view.prefix.nbytes + view.prefix_sq.nbytes
+        assert peak <= view_bytes + 8 * n + self.ALLOWANCE
+
+
 class TestBuildBatchIndicator:
     @pytest.fixture(params=[1, 0])
     def signal(self, request, params):
@@ -395,6 +486,18 @@ class TestBatchValidation:
     def test_rejects_unknown_signal(self, params):
         with pytest.raises(TypeError):
             seeded_batch("not a signal", None, 10, params, seed=1)
+
+    def test_rejects_a_zero_call_price_with_draws_in_the_money(self, params):
+        # at strike 1e5 the call price underflows to 0, and the level 1e6 puts every
+        # draw in the money: D = H / E_QG[H] has no value, and no numpy warning escapes
+        p = dataclasses.replace(params, strike=1e5)
+        assert bs_call_price(p) == 0.0
+        sig = point_signal_from_price(1e6, p)
+        for mode in ConditioningMode:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="call price at strike 100000 is 0"):
+                    build_batch(sig, draw_point(mode, 2000, seed=1), p)
 
     def test_rejects_mismatched_draws(self, params):
         point = point_signal_from_price(110.0, params)
