@@ -384,7 +384,10 @@ def parse_config_file(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{i}: expected 'key = value', got {raw!r}")
-            options[key.strip()] = value.strip()
+            key = key.strip()
+            if key in options:
+                raise ValueError(f"{path}:{i}: duplicate key {key!r}")
+            options[key] = value.strip()
     unknown = set(options) - set(DEFAULT_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -516,8 +519,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(parser, args)
-    except (ValueError, AcceptanceRateError) as exc:
-        # bad inputs end in one line, not a traceback
+    except (ValueError, AcceptanceRateError, OSError) as exc:
+        # bad inputs and unreadable or unwritable files end in one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

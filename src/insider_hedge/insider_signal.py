@@ -25,9 +25,11 @@ W_T from the same Gaussian bridge.
 Sampling is split in two steps: draw_point / draw_interval fill the
 random streams, and the samplers map those draws to W_T for one signal.
 Point draws carry their conditioning mode.  A table draws once and maps
-the same draws for each of its signals.  Point draws are sorted: given
-the signal, W_T is a monotone affine map of one normal, so every point
-sample of W_T comes out in ascending order.
+the same draws for each of its signals.  Given the signal, W_T = c + s*z
+with s > 0 for one normal z in either point mode and in the bridge;
+point_map and bridge_map give (c, s), and measure_engine inverts the
+same map.  Point draws are sorted ascending, so every point sample of
+W_T comes out in ascending order.
 """
 from __future__ import annotations
 
@@ -63,6 +65,8 @@ __all__ = [
     "SignalDraws",
     "draw_point",
     "draw_interval",
+    "bridge_map",
+    "point_map",
     "sample_point_conditional",
     "sample_indicator_conditional",
     "AcceptanceRateError",
@@ -210,11 +214,11 @@ def density_indicator(value: int, w_t, t, spec: IntervalIndicator, p: ModelParam
 # conditional samplers
 # ---------------------------------------------------------------------------
 
-def _bridge(w_tdelta, z, p: ModelParams):
-    """W_T given W_{T+delta} = w_tdelta, from standard normals z:
-    N(w_tdelta T/(T+d), T d/(T+d))."""
+def bridge_map(w_td, p: ModelParams):
+    """(c, s) with W_T = c + s*z, z standard normal, given W_{T+delta} = w_td:
+    the bridge N(w_td T/(T+d), T d/(T+d)), s > 0."""
     td = p.t_signal
-    return w_tdelta * p.t_expiry / td + math.sqrt(p.t_expiry * p.delta / td) * z
+    return w_td * p.t_expiry / td, math.sqrt(p.t_expiry * p.delta / td)
 
 
 class SignalDraws(NamedTuple):
@@ -222,12 +226,14 @@ class SignalDraws(NamedTuple):
 
     z holds standard normals: the bridge or shift noise of W_T.  Point
     draws hold them in ascending order, so that a point signal's W_T
-    comes out ascending; interval draws in stream order, aligned with u.  u holds uniforms on (0, 1] that place W_{T+delta}
-    for interval signals, and is None for point signals; mode is the
-    conditioning mode of point draws, and None for interval draws.  The
-    draws do not depend on the signal's value, so one set serves every
-    level or interval of a table.  The arrays are read-only: the samplers
-    map them to W_T in new arrays.
+    comes out ascending (shift draws hold the negated stream normals);
+    interval draws hold them in stream order, aligned with u.  u holds
+    uniforms on (0, 1] that place W_{T+delta} for interval signals, and
+    is None for point signals; mode is the conditioning mode of point
+    draws, and None for interval draws.  The draws do not depend on the
+    signal's value, so one set serves every level or interval of a
+    table.  The arrays are read-only: the samplers map them to W_T in
+    new arrays.
     """
 
     z: np.ndarray
@@ -247,16 +253,19 @@ def draw_point(mode: ConditioningMode, n: int, seed: int, workers: int = 1) -> S
     """n standard normals for the point sampler of `mode`, sorted ascending.
 
     Each mode draws from its own stream tag, so the two modes' estimates
-    stay independent even under one seed.  The normals are sorted once
-    here, so that every signal's W_T, S_T and D come out sorted too (see
-    sample_point_conditional); the draws are iid, so their order carries
-    no information.
+    stay independent even under one seed.  Shift draws hold the stream's
+    normals negated, so that W_T = g - sqrt(delta) * normal is increasing
+    in the stored z (see point_map).  The normals are sorted once here,
+    so that every signal's W_T, S_T and D come out sorted too; the draws
+    are iid, so their order carries no information.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     mode = ConditioningMode(mode)
     tag = STREAM_POINT_BRIDGE if mode is ConditioningMode.BRIDGE_EXACT else STREAM_POINT_SHIFT
     z = standard_normal_stream((seed, tag), n, workers=workers)
+    if mode is ConditioningMode.PAPER_SHIFT:
+        np.negative(z, out=z)
     z.sort()
     return _read_only(SignalDraws(z, mode=mode))
 
@@ -272,23 +281,30 @@ def draw_interval(n: int, seed: int, workers: int = 1) -> SignalDraws:
     return _read_only(SignalDraws(z, u))
 
 
-def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams) -> np.ndarray:
-    """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z.
+def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, float]:
+    """(c, s), s > 0, with W_T = c + s*z for draws.z given W_{T+delta} = g_w.
 
-    bridge_exact samples the exact conditional law
-    N(g T/(T+d), T d/(T+d)); paper_shift samples g - N(0, delta).
-    Draws without a mode (draw_interval's) raise ValueError.
-
-    W_T comes out in nondecreasing order for draw_point's ascending
-    normals: the bridge is increasing in z, and the shift, decreasing in
-    z, reads them in reverse.  Rounding is monotone, so scaling by or
-    adding a constant keeps the order exactly.
+    bridge_exact is the exact conditional law N(g T/(T+d), T d/(T+d))
+    (bridge_map); paper_shift is g - N(0, delta), that is (g, sqrt(delta))
+    on draw_point's negated normals.  Draws without a mode
+    (draw_interval's) raise ValueError.
     """
     if draws.mode is None:
         raise ValueError("a point signal needs draw_point draws, which carry a mode")
     if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
-        return _bridge(g_w, draws.z, p)
-    return g_w - math.sqrt(p.delta) * draws.z[::-1]
+        return bridge_map(g_w, p)
+    return g_w, math.sqrt(p.delta)
+
+
+def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams) -> np.ndarray:
+    """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z.
+
+    W_T = c + s*z with point_map's (c, s).  s > 0 and rounding is
+    monotone, so draw_point's ascending normals give W_T in
+    nondecreasing order in either mode.
+    """
+    c, s = point_map(g_w, draws, p)
+    return c + s * draws.z
 
 
 def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
@@ -322,4 +338,5 @@ def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
         u -= below * upper
         w_td = ndtri(u, out=u)
         w_td *= np.where(upper, -sd, sd)
-    return BrownianPair(_bridge(w_td, draws.z, p), w_td)
+    c, s = bridge_map(w_td, p)
+    return BrownianPair(c + s * draws.z, w_td)

@@ -28,14 +28,15 @@ which goes straight into one buffer sized to the draws that can reach
 the strike; no temporary is longer than a block.  When that buffer
 comes out full and sorted, the sorted view keeps it as its array of D.
 
-Point samples of W_T are a monotone map of draw_point's sorted
-normals, so the draws that can reach the strike are one slice of them,
-found by one searchsorted, and its blocks are taken in the order of
-ascending W_T: the in-the-money draws of each block are a suffix of it,
-and D is usually sorted already.  Interval samples depend on two draws
-each: a draw is kept when the bridge from the largest W_{T+delta} its
-branch allows reaches the window, and each block gathers its kept
-draws and then its in-the-money ones by index.
+Point samples of W_T are an increasing affine map of draw_point's
+ascending normals, in either mode, so the draws that can reach the
+strike are a suffix of them, found by one searchsorted, and its blocks
+come in the order of ascending W_T: the in-the-money draws of each
+block are a suffix of it, and D is usually sorted already.  Interval
+samples depend on two draws each: a draw is kept when the bridge from
+the largest W_{T+delta} its branch allows reaches the window, and each
+block gathers its kept draws and then its in-the-money ones by index.
+The draw-space cuts invert insider_signal's point_map and bridge_map.
 """
 from __future__ import annotations
 
@@ -45,14 +46,15 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .insider_signal import (
-    ConditioningMode,
     IntervalIndicator,
     PointValue,
     SignalDraws,
     SignalSpec,
+    bridge_map,
     check_signal_prob,
     density_indicator,
     density_point,
+    point_map,
     sample_indicator_conditional,
     sample_point_conditional,
 )
@@ -131,60 +133,32 @@ def _strike_floor(p: ModelParams) -> float:
 
 
 def _z_cut(c: float, s: float, w_lo: float) -> float:
-    """The normal z at which c + s*z reaches w_lo, moved outward by a margin.
+    """The normal z at which c + s*z reaches w_lo, s > 0, moved down by a margin.
 
-    Every z beyond the cut (below it for s > 0, above it for s < 0) has
-    c + s*z < w_lo in floating point; an infinite c gives an infinite cut.
+    Every z below the cut has c + s*z < w_lo in floating point; an
+    infinite c gives an infinite cut.
     """
     z = (w_lo - c) / s
     if math.isfinite(z):
-        z -= math.copysign(_CUT_MARGIN * (1.0 + (abs(w_lo) + abs(c)) / abs(s)), s)
+        z -= _CUT_MARGIN * (1.0 + (abs(w_lo) + abs(c)) / s)
     return z
 
 
-def _bridge_z_cut(w_td: float, w_lo: float, p: ModelParams) -> float:
-    """_z_cut for the bridge W_T = w_td T/(T+d) + sqrt(T d/(T+d)) z, in its own float operations."""
-    td = p.t_signal
-    return _z_cut(w_td * p.t_expiry / td, math.sqrt(p.t_expiry * p.delta / td), w_lo)
+def _point_start(signal: PointValue, draws: SignalDraws, p: ModelParams) -> int:
+    """The start of the suffix of draws.z whose W_T can reach the strike window.
 
-
-def _point_slice(signal: PointValue, draws: SignalDraws, p: ModelParams) -> tuple[int, int]:
-    """The slice [lo, hi) of draws.z whose W_T can reach the strike window.
-
-    W_T is a monotone affine map of each normal, so for draw_point's
-    sorted normals these draws are a suffix in bridge mode and a prefix
-    in shift mode.  Normals left out of the slice that would still reach
-    the window (normals not sorted) give the whole of draws.z.
+    W_T is an increasing affine map of each normal (point_map), so for
+    draw_point's ascending normals these draws are a suffix.  Normals
+    left out of the suffix that would still reach the window (normals
+    not sorted) give the whole of draws.z.
     """
     z = draws.z
-    # draws without a mode go to the sampler whole, which refuses them
-    if p.strike > 0.0 and draws.mode is not None:
-        w_lo = _strike_floor(p)
-        if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
-            cut = _bridge_z_cut(signal.g_w, w_lo, p)
-            start = int(np.searchsorted(z, cut))
-            if not (start and z[:start].max() >= cut):
-                return start, z.size
-        else:
-            cut = _z_cut(signal.g_w, -math.sqrt(p.delta), w_lo)
-            stop = int(np.searchsorted(z, cut, side="right"))
-            if not (stop < z.size and z[stop:].min() <= cut):
-                return 0, stop
-    return 0, z.size
-
-
-def _point_blocks(draws: SignalDraws, lo: int, hi: int):
-    """draws.z[lo:hi] one block at a time, in the order of ascending W_T.
-
-    Shift mode maps each block's normals in reverse, so its blocks are
-    taken from hi down: for sorted normals W_T then ascends within and
-    across blocks.
-    """
-    shift = draws.mode is not None and \
-        ConditioningMode(draws.mode) is ConditioningMode.PAPER_SHIFT
-    for i in range(lo, hi, BLOCK_SIZE):
-        j = min(hi, i + BLOCK_SIZE)
-        yield draws._replace(z=draws.z[lo + hi - j:lo + hi - i] if shift else draws.z[i:j])
+    if p.strike > 0.0:
+        cut = _z_cut(*point_map(signal.g_w, draws, p), _strike_floor(p))
+        start = int(np.searchsorted(z, cut))
+        if not (start and z[:start].max() >= cut):
+            return start
+    return 0
 
 
 def _interval_candidates(draws: SignalDraws, mass: float, z_cut: float,
@@ -216,11 +190,11 @@ def _interval_blocks(signal: IntervalIndicator, draws: SignalDraws, p: ModelPara
         mass = check_signal_prob(signal, p)
         w_lo = _strike_floor(p)
         if signal.observed == 1:
-            z_cut, below = _bridge_z_cut(signal.b_w, w_lo, p), None
+            z_cut, below = _z_cut(*bridge_map(signal.b_w, p), w_lo), None
         else:
             sd = math.sqrt(p.t_signal)
             below = ndtr(signal.a_w / sd)
-            z_cut = _bridge_z_cut(float(ndtri(below) * sd), w_lo, p)
+            z_cut = _z_cut(*bridge_map(float(ndtri(below) * sd), p), w_lo)
     for i in range(0, z.size, BLOCK_SIZE):
         block = SignalDraws(z[i:i + BLOCK_SIZE], None if u is None else u[i:i + BLOCK_SIZE])
         yield _interval_candidates(block, mass, z_cut, below) if prune else block
@@ -267,13 +241,13 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     of the other kind raise ValueError.  The draws are only read, so one
     set can serve many signals.  Only the draws that can reach the
     strike window are sampled; the others count towards D's zero atom.
-    Point draws are sorted, so those draws are one slice and a point
+    Point draws are sorted, so those draws are one suffix and a point
     signal's W_T is ascending: its in-the-money draws are read as a
     suffix, and its D usually needs no sort.  Interval draws are kept
     by a bound on W_T from each draw's branch and gathered by index.
 
     The draws are mapped in blocks of rng.BLOCK_SIZE, and each block
-    writes its D into one buffer, as long as the point slice or, for an
+    writes its D into one buffer, as long as the point suffix or, for an
     interval signal, as the sample.  The view keeps that buffer when it
     comes out full and sorted, the usual point case.  A call price
     E_QG[H] that underflows to 0 while a draw finishes in the money
@@ -281,10 +255,12 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     """
     n = draws.z.size
     if isinstance(signal, PointValue):
-        lo, hi = _point_slice(signal, draws, p)
-        blocks = _point_blocks(draws, lo, hi)
+        lo = _point_start(signal, draws, p)
+        # `for whole in (draws,)` binds the draws in the generator, not in this frame
+        blocks = (whole._replace(z=whole.z[i:i + BLOCK_SIZE])
+                  for whole in (draws,) for i in range(lo, n, BLOCK_SIZE))
     elif isinstance(signal, IntervalIndicator):
-        lo, hi = 0, n
+        lo = 0
         blocks = _interval_blocks(signal, draws, p)
     else:
         raise TypeError(f"unsupported signal {signal!r}")
@@ -292,7 +268,7 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     # one-signal case) frees the draws after the last block, before D is sorted
     del draws
     e_qg_h = bs_call_price(p)
-    d = np.empty(hi - lo)
+    d = np.empty(n - lo)
     m = 0
     for block in blocks:
         m = _write_d(signal, block, p, e_qg_h, d, m)

@@ -65,6 +65,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_config_file(str(cfg))
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        # the second value would otherwise win without a word
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("mu = 0.08\nsigma = 0.3\n mu = 0.5\n")
+        with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'mu'"):
+            parse_config_file(str(cfg))
+
     def test_signal_kind_is_not_a_config_key(self, tmp_path):
         # an empty level grid must fail, whatever the file says about the signal kind
         cfg = tmp_path / "kind.cfg"
@@ -349,9 +356,14 @@ class TestCommandLine:
         # the call price underflows to 0 while the far level puts every draw in the money
         (("hedge", "--level", "1e6", "--strike", "1e5", "--epsilon", "0.1", "--n-paths", "2000"),
          "the call price at strike 100000 is 0"),
+        # a config file that cannot be read, and an output file that cannot be written
+        (("price", "--config", "{tmp}/missing.cfg"), "No such file or directory"),
+        (("price", "--config", "{tmp}"), "Is a directory"),
+        (("table-point", "--levels", "110", "--epsilons", "0.1", "--n-paths", "2000",
+          "--output", "{tmp}/missing/t.csv"), "No such file or directory"),
     ])
-    def test_bad_input_is_one_error_line(self, argv, message):
-        proc = run_cli(*argv)
+    def test_bad_input_is_one_error_line(self, tmp_path, argv, message):
+        proc = run_cli(*(a.format(tmp=tmp_path) for a in argv))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         [line] = proc.stderr.splitlines()

@@ -202,12 +202,22 @@ class TestPointSampler:
     @pytest.mark.parametrize("strike", [0.0, 100000.0])
     @pytest.mark.parametrize("level", [105.0, 115.0])
     def test_w_t_is_ascending(self, params, level, strike, n):
-        # sorted normals: the bridge maps them increasingly, the shift reads them reversed
+        # sorted normals: both modes map them by an increasing affine map
         p = dataclasses.replace(params, strike=strike)
         g_w = point_signal_from_price(level, p).g_w
         for mode in ConditioningMode:
             w = sample_point_conditional(g_w, draw_point(mode, n, seed=6), p)
             assert w.size == n and np.all(w[1:] >= w[:-1])
+
+    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 7])
+    @pytest.mark.parametrize("strike", [0.0, 110.0, 1e5])
+    def test_shift_is_g_minus_reversed_sorted_normals(self, params, strike, n):
+        # negated storage gives, bit for bit, g - sqrt(delta) * the sorted stream read backwards
+        p = dataclasses.replace(params, strike=strike)
+        g_w, seed = G_110, 17
+        w = sample_point_conditional(g_w, draw_point(ConditioningMode.PAPER_SHIFT, n, seed), p)
+        stream = np.sort(standard_normal_stream((seed, STREAM_POINT_SHIFT), n))
+        assert np.array_equal(w, g_w - math.sqrt(p.delta) * stream[::-1])
 
     def test_modes_use_distinct_streams(self, params):
         a = draw_point(ConditioningMode.BRIDGE_EXACT, 1000, seed=8)
@@ -281,13 +291,13 @@ class TestIndicatorSampler:
 
 class TestDraws:
     def test_stream_keys(self):
-        # a seeded hedge draws the same streams as before sampling was split;
-        # point draws hold them sorted, interval draws in stream order
+        # a seeded hedge draws the same streams as before sampling was split; point
+        # draws hold them sorted (shift draws negated), interval draws in stream order
         n, seed = 70_000, 13
         assert np.array_equal(draw_point(ConditioningMode.BRIDGE_EXACT, n, seed).z,
                               np.sort(standard_normal_stream((seed, STREAM_POINT_BRIDGE), n)))
         assert np.array_equal(draw_point(ConditioningMode.PAPER_SHIFT, n, seed).z,
-                              np.sort(standard_normal_stream((seed, STREAM_POINT_SHIFT), n)))
+                              np.sort(-standard_normal_stream((seed, STREAM_POINT_SHIFT), n)))
         draws = draw_interval(n, seed)
         assert np.array_equal(draws.u, 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n))
         assert np.array_equal(draws.z, standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n))

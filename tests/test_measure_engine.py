@@ -246,7 +246,7 @@ def strike_normal(sig, mode, p) -> float:
     td = p.t_signal
     if mode is ConditioningMode.BRIDGE_EXACT:
         return (w_k - sig.g_w * p.t_expiry / td) / math.sqrt(p.t_expiry * p.delta / td)
-    return (sig.g_w - w_k) / math.sqrt(p.delta)
+    return (w_k - sig.g_w) / math.sqrt(p.delta)
 
 
 def strike_fan(z_strike: float) -> np.ndarray:
@@ -388,7 +388,7 @@ class TestBlocks:
     @pytest.mark.parametrize("mode, far, blocks", [
         # bridge mode: the slice starts at the first block edge and runs to the end
         (ConditioningMode.BRIDGE_EXACT, BLOCK_SIZE, [BLOCK_SIZE, BLOCK_SIZE, 7]),
-        # shift mode: the slice ends at the second block edge and is read from there down
+        # shift mode: the slice starts 7 past the first block edge and fills two blocks
         (ConditioningMode.PAPER_SHIFT, BLOCK_SIZE + 7, [BLOCK_SIZE, BLOCK_SIZE]),
     ])
     def test_point_slice_on_a_block_edge(self, params, monkeypatch, mode, far, blocks):
@@ -396,9 +396,8 @@ class TestBlocks:
         sig = point_signal_from_price(110.0, params)
         z_k = strike_normal(sig, mode, params)
         rng = np.random.default_rng(8)
-        side = 1.0 if mode is ConditioningMode.BRIDGE_EXACT else -1.0
-        z = np.concatenate([z_k - side * (1.0 + rng.random(far)),
-                            z_k + side * (1e-6 + rng.random(3 * BLOCK_SIZE + 7 - far))])
+        z = np.concatenate([z_k - (1.0 + rng.random(far)),
+                            z_k + (1e-6 + rng.random(3 * BLOCK_SIZE + 7 - far))])
         draws = SignalDraws(np.sort(z), mode=mode)
         sampled = []
 
@@ -504,5 +503,8 @@ class TestBatchValidation:
         interval = interval_signal_from_prices(109.0, 111.0, params)
         with pytest.raises(ValueError, match="needs draw_interval draws"):
             build_batch(interval, draw_point("bridge_exact", 100, seed=1), params)
-        with pytest.raises(ValueError, match="needs draw_point draws"):
-            build_batch(point, draw_interval(100, seed=1), params)
+        # at strike 0 no draw-space cut runs, so the sampler itself refuses the draws
+        for strike in (110.0, 0.0):
+            p = dataclasses.replace(params, strike=strike)
+            with pytest.raises(ValueError, match="needs draw_point draws"):
+                build_batch(point, draw_interval(100, seed=1), p)
