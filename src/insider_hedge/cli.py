@@ -270,7 +270,11 @@ def run_oracle_suite(seed: int, instance_count: int) -> OracleReport:
     level is solved optimally (verified by subset enumeration), the
     known threshold non-existence case is flagged rather than
     mis-solved, and the deliberately corrupted table is rejected.
+    Instance i is random_market(seed + i), so seed must be >= 0.
     """
+    if seed < 0:
+        raise ValueError(f"oracle seed must be >= 0, got {seed} (a negative seed "
+                         "repeats the instances of its absolute value)")
     if instance_count < 1:
         raise ValueError("instance_count must be >= 1")
     lines: list[str] = []

@@ -18,12 +18,21 @@ steps carries the signal on time-N paths, keyed by the number of
 terminal ups, and the payoff on time-T nodes, T = hedge_horizon <= N.
 Inputs are exact (ints or Fractions), every quantity is a Fraction at
 every depth, and so each identity is checked with exact equality.
+
+Each exact quantity is computed once.  The tree recombines: price,
+probabilities, z and P(G = g | node) depend on a path prefix only
+through its (ups, steps), so a market tabulates them once per node, the
+signal law by one backward recursion.  The equivalence condition is
+checked on the terminal labels before any rational arithmetic.  An
+AtomTable derives each signal value's conditional law of D and its
+threshold candidates once, from its own atoms, and the solvers read
+them.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -118,37 +127,48 @@ class TreeMarket:
 
         self.signal = self._normalize_signal(signal)
         self.signal_values = tuple(sorted(set(self.signal.values())))
-        self._cond = self._conditional_signal_probs()
+        self._labels = tuple(signal[j] for j in range(self.periods + 1))
         self._check_equivalence()
 
-    @property
-    def q(self) -> Fraction:
-        """Risk-neutral up probability (1-d)/(u-d)."""
-        return (1 - self.d) / (self.u - self.d)
+        # every node quantity depends on the node only through (ups, steps)
+        self.q = (1 - self.d) / (self.u - self.d)  # risk-neutral up probability
+        self._price = self._node_table(self.u, self.d, self.s0)
+        self._prob = self._node_table(self.p_up, 1 - self.p_up)
+        self._qf_prob = self._node_table(self.q, 1 - self.q)
+        self._rn_density = self._node_table(self.q / self.p_up, (1 - self.q) / (1 - self.p_up))
+        self._cond = self._conditional_signal_probs()
+
+    def _node_table(self, up: Fraction, down: Fraction, root: Fraction = Fraction(1)) -> dict:
+        """{(ups, steps): root * up^ups * down^(steps - ups)} for steps 0..periods.
+
+        Built forward one step at a time, one product per node.
+        """
+        table = {(0, 0): root}
+        for t in range(1, self.periods + 1):
+            table[0, t] = table[0, t - 1] * down
+            for j in range(1, t + 1):
+                table[j, t] = table[j - 1, t - 1] * up
+        return table
 
     def price(self, prefix: Path) -> Fraction:
-        ups = sum(prefix)
-        return self.s0 * self.u**ups * self.d ** (len(prefix) - ups)
+        return self._price[sum(prefix), len(prefix)]
 
     def prob(self, prefix: Path) -> Fraction:
-        ups = sum(prefix)
-        return self.p_up**ups * (1 - self.p_up) ** (len(prefix) - ups)
+        return self._prob[sum(prefix), len(prefix)]
 
     def qf_prob(self, prefix: Path) -> Fraction:
-        ups = sum(prefix)
-        return self.q**ups * (1 - self.q) ** (len(prefix) - ups)
+        return self._qf_prob[sum(prefix), len(prefix)]
 
     def cond_signal_prob(self, prefix: Path, g) -> Fraction:
         """P(G = g | the first len(prefix) moves equal prefix)."""
-        return self._cond[prefix].get(g, Fraction(0))
+        return self._cond[sum(prefix), len(prefix)].get(g, Fraction(0))
 
     def signal_prob(self, g) -> Fraction:
         return self.cond_signal_prob((), g)
 
     def rn_density(self, prefix: Path) -> Fraction:
         """Risk-neutral density z on the node: (q/p)^j ((1-q)/(1-p))^(t-j), j ups in t steps."""
-        q, p, ups = self.q, self.p_up, sum(prefix)
-        return (q / p) ** ups * ((1 - q) / (1 - p)) ** (len(prefix) - ups)
+        return self._rn_density[sum(prefix), len(prefix)]
 
     def signal_density(self, prefix: Path, g) -> Fraction:
         """Signal density P(G=g | node) / P(G=g)."""
@@ -165,30 +185,40 @@ class TreeMarket:
         return {path: signal[sum(path)] for path in _paths(self.periods)}
 
     def _conditional_signal_probs(self) -> dict:
-        # backward recursion over prefixes: P(G=g | prefix)
-        cond: dict = {path: {self.signal[path]: Fraction(1)} for path in _paths(self.periods)}
-        for t in range(self.periods - 1, -1, -1):
-            for prefix in _paths(t):
-                up = cond[prefix + (1,)]
-                down = cond[prefix + (0,)]
-                merged: dict = {}
-                for g, pr in up.items():
-                    merged[g] = merged.get(g, Fraction(0)) + self.p_up * pr
-                for g, pr in down.items():
-                    merged[g] = merged.get(g, Fraction(0)) + (1 - self.p_up) * pr
-                cond[prefix] = merged
+        """{(ups, steps): {g: P(G=g | node)}}, by backward recursion over the nodes.
+
+        The signal depends on a path only through its terminal ups, so
+        every prefix with j ups in t steps has the same conditional law.
+        """
+        n, up, down = self.periods, self.p_up, 1 - self.p_up
+        cond: dict = {(j, n): {g: Fraction(1)} for j, g in enumerate(self._labels)}
+        for t in range(n - 1, -1, -1):
+            for j in range(t + 1):
+                merged = {g: up * pr for g, pr in cond[j + 1, t + 1].items()}
+                for g, pr in cond[j, t + 1].items():
+                    merged[g] = merged[g] + down * pr if g in merged else down * pr
+                cond[j, t] = merged
         return cond
 
     def _check_equivalence(self) -> None:
+        """Refuse a signal value that has zero probability at a node before the horizon.
+
+        With 0 < p_up < 1, P(G=g | node) = 0 exactly when no terminal ups
+        count the node can reach is labelled g, so this takes no
+        arithmetic.  The error names the first such node in _paths order:
+        at the earliest time t, the node with the fewest ups j, whose
+        first path is t - j downs then j ups.
+        """
         for t in range(self.hedge_horizon + 1):
-            for prefix in _paths(t):
-                for g in self.signal_values:
-                    if self.cond_signal_prob(prefix, g) == 0:
-                        word = "".join("u" if m else "d" for m in prefix) or "(root)"
-                        raise ValueError(
-                            f"signal value {g!r} unreachable from node {word} at time {t}: "
-                            "conditional signal law not equivalent to the prior"
-                        )
+            for j in range(t + 1):
+                reachable = set(self._labels[j:j + self.periods - t + 1])
+                missing = [g for g in self.signal_values if g not in reachable]
+                if missing:
+                    word = "d" * (t - j) + "u" * j or "(root)"
+                    raise ValueError(
+                        f"signal value {missing[0]!r} unreachable from node {word} at time {t}: "
+                        "conditional signal law not equivalent to the prior"
+                    )
 
 
 @dataclass(frozen=True)
@@ -207,9 +237,31 @@ class TreeAtom:
 
 @dataclass(frozen=True)
 class AtomTable:
+    """Horizon atoms of a market, with each signal value's law of D derived once.
+
+    The conditional law of D and its threshold candidates, per signal
+    value, are derived from `atoms` whenever a table is made, so a table
+    made by `dataclasses.replace` carries its own.
+    """
+
     market: TreeMarket
     atoms: tuple
     e_qg_h: Fraction
+    _laws: dict = field(init=False, repr=False, compare=False)
+    _candidates: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_g: dict = {}
+        for a in self.atoms:
+            by_g.setdefault(a.g, []).append(a)
+        laws = {}
+        for g, atoms in by_g.items():
+            pg = sum(a.prob for a in atoms)
+            laws[g] = tuple(sorted(((a.prefix, a.d_star, a.prob / pg) for a in atoms),
+                                   key=lambda item: item[1]))
+        object.__setattr__(self, "_laws", laws)
+        object.__setattr__(self, "_candidates",
+                           {g: _threshold_candidates(law) for g, law in laws.items()})
 
 
 def build_atom_table(m: TreeMarket) -> AtomTable:
@@ -355,18 +407,19 @@ def perturb_atom(table: AtomTable) -> AtomTable:
 # exact threshold solving and brute-force optimality
 # ---------------------------------------------------------------------------
 
-def conditional_law(table: AtomTable, g) -> list:
-    """[(prefix, d_star, P(prefix | G=g))], sorted by d_star."""
-    atoms = [a for a in table.atoms if a.g == g]
-    if not atoms:
-        raise ValueError(f"unknown signal value {g!r}")
-    pg = sum(a.prob for a in atoms)
-    law = [(a.prefix, a.d_star, a.prob / pg) for a in atoms]
-    law.sort(key=lambda item: item[1])
-    return law
+def _of_signal_value(by_g: dict, g):
+    try:
+        return by_g[g]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown signal value {g!r}") from None
 
 
-def _threshold_candidates(law):
+def conditional_law(table: AtomTable, g) -> tuple:
+    """((prefix, d_star, P(prefix | G=g)), ...), sorted by d_star."""
+    return _of_signal_value(table._laws, g)
+
+
+def _threshold_candidates(law) -> tuple:
     """(k, P(D<=k), E[D 1{D<=k}]) at k = 0 and at each distinct value of D."""
     zero = Fraction(0)
     cands = [(zero, zero, zero)]
@@ -380,13 +433,12 @@ def _threshold_candidates(law):
                 cands[0] = (zero, cum_p, cum_cost)
             else:
                 cands.append((d, cum_p, cum_cost))
-    return cands
+    return tuple(cands)
 
 
 def achievable_levels(table: AtomTable, g):
     """Exactly attainable (success probability, capital fraction) pairs."""
-    law = conditional_law(table, g)
-    return [(cp, cc) for _, cp, cc in _threshold_candidates(law)]
+    return [(cp, cc) for _, cp, cc in _of_signal_value(table._candidates, g)]
 
 
 @dataclass(frozen=True)
@@ -416,8 +468,7 @@ def exact_quantile_hedge(table: AtomTable, g, *, epsilon=None, alpha=None) -> Ex
     target = alpha if epsilon is None else epsilon
     if not isinstance(target, (int, Fraction)):
         raise TypeError(f"target must be an int or a Fraction, got {target!r}")
-    law = conditional_law(table, g)
-    cands = _threshold_candidates(law)
+    cands = _of_signal_value(table._candidates, g)
     if epsilon is not None:
         if not 0 <= epsilon <= 1:
             raise ValueError("epsilon must be in [0,1]")
@@ -496,8 +547,12 @@ def random_market(seed: int) -> TreeMarket:
     u in (1.1, 3) with d = 1/u, physical up probability in (0.2, 0.8),
     2-4 periods, horizon strictly inside, signal 1{terminal price in B}
     with B resampled until the equivalence condition holds, and a call
-    payoff struck strictly inside the horizon price range.
+    payoff struck strictly inside the horizon price range.  A negative
+    seed raises ValueError: random.Random seeds -s exactly as s.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed} (a negative seed "
+                         "repeats the market of its absolute value)")
     rng = random.Random(seed)
     for _ in range(500):
         u = Fraction(rng.randint(111, 299), 100)

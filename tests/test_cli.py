@@ -296,6 +296,15 @@ class TestOracleSuite:
         assert main(["oracle", "--instances", "2"]) == 1
         assert "reference: FAIL" in capsys.readouterr().out
 
+    def test_negative_seed_is_one_error_line(self, capsys):
+        # random.Random(-3) seeds like Random(3): seed -3 would recheck seeds 3, 2 and 1
+        with pytest.raises(ValueError, match="oracle seed must be >= 0, got -1"):
+            run_oracle_suite(seed=-1, instance_count=5)
+        assert main(["oracle", "--seed", "-3", "--instances", "3"]) == 1
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert line.startswith("error: oracle seed must be >= 0, got -3") and out == ""
+
 
 class TestCommandLine:
     def test_version(self):

@@ -7,10 +7,10 @@ G = 0 interval alpha hedge, a G = 1 epsilon hedge on the interval that
 lies furthest below the strike and a shift-mode epsilon hedge at a high
 level at n = 20000, of two hedges at n = 200000, a G = 0 interval
 alpha hedge and a shift-mode epsilon hedge, whose draws span several
-random-stream blocks, and of the oracle suite's report lines
-(seed 0, 100 instances) joined by newlines.  A refactor must leave
-them unchanged.  A change that moves sampled numbers on purpose
-updates them and says so in CHANGES.md.
+random-stream blocks, and of the oracle suite's report lines (seed 0,
+100 instances, and seed 7, 30 instances) joined by newlines.  A
+refactor must leave them unchanged.  A change that moves sampled
+numbers on purpose updates them and says so in CHANGES.md.
 """
 import hashlib
 from dataclasses import replace
@@ -59,6 +59,9 @@ MULTI_BLOCK_HEDGE_DIGESTS = {
 }
 
 ORACLE_DIGEST = "a49008d1d97419f87336016278fd21b0c83a892e5bd5dd1c314d36b271f7c7f5"
+
+# a second instance set: seeds 7..36
+ORACLE_SEED7_DIGEST = "96290550f27d3170042c963f2acc17853280f1aff48b122e8452c8a412b53d49"
 
 
 def _sha256(data: bytes) -> str:
@@ -122,7 +125,15 @@ def test_hedge_stdout_after_other_calls_in_process(capsys):
     assert cli._parser() is parser
 
 
-def test_oracle_report():
-    report = run_oracle_suite(0, 100)
+def oracle_digest(seed, instances) -> str:
+    report = run_oracle_suite(seed, instances)
     assert report.passed
-    assert _sha256("\n".join(report.lines).encode()) == ORACLE_DIGEST
+    return _sha256("\n".join(report.lines).encode())
+
+
+def test_oracle_report():
+    assert oracle_digest(0, 100) == ORACLE_DIGEST
+
+
+def test_oracle_report_seed7():
+    assert oracle_digest(7, 30) == ORACLE_SEED7_DIGEST

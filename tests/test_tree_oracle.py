@@ -13,6 +13,7 @@ from insider_hedge import (
     reference_market,
     verify_theorems,
 )
+from insider_hedge import tree_oracle
 from insider_hedge.tree_oracle import achievable_levels, conditional_law, perturb_atom
 
 
@@ -211,6 +212,142 @@ class TestEquivalenceValidation:
             build_atom_table(m)
 
 
+def brute_cond_signal_prob(periods, p_up, labels, prefix, g) -> F:
+    """P(G = g | prefix): the sum over every terminal path through prefix labelled g."""
+    rest = periods - len(prefix)
+    total = F(0)
+    for suffix in itertools.product((0, 1), repeat=rest):
+        if labels[sum(prefix) + sum(suffix)] == g:
+            total += p_up ** sum(suffix) * (1 - p_up) ** (rest - sum(suffix))
+    return total
+
+
+def parity_market():
+    return TreeMarket(periods=6, hedge_horizon=3, u=2, d=F(1, 2), p_up=F(2, 7), s0=1,
+                      payoff={j: j for j in range(4)}, signal={j: j % 2 for j in range(7)})
+
+
+def first_unreachable(periods, horizon, p_up, labels):
+    """(word, t, g) of the first zero P(G = g | node), scanning nodes in _paths order."""
+    values = sorted(set(labels.values()))
+    for t in range(horizon + 1):
+        for prefix in itertools.product((0, 1), repeat=t):
+            for g in values:
+                if brute_cond_signal_prob(periods, p_up, labels, prefix, g) == 0:
+                    word = "".join("u" if m else "d" for m in prefix) or "(root)"
+                    return word, t, g
+    return None
+
+
+class TestSignalRecursion:
+    def test_matches_sum_over_terminal_paths(self):
+        markets = [*(random_market(seed) for seed in range(100)), reference_market(),
+                   parity_market()]
+        for m in markets:
+            labels = {j: m.signal[(1,) * j + (0,) * (m.periods - j)] for j in range(m.periods + 1)}
+            for t in range(m.periods + 1):
+                for prefix in itertools.product((0, 1), repeat=t):
+                    for g in m.signal_values:
+                        want = brute_cond_signal_prob(m.periods, m.p_up, labels, prefix, g)
+                        assert m.cond_signal_prob(prefix, g) == want, (m.periods, prefix, g)
+
+    def test_refuses_exactly_the_zero_sums_at_the_first_node(self):
+        # every signal on up to 3 values for periods 1..3, on 2 values for periods 4
+        p_up = F(3, 5)
+        refused = 0
+        for periods, n_values in ((1, 3), (2, 3), (3, 3), (4, 2)):
+            for values in itertools.product(range(n_values), repeat=periods + 1):
+                labels = dict(enumerate(values))
+                for horizon in range(1, periods + 1):
+                    inputs = dict(periods=periods, hedge_horizon=horizon, u=2, d=F(1, 2),
+                                  p_up=p_up, s0=1, payoff={j: j for j in range(horizon + 1)},
+                                  signal=labels)
+                    first = first_unreachable(periods, horizon, p_up, labels)
+                    if first is None:
+                        TreeMarket(**inputs)
+                        continue
+                    refused += 1
+                    word, t, g = first
+                    with pytest.raises(ValueError) as exc:
+                        TreeMarket(**inputs)
+                    assert str(exc.value) == (
+                        f"signal value {g!r} unreachable from node {word} at time {t}: "
+                        "conditional signal law not equivalent to the prior")
+        assert refused > 100
+
+
+class TestDerivedLaws:
+    @pytest.fixture()
+    def table(self):
+        return build_atom_table(reference_market())
+
+    def test_replaced_atoms_carry_their_own_law(self, table):
+        # atom 2 is ((1,), 0), the only in-the-money atom given G = 0
+        nudge = 1 + F(1, 10**6)
+        atoms = list(table.atoms)
+        atoms[2] = replace(atoms[2], d_star=atoms[2].d_star * nudge)
+        nudged = replace(table, atoms=tuple(atoms))
+        assert [(d, pc) for _, d, pc in conditional_law(nudged, 0)] == [
+            (F(0), F(4, 13)), (F(13, 9) * nudge, F(9, 13))]
+        assert achievable_levels(nudged, 0) == [(F(4, 13), 0), (1, nudge)]
+        assert exact_quantile_hedge(nudged, 0, epsilon=0).alpha == nudge
+        assert conditional_law(nudged, 1) == conditional_law(table, 1)
+        # the original table keeps its own law
+        assert achievable_levels(table, 0) == [(F(4, 13), 0), (1, 1)]
+        assert conditional_law(perturb_atom(nudged), 0) == conditional_law(nudged, 0)
+
+    def test_stored_law_is_immutable(self, table):
+        law = conditional_law(table, 1)
+        with pytest.raises(TypeError):
+            law[0] = ((1,), F(5), F(1))
+        with pytest.raises(AttributeError):
+            law.append(((1,), F(5), F(1)))
+        achievable_levels(table, 1).append((F(0), F(0)))
+        assert conditional_law(table, 1) == (((0,), F(0), F(1, 2)), ((1,), F(2), F(1, 2)))
+        assert achievable_levels(table, 1) == [(F(1, 2), 0), (1, 1)]
+
+    @pytest.mark.parametrize("g", [2, "1", None, []])
+    def test_unknown_signal_value(self, table, g):
+        for call in (conditional_law, achievable_levels, exhaustive_optimality_check,
+                     lambda t, v: exact_quantile_hedge(t, v, epsilon=F(1, 2))):
+            with pytest.raises(ValueError, match="unknown signal value"):
+                call(table, g)
+
+
+class TestWorkDoneOnce:
+    def test_random_market_runs_the_recursion_once(self, monkeypatch):
+        checks, recursions = [], []
+        check = TreeMarket._check_equivalence
+        recursion = TreeMarket._conditional_signal_probs
+        monkeypatch.setattr(TreeMarket, "_check_equivalence",
+                            lambda m: checks.append(m) or check(m))
+        monkeypatch.setattr(TreeMarket, "_conditional_signal_probs",
+                            lambda m: recursions.append(m) or recursion(m))
+        for seed in range(100):
+            market = random_market(seed)
+            assert recursions == [market], seed
+            recursions.clear()
+        # most refusals happen before the recursion: more markets were checked than built
+        assert len(checks) > 200
+
+    def test_candidates_built_once_per_signal_value(self, monkeypatch):
+        calls = []
+        candidates = tree_oracle._threshold_candidates
+        monkeypatch.setattr(tree_oracle, "_threshold_candidates",
+                            lambda law: calls.append(law) or candidates(law))
+        for seed in range(100):
+            table = build_atom_table(random_market(seed))
+            assert verify_theorems(table).passed
+            for g in table.market.signal_values:
+                conditional_law(table, g)
+                achievable_levels(table, g)
+                exact_quantile_hedge(table, g, epsilon=F(1, 10))
+                exact_quantile_hedge(table, g, alpha=F(1, 2))
+                assert exhaustive_optimality_check(table, g) == ()
+            assert len(calls) == len(table.market.signal_values), seed
+            calls.clear()
+
+
 class TestExactQuantileHedge:
     @pytest.fixture()
     def table(self):
@@ -296,6 +433,11 @@ class TestExhaustiveChecks:
 
 
 class TestRandomMarket:
+    def test_negative_seed_rejected(self):
+        # random.Random(-5) seeds like Random(5)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            random_market(-5)
+
     def test_deterministic(self):
         a = random_market(123)
         b = random_market(123)
