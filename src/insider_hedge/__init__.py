@@ -8,7 +8,6 @@ binomial-tree oracle verifies the underlying change-of-measure identities
 exactly.
 """
 from .insider_signal import (
-    AcceptanceRateError,
     ConditioningMode,
     IntervalIndicator,
     PointValue,

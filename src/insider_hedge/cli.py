@@ -31,11 +31,10 @@ from functools import cache, partial
 
 from . import __version__
 from .insider_signal import (
-    AcceptanceRateError,
     ConditioningMode,
-    check_signal_prob,
     draw_interval,
     draw_point,
+    indicator_prob,
     interval_signal_from_prices,
     point_signal_from_price,
 )
@@ -211,28 +210,21 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     table draws n_paths uniforms and bridge normals once, from one
     derived seed, and the exact interval sampler maps them to each
     interval (common random numbers, as in run_table_point).  An
-    interval whose conditioning event has probability below
-    insider_signal.SIGNAL_PROB_FLOOR yields NaN cells flagged
-    acceptance_floor instead of aborting the run.  The mode column
-    keeps the label "rejection" for output-format compatibility.
+    interval whose conditioning event has probability 0 raises
+    ValueError before anything is drawn, which ends the run.  The mode
+    column keeps the label "rejection" for output-format compatibility.
     """
+    signals = [interval_signal_from_prices(lo, hi, config.model, observed=1)
+               for lo, hi in config.intervals]
+    # as in hedge, a signal of probability 0 is refused before the 2n draws are filled
+    for signal in signals:
+        indicator_prob(signal, config.model)
     draws = draw_interval(config.n_paths, derive_seed(config.seed), workers=config.workers)
     cells: list[CellResult] = []
-    for lo, hi in config.intervals:
-        signal = interval_signal_from_prices(lo, hi, config.model, observed=1)
+    for (lo, hi), signal in zip(config.intervals, signals):
         descriptor = f"S=[{lo:g}..{hi:g}]"
-        try:
-            # as in run_table_point, the view of D is released once its row is planned
-            row = _plan_row(build_batch(signal, draws, config.model), config.epsilons)
-        except AcceptanceRateError:
-            nan = float("nan")
-            for epsilon in config.epsilons:
-                cells.append(CellResult(
-                    signal=descriptor, epsilon=epsilon, alpha=nan, alpha_stderr=nan,
-                    success_prob=nan, k=nan, n_paths=config.n_paths, mode="rejection",
-                    flags="acceptance_floor",
-                ))
-            continue
+        # as in run_table_point, the view of D is released once its row is planned
+        row = _plan_row(build_batch(signal, draws, config.model), config.epsilons)
         for epsilon, (plan, flags) in zip(config.epsilons, row):
             cells.append(_cell(descriptor, epsilon, plan, flags,
                                config.n_paths, "rejection"))
@@ -523,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(parser, args)
-    except (ValueError, AcceptanceRateError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # bad inputs and unreadable or unwritable files end in one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -565,8 +557,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             (lo, hi), = intervals
             observed = 1 if args.observed is None else args.observed
             signal = interval_signal_from_prices(lo, hi, config.model, observed=observed)
-            # a signal below the floor is refused before its 2n draws are filled
-            check_signal_prob(signal, config.model)
+            # a signal of probability 0 is refused before its 2n draws are filled
+            indicator_prob(signal, config.model)
             mode = None
             draw = draw_interval
         # no reference to the draws is kept here, so build_batch can free them early

@@ -61,7 +61,6 @@ __all__ = [
     "density_point",
     "density_indicator",
     "indicator_prob",
-    "check_signal_prob",
     "SignalDraws",
     "draw_point",
     "draw_interval",
@@ -69,11 +68,7 @@ __all__ = [
     "point_map",
     "sample_point_conditional",
     "sample_indicator_conditional",
-    "AcceptanceRateError",
 ]
-
-# smallest P(G = observed) an interval signal may be conditioned on
-SIGNAL_PROB_FLOOR = 1e-4
 
 
 class ConditioningMode(str, Enum):
@@ -171,25 +166,17 @@ def _normal_mass(lo, hi, observed: int):
 
 
 def indicator_prob(spec: IntervalIndicator, p: ModelParams) -> float:
-    """P(G = spec.observed) for the indicator signal (closed form)."""
-    sd = math.sqrt(p.t_signal)
-    return float(_normal_mass(spec.a_w / sd, spec.b_w / sd, spec.observed))
+    """P(G = spec.observed) for the indicator signal (closed form).
 
-
-class AcceptanceRateError(RuntimeError):
-    """Raised when P(G = observed) of an interval signal is below SIGNAL_PROB_FLOOR."""
-
-
-def check_signal_prob(spec: IntervalIndicator, p: ModelParams) -> float:
-    """indicator_prob(spec, p), or AcceptanceRateError when it is below SIGNAL_PROB_FLOOR.
-
-    Callers run it before drawing, so a refused signal costs no draws.
+    Conditioning on G = spec.observed needs this probability to be
+    positive, so a mass that is 0 in float raises ValueError.  Callers
+    run it before drawing, so a refused signal costs no draws.
     """
-    mass = indicator_prob(spec, p)
-    if mass < SIGNAL_PROB_FLOOR:
-        raise AcceptanceRateError(
-            f"P(G={spec.observed}) = {mass:.3e} below the acceptance floor {SIGNAL_PROB_FLOOR:.1e}"
-        )
+    sd = math.sqrt(p.t_signal)
+    mass = float(_normal_mass(spec.a_w / sd, spec.b_w / sd, spec.observed))
+    if not mass > 0.0:
+        raise ValueError(f"P(G={spec.observed}) = {mass:g} for {spec.describe()}: "
+                         "cannot condition on a signal value of probability 0")
     return mass
 
 
@@ -316,11 +303,12 @@ def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
     (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
     Each draw maps on its own, so any subset of draw_interval's draws,
     taken by index from both arrays alike, gives the same values on it.
-    Fails before any work on draw_point's draws, and through check_signal_prob.
+    Fails before any work on draw_point's draws, and through
+    indicator_prob when P(G = spec.observed) is 0.
     """
     if draws.u is None:
         raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
-    mass = check_signal_prob(spec, p)
+    mass = indicator_prob(spec, p)
     sd = math.sqrt(p.t_signal)
     lo, hi = spec.a_w / sd, spec.b_w / sd
     u = draws.u * mass

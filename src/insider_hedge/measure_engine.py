@@ -51,9 +51,9 @@ from .insider_signal import (
     SignalDraws,
     SignalSpec,
     bridge_map,
-    check_signal_prob,
     density_indicator,
     density_point,
+    indicator_prob,
     point_map,
     sample_indicator_conditional,
     sample_point_conditional,
@@ -180,14 +180,14 @@ def _interval_blocks(signal: IntervalIndicator, draws: SignalDraws, p: ModelPara
     interval, where u * mass <= Phi(lo); the G = 0 branch above the
     interval has no bound.  The bound repeats the sampler's own float
     operations, so a draw is left out only if its W_T, as sampled,
-    stays below the window.  check_signal_prob refuses a signal before
-    the first block.
+    stays below the window.  indicator_prob refuses a signal of
+    probability 0 before the first block.
     """
     z, u = draws.z, draws.u
     # draws without uniforms go to the sampler whole, which refuses them
     prune = p.strike > 0.0 and u is not None
     if prune:
-        mass = check_signal_prob(signal, p)
+        mass = indicator_prob(signal, p)
         w_lo = _strike_floor(p)
         if signal.observed == 1:
             z_cut, below = _z_cut(*bridge_map(signal.b_w, p), w_lo), None

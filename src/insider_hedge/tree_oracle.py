@@ -84,7 +84,9 @@ class TreeMarket:
         each of 0..hedge_horizon ups and no other.
     signal : map {terminal ups -> label}, one entry for each of
         0..periods ups and no other; labels form the finite value set
-        of the signal.
+        of the signal.  The market keeps it as the tuple `labels`,
+        labels[j] for j terminal ups, and its sorted value set as
+        `signal_values`.
 
     u, d, p_up, s0 and the payoff values are exact: ints or Fractions.
     Anything else (a float, a string) raises TypeError.
@@ -125,9 +127,8 @@ class TreeMarket:
             raise ValueError(f"payoff key {stray[0]!r} is not a horizon ups count "
                              f"0..{self.hedge_horizon}")
 
-        self.signal = self._normalize_signal(signal)
-        self.signal_values = tuple(sorted(set(self.signal.values())))
-        self._labels = tuple(signal[j] for j in range(self.periods + 1))
+        self.labels = self._normalize_signal(signal)
+        self.signal_values = tuple(sorted(set(self.labels)))
         self._check_equivalence()
 
         # every node quantity depends on the node only through (ups, steps)
@@ -174,7 +175,8 @@ class TreeMarket:
         """Signal density P(G=g | node) / P(G=g)."""
         return self.cond_signal_prob(prefix, g) / self.signal_prob(g)
 
-    def _normalize_signal(self, signal: Mapping) -> dict:
+    def _normalize_signal(self, signal: Mapping) -> tuple:
+        """The labels of terminal ups 0..periods, in that order."""
         missing = [j for j in range(self.periods + 1) if j not in signal]
         if missing:
             raise ValueError(f"signal missing terminal ups {missing}")
@@ -182,7 +184,7 @@ class TreeMarket:
         if stray:
             raise ValueError(f"signal key {stray[0]!r} is not a terminal ups count "
                              f"0..{self.periods}")
-        return {path: signal[sum(path)] for path in _paths(self.periods)}
+        return tuple(signal[j] for j in range(self.periods + 1))
 
     def _conditional_signal_probs(self) -> dict:
         """{(ups, steps): {g: P(G=g | node)}}, by backward recursion over the nodes.
@@ -191,7 +193,7 @@ class TreeMarket:
         every prefix with j ups in t steps has the same conditional law.
         """
         n, up, down = self.periods, self.p_up, 1 - self.p_up
-        cond: dict = {(j, n): {g: Fraction(1)} for j, g in enumerate(self._labels)}
+        cond: dict = {(j, n): {g: Fraction(1)} for j, g in enumerate(self.labels)}
         for t in range(n - 1, -1, -1):
             for j in range(t + 1):
                 merged = {g: up * pr for g, pr in cond[j + 1, t + 1].items()}
@@ -211,7 +213,7 @@ class TreeMarket:
         """
         for t in range(self.hedge_horizon + 1):
             for j in range(t + 1):
-                reachable = set(self._labels[j:j + self.periods - t + 1])
+                reachable = set(self.labels[j:j + self.periods - t + 1])
                 missing = [g for g in self.signal_values if g not in reachable]
                 if missing:
                     word = "d" * (t - j) + "u" * j or "(root)"

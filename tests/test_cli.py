@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from insider_hedge import cli, insider_signal
 from insider_hedge.cli import (
     CSV_HEADER,
+    CellResult,
     RunConfig,
     build_config,
     main,
@@ -142,27 +148,20 @@ class TestTables:
         assert all(c.mode == "rejection" for c in cells)
         assert all(c.signal == "S=[109..111]" for c in cells)
 
-    def test_indicator_table_reports_floor_violation_per_cell(self, params, tmp_path):
-        import math
+    def test_indicator_table_refuses_a_null_interval_before_drawing(self, monkeypatch, capsys,
+                                                                    tmp_path):
+        # P(G = 1) of [0.001..0.002] is 0 in float: the run ends in one line
+        def no_draws(*args, **kwargs):
+            raise AssertionError("draw_interval ran for a table with a null interval")
 
-        from insider_hedge.cli import write_cells
-
-        # an interval so far out of the money that conditioning is hopeless
-        config = RunConfig(model=params, signal_kind="interval",
-                           intervals=((109.0, 111.0), (500.0, 501.0)),
-                           epsilons=(0.1, 0.25), n_paths=2000, seed=7)
-        cells = run_table_indicator(config)
-        assert len(cells) == 4
-        bad = [c for c in cells if c.signal == "S=[500..501]"]
-        assert len(bad) == 2
-        assert all(c.flags == "acceptance_floor" and math.isnan(c.alpha) for c in bad)
-        good = [c for c in cells if c.signal == "S=[109..111]"]
-        assert all(math.isfinite(c.alpha) for c in good)
-        # both serialization formats cope with the NaN cells
-        write_cells(cells, str(tmp_path / "t.csv"), "csv")
-        write_cells(cells, str(tmp_path / "t.json"), "json")
-        rows = json.loads((tmp_path / "t.json").read_text())
-        assert rows[-1]["alpha"] == "nan"
+        monkeypatch.setattr(cli, "draw_interval", no_draws)
+        out = tmp_path / "t.csv"
+        assert main(["table-indicator", "--intervals", "109:111,0.001:0.002",
+                     "--n-paths", "2000", "--output", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        [line] = stderr.splitlines()
+        assert line.startswith("error: P(G=1) = 0 ") and "probability 0" in line
+        assert stdout == "" and not out.exists()
 
     def test_deterministic_across_runs_and_workers(self, small_config):
         from dataclasses import replace
@@ -197,16 +196,14 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("middle", [(108.0, 112.0), (500.0, 501.0)])
     def test_indicator_table_fills_each_stream_once(self, params, monkeypatch, middle):
-        # an interval below the acceptance floor gets NaN cells and costs no draws
+        # a rare interval ([500..501], P(G = 1) far below 1e-4) maps the same draws
         counts = self.count_fills(monkeypatch)
         config = RunConfig(model=params, signal_kind="interval",
                            intervals=((109.0, 111.0), middle, (112.0, 114.0)),
                            epsilons=(0.1, 0.25), n_paths=2000, seed=3)
         cells = run_table_indicator(config)
         assert counts == {"normal": 1, "uniform": 1}
-        floor = [c for c in cells if c.flags == "acceptance_floor"]
-        assert len(floor) == (2 if middle[0] == 500.0 else 0)
-        assert all(math.isnan(c.alpha) for c in floor)
+        assert len(cells) == 6 and all(math.isfinite(c.alpha) for c in cells)
 
     def test_point_table_sorts_and_gathers_no_d(self, params, monkeypatch):
         # point W_T comes out ascending: D is a suffix, already sorted
@@ -255,6 +252,25 @@ class TestOutputs:
                                 "success_prob", "k", "n_paths", "mode", "flags"}
         # six significant digits
         assert rows[0]["alpha"] == float(f"{cells[0].alpha:.6g}")
+
+    def test_non_finite_numbers(self, tmp_path):
+        # an infinite threshold writes "inf" and a NaN "nan", in CSV and in strict JSON
+        inf, nan = math.inf, math.nan
+        cells = [CellResult(signal="S=110", epsilon=0.0, alpha=1.0, alpha_stderr=0.0,
+                            success_prob=1.0, k=inf, n_paths=1000, mode="bridge_exact",
+                            flags=""),
+                 CellResult(signal="S=[109..111]", epsilon=0.1, alpha=nan, alpha_stderr=nan,
+                            success_prob=nan, k=nan, n_paths=1000, mode="rejection",
+                            flags="atom_gap")]
+        write_cells(cells, str(tmp_path / "t.csv"), "csv")
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            "S=110,0,1,0,1,inf,1000,bridge_exact,",
+            "S=[109..111],0.1,nan,nan,nan,nan,1000,rejection,atom_gap",
+        ]
+        write_cells(cells, str(tmp_path / "t.json"), "json")
+        rows = json.loads((tmp_path / "t.json").read_text())
+        assert [(r["k"], r["alpha"], r["alpha_stderr"], r["success_prob"]) for r in rows] == [
+            ("inf", 1.0, 0.0, 1.0), ("nan", "nan", "nan", "nan")]
 
     def test_runtime_not_serialized(self, small_config, tmp_path):
         cells = run_table_indicator(small_config)
@@ -386,16 +402,31 @@ class TestCommandLine:
         assert proc.returncode == 0
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_hedge_refuses_rare_interval_before_drawing(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, observed", [
+        (("--interval", "0.001:0.002"), 1),
+        (("--interval", "1e-9:1e9", "--observed", "0"), 0),
+    ])
+    def test_hedge_refuses_null_interval_before_drawing(self, monkeypatch, capsys, argv,
+                                                        observed):
+        # P(G = observed) is 0 in float
         def no_draws(*args, **kwargs):
-            raise AssertionError("draw_interval ran for a signal below the floor")
+            raise AssertionError("draw_interval ran for a signal of probability 0")
 
         monkeypatch.setattr(cli, "draw_interval", no_draws)
-        assert main(["hedge", "--interval", "180:190", "--epsilon", "0.1"]) == 1
+        assert main(["hedge", *argv, "--epsilon", "0.1"]) == 1
         out, err = capsys.readouterr()
         [line] = err.splitlines()
-        assert line.startswith("error: P(G=1) = ") and "below the acceptance floor" in line
+        assert line.startswith(f"error: P(G={observed}) = 0 ") and "probability 0" in line
         assert out == ""
+
+    def test_hedge_solves_a_rare_interval(self, capsys):
+        # P(G = 1) of [180..190] is far below 1e-4 but positive
+        assert main(["hedge", "--interval", "180:190", "--epsilon", "0.1",
+                     "--n-paths", "20000"]) == 0
+        out, err = capsys.readouterr()
+        fields = dict(line.split(" = ", 1) for line in out.splitlines())
+        assert 0.0 < float(fields["alpha"]) < 1.0 and math.isfinite(float(fields["k"]))
+        assert float(fields["success_prob"]) >= 0.9 and err == ""
 
     @pytest.mark.parametrize("argv", [("hedge", "--level", "110", "--epsilon", "0.1"),
                                       ("table-point", "--levels", "110", "--epsilons", "0.1")])
@@ -450,3 +481,48 @@ class TestCommandLine:
         proc = run_cli("oracle", "--instances", "3", "--seed", "1")
         assert proc.returncode == 0
         assert "oracle suite: PASS" in proc.stdout
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """cli.main in process, with numpy RuntimeWarnings raised: (status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+class TestIntervalHedgeInputs:
+    """Every interval hedge input is solved or refused in one line, whatever P(G = observed)."""
+
+    @settings(max_examples=150, deadline=None)
+    # P(G = observed) about 1, far below 1e-4, and 0 in float for both G
+    @example(1e-9, 1e9, 1, 110.0, "epsilon", 0.1, 0)
+    @example(180.0, 190.0, 1, 110.0, "epsilon", 0.1, 0)
+    @example(0.001, 0.002, 1, 110.0, "alpha", 0.2, 0)
+    @example(1e-9, 1e9, 0, 110.0, "alpha", 0.2, 0)
+    @given(st.floats(min_value=-9.0, max_value=4.0).map(lambda x: 10.0**x),
+           st.floats(min_value=-4.0, max_value=12.0).map(lambda y: 1.0 + 10.0**y),
+           st.sampled_from([0, 1]),
+           st.one_of(st.sampled_from([0.0, 110.0]), st.floats(min_value=0.0, max_value=1e4)),
+           st.sampled_from(["epsilon", "alpha"]), st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_solved_or_one_error_line(self, lo, ratio, observed, strike, target, value, seed):
+        argv = ["hedge", "--interval", f"{lo!r}:{lo * ratio!r}", "--observed", str(observed),
+                "--strike", repr(strike), f"--{target}", repr(value),
+                "--n-paths", "1000", "--seed", str(seed)]
+        status, out, err = run_main(argv)
+        assert "Traceback" not in err, argv
+        if status == 1:
+            [line] = err.splitlines()
+            assert line.startswith("error: ") and out == "", argv
+            return
+        assert status == 0, argv
+        fields = dict(line.split(" = ", 1) for line in out.splitlines())
+        alpha, success = float(fields["alpha"]), float(fields["success_prob"])
+        assert 0.0 <= alpha <= 1.0 and 0.0 <= success <= 1.0, argv
+        if target == "epsilon":
+            assert success >= 1.0 - value - 1e-6, argv
+        else:
+            assert alpha <= value + 1e-6, argv

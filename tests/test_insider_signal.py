@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from insider_hedge import (
-    AcceptanceRateError,
     ConditioningMode,
     IntervalIndicator,
     ModelParams,
@@ -235,8 +234,11 @@ class TestIndicatorSampler:
         cases = [
             (interval_signal_from_prices(109.0, 111.0, params), 6),
             (interval_signal_from_prices(109.0, 111.0, params, observed=0), 7),
-            # upper tail, P(G) just above the 1e-4 floor
+            # upper tail, P(G) about 1e-4
             (IntervalIndicator(3.7 * sd, 4.5 * sd), 8),
+            # far tails: P(G = 1) about 1e-12, and P(G = 0) about 3e-12
+            (IntervalIndicator(7.0 * sd, 7.5 * sd), 10),
+            (IntervalIndicator(-7.0 * sd, 7.0 * sd, observed=0), 11),
             # below zero: inverted without reflection
             (IntervalIndicator(-0.4, -0.1), 9),
         ]
@@ -244,7 +246,6 @@ class TestIndicatorSampler:
         for sig, seed in cases:
             lo, hi = sig.a_w / sd, sig.b_w / sd
             prob = indicator_prob(sig, params)
-            assert prob >= 1e-4
             if sig.observed == 1:
                 law = stats.truncnorm(lo, hi).cdf
             else:
@@ -275,11 +276,18 @@ class TestIndicatorSampler:
         td = params.t_signal
         assert abs(pair.w_tdelta.var(ddof=1) - td) <= 4.0 * td * math.sqrt(2.0 / n)
 
-    def test_acceptance_floor(self, params):
+    def test_rare_event_sampled_and_null_event_refused(self, params):
+        # any P(G = observed) > 0 is sampled, however small; a mass of 0 is refused
         rare = IntervalIndicator(5.0, 5.01, observed=1)
-        assert indicator_prob(rare, params) < 1e-4
-        with pytest.raises(AcceptanceRateError):
-            sample_indicator_conditional(rare, draw_interval(100, seed=1), params)
+        assert 0.0 < indicator_prob(rare, params) < 1e-4
+        pair = sample_indicator_conditional(rare, draw_interval(100, seed=1), params)
+        assert np.all(np.isfinite(pair.w_t))
+        assert np.all((pair.w_tdelta >= rare.a_w) & (pair.w_tdelta <= rare.b_w))
+        for null in (IntervalIndicator(50.0, 51.0), IntervalIndicator(-50.0, 50.0, observed=0)):
+            with pytest.raises(ValueError, match=r"P\(G=\d\) = 0 .* probability 0"):
+                indicator_prob(null, params)
+            with pytest.raises(ValueError, match="probability 0"):
+                sample_indicator_conditional(null, draw_interval(100, seed=1), params)
 
     def test_deterministic_and_worker_invariant(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)

@@ -244,11 +244,10 @@ class TestSignalRecursion:
         markets = [*(random_market(seed) for seed in range(100)), reference_market(),
                    parity_market()]
         for m in markets:
-            labels = {j: m.signal[(1,) * j + (0,) * (m.periods - j)] for j in range(m.periods + 1)}
             for t in range(m.periods + 1):
                 for prefix in itertools.product((0, 1), repeat=t):
                     for g in m.signal_values:
-                        want = brute_cond_signal_prob(m.periods, m.p_up, labels, prefix, g)
+                        want = brute_cond_signal_prob(m.periods, m.p_up, m.labels, prefix, g)
                         assert m.cond_signal_prob(prefix, g) == want, (m.periods, prefix, g)
 
     def test_refuses_exactly_the_zero_sums_at_the_first_node(self):
@@ -329,6 +328,18 @@ class TestWorkDoneOnce:
             recursions.clear()
         # most refusals happen before the recursion: more markets were checked than built
         assert len(checks) > 200
+
+    def test_market_enumerates_no_path(self, monkeypatch):
+        # the signal is kept per terminal ups count, so 30 periods cost no 2^30 paths
+        def no_paths(length):
+            raise AssertionError(f"enumerated the paths of length {length}")
+
+        monkeypatch.setattr(tree_oracle, "_paths", no_paths)
+        m = TreeMarket(periods=30, hedge_horizon=2, u=2, d=F(1, 2), p_up=F(1, 2), s0=1,
+                       payoff={0: 0, 1: 0, 2: 3}, signal={j: j % 2 for j in range(31)})
+        assert m.labels == (0, 1) * 15 + (0,)
+        assert m.signal_values == (0, 1)
+        assert m.signal_prob(1) == F(1, 2)
 
     def test_candidates_built_once_per_signal_value(self, monkeypatch):
         calls = []
@@ -441,7 +452,7 @@ class TestRandomMarket:
     def test_deterministic(self):
         a = random_market(123)
         b = random_market(123)
-        fields = ("periods", "hedge_horizon", "u", "d", "p_up", "s0", "payoff", "signal")
+        fields = ("periods", "hedge_horizon", "u", "d", "p_up", "s0", "payoff", "labels")
         assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
 
     def test_valid_parameters(self):
@@ -453,4 +464,4 @@ class TestRandomMarket:
             assert F(1, 5) < m.p_up < F(4, 5)
             assert m.periods in (2, 3, 4)
             assert 1 <= m.hedge_horizon <= m.periods - 1
-            assert len(set(m.signal.values())) == 2
+            assert len(m.labels) == m.periods + 1 and len(set(m.labels)) == 2
