@@ -128,8 +128,17 @@ _CUT_MARGIN = 1e-12
 
 
 def _strike_floor(p: ModelParams) -> float:
-    """The Brownian level below which W_T is out of the money in floating point."""
-    return float(brownian_from_price(p.strike * (1.0 - _STRIKE_GAP), p.t_expiry, p))
+    """The Brownian level below which W_T is out of the money in floating point.
+
+    The gap holds only for normal floats: a gapped strike or price ratio
+    that is subnormal, 0 or infinite gives -inf, so no draw is left out.
+    """
+    level = p.strike * (1.0 - _STRIKE_GAP)
+    ratio = level / p.s0
+    tiny = np.finfo(float).tiny
+    if not (level >= tiny and tiny <= ratio < math.inf):
+        return -math.inf
+    return float(brownian_from_price(level, p.t_expiry, p))
 
 
 def _z_cut(c: float, s: float, w_lo: float) -> float:

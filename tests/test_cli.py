@@ -502,6 +502,8 @@ class TestIntervalHedgeInputs:
     @example(180.0, 190.0, 1, 110.0, "epsilon", 0.1, 0)
     @example(0.001, 0.002, 1, 110.0, "alpha", 0.2, 0)
     @example(1e-9, 1e9, 0, 110.0, "alpha", 0.2, 0)
+    # a strike whose ratio to s0 underflows to 0
+    @example(1.0, 2.0, 0, 5e-324, "epsilon", 0.0, 0)
     @given(st.floats(min_value=-9.0, max_value=4.0).map(lambda x: 10.0**x),
            st.floats(min_value=-4.0, max_value=12.0).map(lambda y: 1.0 + 10.0**y),
            st.sampled_from([0, 1]),
