@@ -17,7 +17,7 @@ probability.  Conventions on a finite sample:
     mean of D stays within the budget, so the attained budget never
     exceeds the target.
 
-All solvers read the same view of D and its prefix sums, so the
+All solvers read the same view of D and its running sums, so the
 epsilon -> k -> alpha -> k round trip reproduces the original threshold
 bit for bit.  Every out-of-the-money draw has D = 0, which lies in every
 success set {D <= k}; the view keeps only the positive D and counts this
@@ -95,19 +95,35 @@ class HedgePlan:
             raise ValueError(f"success_prob out of [0,1]: {self.success_prob}")
 
 
+_STRIDE = 4096  # values between two marks
+_CHUNK = 1 << 16  # values summed per pass of from_sample, a multiple of _STRIDE
+
+
+def _running_sums(carry, seg: np.ndarray, stride: int, out=None) -> np.ndarray:
+    """Sums of D and D^2 before seg[0], seg[stride], ... (after seg at len(seg)), carried
+    in as the first term of each cumsum, never added after it: np.cumsum's, bit for bit."""
+    run = (np.empty(seg.size + 1) if out is None else out)[:seg.size + 1]
+    rows = np.empty((seg.size // stride + 1, 2))
+    for col, factor in enumerate((1.0, seg)):  # D * 1.0 is D exactly
+        run[0] = carry[col]
+        np.multiply(seg, factor, out=run[1:])
+        rows[:, col] = np.cumsum(run, out=run)[::stride]
+    return rows
+
+
 @dataclass(frozen=True)
 class SortedD:
-    """Sorted positive D, prefix sums of D and D^2, sample size n, normalizer E_QG[H].
+    """Sorted positive D, marks of their running sums, sample size n, normalizer E_QG[H].
 
     The other n - len(d) draws of the sample have D = 0; they are not
-    stored and sit before d in sorted order.  Since adding zeros is
-    exact, prefix[j] is also the prefix sum of the full sorted sample up
-    to its order statistic d[j].
+    stored and sit before d in sorted order.  marks[j] holds the sums of
+    D and of D^2 before d[j * _STRIDE]; sums(i) continues from the last
+    mark.  Since adding zeros is exact, these are also the prefix sums
+    of the full sorted sample.
     """
 
     d: np.ndarray
-    prefix: np.ndarray
-    prefix_sq: np.ndarray
+    marks: np.ndarray
     n: int
     e_qg_h: float
 
@@ -140,16 +156,26 @@ class SortedD:
         zeros = int(np.searchsorted(d, 0.0, side="right"))
         if zeros or d.base is not None:
             d = d[zeros:].copy()
-        prefix_sq = d * d
-        np.cumsum(prefix_sq, out=prefix_sq)
-        view = cls(d, np.cumsum(d), prefix_sq, n, e_qg_h)
-        for a in (view.d, view.prefix, view.prefix_sq):
+        marks = np.zeros((d.size // _STRIDE + 1, 2))
+        buf = np.empty(_CHUNK + 1)
+        for j in range(0, marks.shape[0], _CHUNK // _STRIDE):
+            seg = d[j * _STRIDE:j * _STRIDE + _CHUNK]
+            marks[j:j + seg.size // _STRIDE + 1] = _running_sums(marks[j], seg, _STRIDE, buf)
+        view = cls(d, marks, n, e_qg_h)
+        for a in (view.d, view.marks):
             a.flags.writeable = False
         return view
 
     def count(self, k: float) -> int:
         """Number of draws with D <= k, for k >= 0."""
         return self.n - self.d.size + int(np.searchsorted(self.d, k, side="right"))
+
+    def sums(self, i: int) -> tuple[float, float]:
+        """Sums of D and of D^2 through d[i], equal to np.cumsum's entry i bit for bit."""
+        if not 0 <= i < self.d.size:
+            raise IndexError(f"index {i} outside the {self.d.size} positive values")
+        seg = self.d[i - i % _STRIDE:i + 1]
+        return tuple(map(float, _running_sums(self.marks[i // _STRIDE], seg, seg.size)[-1]))
 
 
 def _epsilon_rank(n: int, epsilon: float) -> int:
@@ -175,7 +201,7 @@ def solve_k_for_epsilon(view: SortedD, epsilon: float) -> float:
 
 def success_prob_from_k(view: SortedD, k: float) -> SuccessEstimate:
     """Sample success probability P(D <= k) with its binomial stderr."""
-    if k < 0:
+    if not k >= 0:
         raise ValueError("k must be nonnegative")
     n = view.n
     p = view.count(k) / n
@@ -184,19 +210,20 @@ def success_prob_from_k(view: SortedD, k: float) -> SuccessEstimate:
 
 def alpha_from_k(view: SortedD, k: float) -> AlphaEstimate:
     """Capital fraction E[D 1{D <= k}] on the sample, clamped to [0,1]."""
-    if k < 0:
+    if not k >= 0:
         raise ValueError("k must be nonnegative")
-    d, prefix, prefix_sq, n = view.d, view.prefix, view.prefix_sq, view.n
-    idx = int(np.searchsorted(d, k, side="right")) - 1
+    n = view.n
+    idx = int(np.searchsorted(view.d, k, side="right")) - 1
     if idx < 0:
         # only zeros (or nothing) lie below k: no capital, no spread
         return AlphaEstimate(0.0, 0.0)
-    mean = prefix[idx] / n
+    total, total_sq = view.sums(idx)
+    mean = total / n
     if n > 1:
-        var = max(prefix_sq[idx] / n - mean * mean, 0.0) * n / (n - 1)
+        var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
     else:
         var = 0.0
-    return AlphaEstimate(min(max(float(mean), 0.0), 1.0), math.sqrt(var / n))
+    return AlphaEstimate(min(max(mean, 0.0), 1.0), math.sqrt(var / n))
 
 
 def solve_k_for_alpha(view: SortedD, alpha: float) -> BudgetThreshold:
@@ -209,15 +236,17 @@ def solve_k_for_alpha(view: SortedD, alpha: float) -> BudgetThreshold:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    d, prefix, n = view.d, view.prefix, view.n
-    # prefix / n is nondecreasing for D >= 0: bisect for the last affordable index
-    m = bisect.bisect_right(prefix, alpha, key=lambda s: s / n) - 1
+    d, n = view.d, view.n
+    # sums / n are nondecreasing: bisect the marks, then the sums before d[j * _STRIDE + t]
+    j = bisect.bisect_right(view.marks[:, 0], alpha, key=lambda s: s / n) - 1
+    run = _running_sums(view.marks[j], d[j * _STRIDE:(j + 1) * _STRIDE], 1)[:, 0]
+    m = j * _STRIDE + bisect.bisect_right(run, alpha, key=lambda s: s / n) - 2
     if 0 <= m < d.size - 1 and d[m + 1] == d[m]:
         # a tie group straddles the budget: stop at the end of the previous group
         m = int(np.searchsorted(d, d[m], side="left")) - 1
     if m < 0:
         return BudgetThreshold(0.0, 0.0)
-    return BudgetThreshold(float(d[m]), float(prefix[m] / n))
+    return BudgetThreshold(float(d[m]), view.sums(m)[0] / n)
 
 
 def make_hedge_plan(view: SortedD, *, epsilon: float | None = None,

@@ -359,9 +359,10 @@ def verify_theorems(table: AtomTable) -> TheoremReport:
         if qg_sig[g] != m.signal_prob(g):
             failures.append(f"(b) signal marginal differs from prior at {g!r}")
 
-    # (c) z/p martingale under P on the enlarged tree
-    def z_over_p(prefix, g):
-        return m.rn_density(prefix) / m.signal_density(prefix, g)
+    # (c) z/p martingale under P on the enlarged tree; z/p is a node value, tabulated once
+    z_over_p = {(j, t, g): m.rn_density(node) / m.signal_density(node, g)
+                for t in range(th + 1) for j in range(t + 1)
+                for node in [(1,) * j + (0,) * (t - j)] for g in m.signal_values}
 
     for t in range(th):
         for prefix in _paths(t):
@@ -370,10 +371,10 @@ def verify_theorems(table: AtomTable) -> TheoremReport:
                 cond_here = m.cond_signal_prob(prefix, g)
                 expect = sum(
                     pm * m.cond_signal_prob(prefix + (mv,), g) / cond_here
-                    * z_over_p(prefix + (mv,), g)
+                    * z_over_p[sum(prefix) + mv, t + 1, g]
                     for mv, pm in ((1, m.p_up), (0, 1 - m.p_up))
                 )
-                if expect != z_over_p(prefix, g):
+                if expect != z_over_p[sum(prefix), t, g]:
                     failures.append(f"(c) z/p not a martingale at ({prefix}, {g!r})")
 
     # (d) price martingale under the insider measure on the enlarged tree

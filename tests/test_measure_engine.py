@@ -33,6 +33,7 @@ from insider_hedge import (
     sample_indicator_conditional,
     sample_point_conditional,
 )
+from insider_hedge.np_solver import _STRIDE
 from insider_hedge.rng import BLOCK_SIZE
 
 G_110 = 0.328590719217
@@ -89,19 +90,23 @@ def capped_se(d: np.ndarray, cap: float = 10.0) -> float:
 
 
 def assert_sorted_view_of(view, d: np.ndarray) -> None:
-    """The view, padded with its implicit zeros, is the sorted sample d with
-    its prefix sums of D and D^2, bit for bit."""
+    """The view, padded with its implicit zeros, is the sorted sample d, and its
+    sums of D and D^2 on either side of every mark and through the last value are
+    the prefix sums of the full sorted sample, bit for bit."""
     assert view.n == d.size
-    zeros = np.zeros(view.n - view.d.size)
+    zeros = view.n - view.d.size
     full = np.sort(d)
-    assert np.array_equal(np.concatenate([zeros, view.d]), full)
-    assert np.array_equal(np.concatenate([zeros, view.prefix]), np.cumsum(full))
-    assert np.array_equal(np.concatenate([zeros, view.prefix_sq]), np.cumsum(full * full))
+    assert np.array_equal(np.concatenate([np.zeros(zeros), view.d]), full)
+    prefix, prefix_sq = np.cumsum(full)[zeros:], np.cumsum(full * full)[zeros:]
+    probes = {i for j in range(view.marks.shape[0]) for i in (j * _STRIDE - 1, j * _STRIDE)}
+    for i in sorted(probes | {view.d.size - 1}):
+        if 0 <= i < view.d.size:
+            assert view.sums(i) == (prefix[i], prefix_sq[i]), i
 
 
 def assert_same_view(a, b) -> None:
     assert (a.n, a.e_qg_h) == (b.n, b.e_qg_h)
-    for name in ("d", "prefix", "prefix_sq"):
+    for name in ("d", "marks"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -445,7 +450,11 @@ class TestBlockMemory:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        view_bytes = view.d.nbytes + view.prefix.nbytes + view.prefix_sq.nbytes
+        view_bytes = view.d.nbytes + view.marks.nbytes
+        if kind in (0, 1):
+            # an interval block holds up to seven blocks of temporaries, more than the
+            # allowance, so interval batches keep the bound of a view of 24 bytes per value
+            view_bytes = 3 * view.d.nbytes
         assert peak <= view_bytes + 8 * n + self.ALLOWANCE
 
 

@@ -1,5 +1,7 @@
+import bisect
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +19,7 @@ from insider_hedge import (
     solve_k_for_epsilon,
     success_prob_from_k,
 )
-from insider_hedge.np_solver import SortedD
+from insider_hedge.np_solver import _CHUNK, _STRIDE, SortedD
 
 from test_measure_engine import independent_d, seeded_batch, seeded_draws
 
@@ -73,6 +75,14 @@ class TestAlphaFromK:
     def test_clamped_to_unit(self):
         est = alpha_from_k(synthetic_batch([3.0, 5.0]), INF)
         assert est.alpha == 1.0
+
+    @pytest.mark.parametrize("k", [-1.0, -1e-300, float("nan")])
+    def test_refuses_negative_or_nan_threshold(self, k):
+        b = synthetic_batch([0.0, 0.5, 1.0, 2.0])
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            alpha_from_k(b, k)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            success_prob_from_k(b, k)
 
     def test_stderr_matches_direct_formula(self):
         rng = np.random.default_rng(0)
@@ -262,16 +272,17 @@ class TestBatchState:
         assert all(after[name] is value for name, value in before.items())
 
     def test_batch_holds_draws_and_sorted_view_only(self, batch):
-        # sorted D and its two prefix sums, 8 bytes each per draw: no draws are kept
+        # sorted D, 8 bytes per draw, and the marks of its running sums: no draws are kept
         make_hedge_plan(batch, epsilon=0.1)
-        assert _held_bytes(batch) <= 24 * 10**5
+        assert _held_bytes(batch) <= 8 * 10**5 + batch.marks.nbytes
 
 
 class TestSortedView:
     def test_zero_atom_is_a_count(self):
         view = SortedD.from_sample([0.0, 0.7, 0.0, 0.2, 0.7], 1.0)
         assert view.n == 5 and list(view.d) == [0.2, 0.7, 0.7]
-        assert list(view.prefix) == list(np.cumsum([0.2, 0.7, 0.7]))
+        x = np.array([0.2, 0.7, 0.7])
+        assert [view.sums(i) for i in range(3)] == list(zip(np.cumsum(x), np.cumsum(x * x)))
         assert view.count(0.0) == 2 and view.count(0.7) == 5
 
     def test_positives_with_sample_size(self):
@@ -351,6 +362,104 @@ def _brute_force_epsilon(d, epsilon: float) -> float:
     return float(d[rank - 1]) if rank else 0.0
 
 
+# sizes on either side of one mark stride and of one chunk, and several chunks
+MARK_SIZES = [1, 4095, 4096, 4097, 65535, 65536, 65537, 3 * 65536 + 5]
+
+
+def _reference_alpha(view, alpha: float) -> tuple[float, float]:
+    """solve_k_for_alpha as one bisect over np.cumsum of the view's positive D."""
+    d, n = view.d, view.n
+    prefix = np.cumsum(d)
+    m = bisect.bisect_right(prefix, alpha, key=lambda s: s / n) - 1
+    if 0 <= m < d.size - 1 and d[m + 1] == d[m]:
+        m = int(np.searchsorted(d, d[m], side="left")) - 1
+    return (0.0, 0.0) if m < 0 else (float(d[m]), float(prefix[m] / n))
+
+
+def _mark_budgets(view) -> list[float]:
+    """Each mark's running sum of D over n, and one ULP either side of it, within [0, 1]."""
+    budgets = set()
+    for s in view.marks[:, 0] / view.n:
+        budgets.update(np.nextafter(s, [-INF, INF]).tolist() + [float(s)])
+    return sorted(b for b in budgets if 0.0 <= b <= 1.0)
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("size", MARK_SIZES)
+    def test_sums_equal_cumsum_bit_for_bit(self, size):
+        d = np.sort(np.random.default_rng(size).exponential(size=size))
+        view = SortedD.from_sample(d, 1.0, size + 3)
+        prefix, prefix_sq = np.cumsum(d), np.cumsum(d * d)
+        marked = np.arange(view.marks.shape[0]) * _STRIDE
+        assert view.marks.shape == (size // _STRIDE + 1, 2)
+        assert np.array_equal(view.marks[1:], np.stack([prefix, prefix_sq], 1)[marked[1:] - 1])
+        assert view.marks[0].tolist() == [0.0, 0.0]
+        if size <= _STRIDE + 1:
+            probes = range(size)
+        else:
+            # every sum through 4098 values takes about 25 ms, through 2e5 values 12 s:
+            # past one stride, probe both sides of every mark and a random sample
+            rng = np.random.default_rng(size + 1)
+            probes = {*(marked - 1), *marked, *marked + 1, size - 1,
+                      *rng.integers(0, size, 500).tolist()}
+            probes = sorted(i for i in probes if 0 <= i < size)
+        for i in probes:
+            assert view.sums(i) == (prefix[i], prefix_sq[i]), i
+
+    def test_sums_refuse_an_index_outside_d(self):
+        view = SortedD.from_sample([0.0, 0.5, 1.0], 1.0)
+        for i in (-1, 2):
+            with pytest.raises(IndexError):
+                view.sums(i)
+
+    @pytest.mark.parametrize("size", MARK_SIZES)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_alpha_bisection_matches_one_cumsum_bisect(self, size, ties):
+        rng = np.random.default_rng(size)
+        if ties:
+            # tie groups of a few thousand values straddle the marks
+            d = np.sort(rng.choice([0.25, 0.5, 1.0, 1.5, 3.0], size=size))
+        else:
+            d = np.sort(rng.exponential(size=size))
+        d *= 0.9 / d.mean()
+        view = SortedD.from_sample(d, 1.0, size + 7)
+        for alpha in _mark_budgets(view) + [0.0, 1.0, *rng.uniform(0.0, 1.0, 5).tolist()]:
+            assert tuple(solve_k_for_alpha(view, alpha)) == _reference_alpha(view, alpha), alpha
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.125, 0.5, 1.0, 3.0]),
+                                        st.floats(min_value=1e-6, max_value=10.0)),
+                              st.integers(min_value=1, max_value=5000)),
+                    min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=3000), TARGETS)
+    def test_tie_groups_across_marks(self, groups, zeros, targets):
+        values, counts = zip(*groups)
+        d = np.sort(np.repeat(values, counts))
+        view = SortedD.from_sample(d, 1.0, d.size + zeros)
+        prefix, prefix_sq = np.cumsum(d), np.cumsum(d * d)
+        for i in (0, d.size - 1, *range(_STRIDE - 1, d.size, _STRIDE)):
+            assert view.sums(i) == (prefix[i], prefix_sq[i])
+        for alpha in _mark_budgets(view) + [0.0, 1.0, *targets]:
+            assert tuple(solve_k_for_alpha(view, alpha)) == _reference_alpha(view, alpha)
+
+    def test_from_sample_holds_no_temporary_as_long_as_d(self):
+        # an owned sorted array is kept, so the marks and their chunk buffers are all it adds
+        d = np.sort(np.random.default_rng(29).exponential(size=300_000))
+        SortedD.from_sample(d.copy(), 1.0)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            view = SortedD.from_sample(d, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert view.d is d
+        assert peak <= 2 * (_CHUNK + 1) * 8 + view.marks.nbytes
+
+
 class TestSortedInput:
     @settings(max_examples=300, deadline=None)
     @given(TIE_HEAVY, st.randoms(use_true_random=False))
@@ -362,7 +471,7 @@ class TestSortedInput:
         inputs = [ordered, ordered[::-1], np.asarray(shuffled), ordered[ordered > 0]]
         views = [SortedD.from_sample(d, 1.3, len(values)) for d in inputs]
         for view in views[1:]:
-            for name in ("d", "prefix", "prefix_sq"):
+            for name in ("d", "marks"):
                 assert getattr(view, name).tobytes() == getattr(views[0], name).tobytes()
             assert view.n == views[0].n
 
@@ -376,11 +485,11 @@ class TestSortedInput:
         # a sorted slice of a larger buffer is copied, so the view holds only its own values
         base = np.linspace(0.0, 1.0, 1001)
         view = SortedD.from_sample(base[500:], 1.0)
-        assert view.d.size == 501 and _held_bytes(view) == 3 * 8 * 501
+        assert view.d.size == 501 and _held_bytes(view) == 8 * 501 + view.marks.nbytes
         # a sorted input kept without a copy cannot change the view afterwards
         owned = np.array([0.1, 0.5, 1.0])
         view = SortedD.from_sample(owned, 1.0)
-        assert not any(a.flags.writeable for a in (view.d, view.prefix, view.prefix_sq))
+        assert not any(a.flags.writeable for a in (view.d, view.marks))
         with pytest.raises(ValueError):
             owned[0] = 5.0
         assert view.d[0] == 0.1
