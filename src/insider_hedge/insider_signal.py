@@ -283,15 +283,18 @@ def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, fl
     return g_w, math.sqrt(p.delta)
 
 
-def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams) -> np.ndarray:
+def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams,
+                             out=None) -> np.ndarray:
     """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z.
 
-    W_T = c + s*z with point_map's (c, s).  s > 0 and rounding is
-    monotone, so draw_point's ascending normals give W_T in
-    nondecreasing order in either mode.
+    W_T = c + s*z with point_map's (c, s), written into `out` when
+    given.  s > 0 and rounding is monotone, so draw_point's ascending
+    normals give W_T in nondecreasing order in either mode.
     """
     c, s = point_map(g_w, draws, p)
-    return c + s * draws.z
+    w_t = np.multiply(draws.z, s, out=out)
+    w_t += c
+    return w_t
 
 
 def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,

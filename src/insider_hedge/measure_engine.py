@@ -27,6 +27,12 @@ is sampled, priced, cut to its in-the-money draws and turned into D,
 which goes straight into one buffer sized to the draws that can reach
 the strike; no temporary is longer than a block.  When that buffer
 comes out full and sorted, the sorted view keeps it as its array of D.
+A point block is computed in place, in three block buffers that
+build_batch allocates once and drops before D is sorted: W_T, H, and
+dQ_G/dP as one exp of the combined exponent of Z_T / p_T^G
+(qg_density_point), since Z_T alone overflows on well-posed inputs.  A
+D beyond the float range comes out inf, which the sorted view refuses
+by name; one that underflows comes out 0.
 
 Point samples of W_T are an increasing affine map of draw_point's
 ascending normals, in either mode, so the draws that can reach the
@@ -52,7 +58,6 @@ from .insider_signal import (
     SignalSpec,
     bridge_map,
     density_indicator,
-    density_point,
     indicator_prob,
     point_map,
     sample_indicator_conditional,
@@ -75,19 +80,28 @@ __all__ = [
 ]
 
 
-def qg_density_point(w_t, g_w, p: ModelParams):
-    """dQ_G/dP at the horizon for the point signal, closed form:
+def qg_density_point(w_t, g_w, p: ModelParams, out=None):
+    """dQ_G/dP = Z_T / p_T^G at the horizon for the point signal, as one exponent:
 
         sqrt(d/(T+d)) * exp(-theta*W_T - theta^2 T/2
                             + (g - W_T)^2/(2d) - g^2/(2(T+d)))
 
-    Algebraically identical to rn_density / density_point.
+    Algebraically identical to rn_density / density_point, whose factors
+    can each overflow where their ratio does not.  The exponent is
+    evaluated with its square completed,
+
+        (W_T - g - theta*d)^2/(2d) - theta*g - theta^2 (T+d)/2 - g^2/(2(T+d)),
+
+    so that it is built in one array, written into `out` when given.
     """
-    th = p.theta
-    t, d, td = p.t_expiry, p.delta, p.t_signal
-    return np.sqrt(d / td) * np.exp(
-        -th * w_t - 0.5 * th * th * t + (g_w - w_t) ** 2 / (2.0 * d) - g_w * g_w / (2.0 * td)
-    )
+    th, d, td = p.theta, p.delta, p.t_signal
+    x = np.subtract(w_t, g_w + th * d, out=out)
+    x *= x
+    x /= 2.0 * d
+    x += -th * g_w - 0.5 * th * th * td - g_w * g_w / (2.0 * td)
+    x = np.exp(x, out=out)
+    x *= math.sqrt(d / td)
+    return x
 
 
 def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
@@ -103,14 +117,14 @@ def _itm_payoff(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return h[itm], w_t[itm]
 
 
-def _itm_payoff_ascending(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def _itm_payoff_ascending(w_t, p: ModelParams, out) -> tuple[np.ndarray, np.ndarray]:
     """_itm_payoff for an ascending W_T, whose in-the-money draws are a suffix.
 
-    The draws with H > 0 are the same as _itm_payoff's, element for
-    element, for any W_T: a payoff whose positive values are not a
-    suffix goes to _itm_payoff.
+    H is computed in `out`.  The draws with H > 0 are the same as
+    _itm_payoff's, element for element, for any W_T: a payoff whose
+    positive values are not a suffix goes to _itm_payoff.
     """
-    h = price_from_brownian(w_t, p.t_expiry, p)
+    h = price_from_brownian(w_t, p.t_expiry, p, out=out)
     h -= p.strike
     first = h.size - int(np.count_nonzero(h > 0.0))
     if not (h[first:] > 0.0).all():
@@ -210,16 +224,22 @@ def _interval_blocks(signal: IntervalIndicator, draws: SignalDraws, p: ModelPara
 
 
 def _write_d(signal: SignalSpec, draws: SignalDraws, p: ModelParams, e_qg_h: float,
-             out: np.ndarray, m: int) -> int:
+             out: np.ndarray, m: int, work: np.ndarray | None) -> int:
     """Map one block of draws to W_T and write D of its in-the-money draws into out[m:].
 
-    The one definition of D: D = H * (Z_T / p_T^G) / E_QG[H] in that
-    operation order, elementwise, so each value equals the one the
-    full-sample formula gives; every other draw has D = 0 exactly.
-    Returns the end of the values written.
+    The one definition of D: D = H * dQ_G/dP / E_QG[H] in that operation
+    order, elementwise, with dQ_G/dP from qg_density_point for a point
+    signal and Z_T / p_T^G for an interval signal, so each value equals
+    the one the full-sample formula gives; every other draw has D = 0
+    exactly.  A point block is computed in place in the rows of `work`,
+    each at least a block long: W_T, H and dQ_G/dP.  Returns the end of
+    the values written.
     """
-    if isinstance(signal, PointValue):
-        h, w_t = _itm_payoff_ascending(sample_point_conditional(signal.g_w, draws, p), p)
+    point = isinstance(signal, PointValue)
+    if point:
+        w_t, h, qg = work[:, :draws.z.size]
+        h, w_t = _itm_payoff_ascending(
+            sample_point_conditional(signal.g_w, draws, p, out=w_t), p, h)
     else:
         h, w_t = _itm_payoff(sample_indicator_conditional(signal, draws, p).w_t, p)
     if not h.size:
@@ -227,18 +247,17 @@ def _write_d(signal: SignalSpec, draws: SignalDraws, p: ModelParams, e_qg_h: flo
     if not e_qg_h > 0.0:
         raise ValueError(f"the call price at strike {p.strike:g} is {e_qg_h:g}, so "
                          f"D = H / E_QG[H] is undefined on the draws in the money")
-    if isinstance(signal, PointValue):
-        # p_T^G overflows to inf only at a far-out level (S = 1e6 in the default market,
-        # where the exact D is below 1e-300); D then comes out 0, an expected result
-        with np.errstate(over="ignore"):
-            p_g = density_point(signal.g_w, w_t, p.t_expiry, p)
-    else:
-        p_g = density_indicator(signal.observed, w_t, p.t_expiry, spec=signal, p=p)
-    qg = rn_density(w_t, p)
-    qg /= p_g
     d = out[m:m + h.size]
-    np.multiply(h, qg, out=d)
-    d /= e_qg_h
+    # a D beyond the float range comes out inf, which SortedD.from_sample refuses by
+    # name; one that underflows comes out 0 (far-out levels, where the exact D is tiny)
+    with np.errstate(over="ignore"):
+        if point:
+            qg = qg_density_point(w_t, signal.g_w, p, out=qg[:h.size])
+        else:
+            qg = rn_density(w_t, p)
+            qg /= density_indicator(signal.observed, w_t, p.t_expiry, spec=signal, p=p)
+        np.multiply(h, qg, out=d)
+        d /= e_qg_h
     return m + h.size
 
 
@@ -278,9 +297,14 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     del draws
     e_qg_h = bs_call_price(p)
     d = np.empty(n - lo)
+    # W_T, H and dQ_G/dP of a point block, reused by every block; allocated after d,
+    # which the view keeps, so that freeing them leaves no hole below it in the heap
+    work = np.empty((3, min(BLOCK_SIZE, n - lo))) if isinstance(signal, PointValue) else None
     m = 0
     for block in blocks:
-        m = _write_d(signal, block, p, e_qg_h, d, m)
+        m = _write_d(signal, block, p, e_qg_h, d, m, work)
         # gathered interval draws go before the next block is gathered and D is sorted
         del block
+    # the point block buffers go before D is sorted
+    del work
     return SortedD.from_sample(d if m == d.size else d[:m], e_qg_h, n)

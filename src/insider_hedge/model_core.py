@@ -83,9 +83,13 @@ class BrownianPair(NamedTuple):
     w_tdelta: np.ndarray
 
 
-def price_from_brownian(w, t, p: ModelParams):
-    """Stock level at time t for Brownian value w."""
-    return p.s0 * np.exp(p.sigma * w + (p.mu - 0.5 * p.sigma**2) * t)
+def price_from_brownian(w, t, p: ModelParams, out=None):
+    """Stock level at time t for Brownian value w, written into `out` when given."""
+    s = np.multiply(w, p.sigma, out=out)
+    s += (p.mu - 0.5 * p.sigma**2) * t
+    s = np.exp(s, out=out)
+    s *= p.s0
+    return s
 
 
 def brownian_from_price(s, t, p: ModelParams):

@@ -104,10 +104,12 @@ def _running_sums(carry, seg: np.ndarray, stride: int, out=None) -> np.ndarray:
     in as the first term of each cumsum, never added after it: np.cumsum's, bit for bit."""
     run = (np.empty(seg.size + 1) if out is None else out)[:seg.size + 1]
     rows = np.empty((seg.size // stride + 1, 2))
-    for col, factor in enumerate((1.0, seg)):  # D * 1.0 is D exactly
-        run[0] = carry[col]
-        np.multiply(seg, factor, out=run[1:])
-        rows[:, col] = np.cumsum(run, out=run)[::stride]
+    # a sum beyond the float range comes out inf, which from_sample refuses
+    with np.errstate(over="ignore"):
+        for col, factor in enumerate((1.0, seg)):  # D * 1.0 is D exactly
+            run[0] = carry[col]
+            np.multiply(seg, factor, out=run[1:])
+            rows[:, col] = np.cumsum(run, out=run)[::stride]
     return rows
 
 
@@ -140,7 +142,8 @@ class SortedD:
         copied, and an owned sorted float array is kept without a copy.
         build_batch hands over its buffer of D that way when the buffer
         comes out full and sorted, so D is never held twice.  The view's
-        arrays are read-only, the kept input included.
+        arrays are read-only, the kept input included.  A negative or NaN
+        D, or sums of D or D^2 beyond the float range, raise ValueError.
         """
         d = np.asarray(d_star, dtype=float)
         if not (d[1:] >= d[:-1]).all():
@@ -162,6 +165,11 @@ class SortedD:
             seg = d[j * _STRIDE:j * _STRIDE + _CHUNK]
             marks[j:j + seg.size // _STRIDE + 1] = _running_sums(marks[j], seg, _STRIDE, buf)
         view = cls(d, marks, n, e_qg_h)
+        # D >= 0, so the sums are nondecreasing: the last ones bound every other
+        total = view.sums(d.size - 1) if d.size else (0.0, 0.0)
+        if not all(map(math.isfinite, total)):
+            raise ValueError(f"the sums of D and D^2 over the sample are {total[0]:g} and "
+                             f"{total[1]:g}: D exceeds the float range")
         for a in (view.d, view.marks):
             a.flags.writeable = False
         return view

@@ -528,3 +528,47 @@ class TestIntervalHedgeInputs:
             assert success >= 1.0 - value - 1e-6, argv
         else:
             assert alpha <= value + 1e-6, argv
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda x: 10.0**x)
+
+
+class TestPointHedgeInputs:
+    """Every point hedge input is solved or refused in one line, however far out D lies."""
+
+    @settings(max_examples=150, deadline=None)
+    # Z_T alone overflows, where the one exponent of Z_T / p_T^G does not
+    @example(0.8686130534700429, 0.034348411566694374, 828.428416567369, 0.0,
+             0.0763759843737762, 3.486669137949987e-05, 0.0010243877474175982,
+             "bridge_exact", "epsilon", 0.9748208831185561, 31)
+    # D itself exceeds the float range in the shift recipe
+    @example(0.26338208918985906, 0.0030798744728391812, 57.150377159395035, 0.0,
+             0.0005585073151377548, 6.292917248984516, 35.046858060215754,
+             "paper_shift", "alpha", 0.1283116287622934, 17)
+    @given(st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
+           log_uniform(1e-3, 10.0), log_uniform(1e-3, 1e4),
+           st.one_of(st.just(0.0), log_uniform(1e-3, 1e5)),
+           log_uniform(1e-4, 30.0), log_uniform(1e-5, 10.0), log_uniform(1e-3, 1e6),
+           st.sampled_from(["bridge_exact", "paper_shift"]),
+           st.sampled_from(["epsilon", "alpha"]), st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_solved_or_one_error_line(self, mu, sigma, s0, strike, t_expiry, delta, level,
+                                      mode, target, value, seed):
+        argv = ["hedge", f"--mu={mu!r}", f"--sigma={sigma!r}", f"--s0={s0!r}",
+                f"--strike={strike!r}", f"--t-expiry={t_expiry!r}", f"--delta={delta!r}",
+                f"--level={level!r}", "--mode", mode, f"--{target}", repr(value),
+                "--n-paths", "2000", "--seed", str(seed)]
+        status, out, err = run_main(argv)
+        if status == 1:
+            [line] = err.splitlines()
+            assert line.startswith("error: ") and out == "", argv
+            return
+        assert status == 0, argv
+        fields = dict(line.split(" = ", 1) for line in out.splitlines())
+        alpha, success = float(fields["alpha"]), float(fields["success_prob"])
+        assert 0.0 <= alpha <= 1.0 and 0.0 <= success <= 1.0, argv
+        if target == "epsilon":
+            assert success >= 1.0 - value - 1e-6, argv
+        else:
+            assert alpha <= value + 1e-6, argv

@@ -64,18 +64,22 @@ def seeded_batch(signal, mode, n, p, seed, workers=1):
 
 def independent_d(signal, draws, p) -> np.ndarray:
     """D of every draw, zeros included, in draw order, from the public model and
-    signal functions: H * (Z_T / p_T^G) / E_QG[H] where H > 0, else 0."""
+    signal functions: H * dQ_G/dP / E_QG[H] where H > 0, else 0, with dQ_G/dP
+    from qg_density_point for a point signal and Z_T / p_T^G for an interval."""
     if isinstance(signal, IntervalIndicator):
         w_t = sample_indicator_conditional(signal, draws, p).w_t
         p_g = density_indicator(signal.observed, w_t, p.t_expiry, signal, p)
     else:
         w_t = sample_point_conditional(signal.g_w, draws, p)
-        p_g = density_point(signal.g_w, w_t, p.t_expiry, p)
     h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
     # out of the money, D = 0 without dividing: E_QG[H] itself is 0 for a far strike
     itm = h > 0.0
+    if isinstance(signal, IntervalIndicator):
+        qg = rn_density(w_t[itm], p) / p_g[itm]
+    else:
+        qg = qg_density_point(w_t[itm], signal.g_w, p)
     d = np.zeros(h.size)
-    d[itm] = h[itm] * (rn_density(w_t[itm], p) / p_g[itm]) / bs_call_price(p)
+    d[itm] = h[itm] * qg / bs_call_price(p)
     return d
 
 
@@ -226,8 +230,8 @@ class TestSortedPointDraws:
         def knocked_out(w):
             return np.floor(w * 1e6) % 7 == 0
 
-        def holed_price(w, t, p):
-            s = price_from_brownian(w, t, p)
+        def holed_price(w, t, p, out=None):
+            s = price_from_brownian(w, t, p, out=out)
             s[knocked_out(w)] = 0.0
             return s
 
@@ -237,7 +241,7 @@ class TestSortedPointDraws:
         assert_sorted_view_of(build_batch(sig, draws, params), d)
 
     def test_far_out_level_overflows_quietly_to_zero_d(self, params):
-        # p_T^G overflows to inf at S = 1e6; every D is then 0 and no warning escapes
+        # the exact D at S = 1e6 is below 1e-300: every D underflows to 0 and no warning escapes
         sig = point_signal_from_price(1e6, params)
         for mode in ConditioningMode:
             view = build_batch(sig, draw_point(mode, 2000, seed=1), params)
@@ -409,9 +413,9 @@ class TestBlocks:
         draws = SignalDraws(np.sort(z), mode=mode)
         sampled = []
 
-        def counted(g_w, d, q):
+        def counted(g_w, d, q, out=None):
             sampled.append(d.z.size)
-            return sample_point_conditional(g_w, d, q)
+            return sample_point_conditional(g_w, d, q, out=out)
 
         monkeypatch.setattr(measure_engine, "sample_point_conditional", counted)
         view = build_batch(sig, draws, params)

@@ -295,6 +295,14 @@ class TestSortedView:
         with pytest.raises(ValueError, match="nonnegative and not NaN"):
             SortedD.from_sample(bad, 1.0)
 
+    @pytest.mark.parametrize("bad", [[0.5, INF], [1e200, 1e200], [0.0, 1e308, 1e308],
+                                     [1.0] * (3 * _STRIDE) + [1e155]])
+    def test_rejects_sums_beyond_the_float_range(self, bad):
+        # an infinite D, D^2 past the float range, and a sum of D past it, each with no
+        # numpy warning; in the last, only the stride after the last mark overflows
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            SortedD.from_sample(bad, 1.0)
+
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ValueError, match="empty batch"):
             SortedD.from_sample([], 1.0)
