@@ -37,7 +37,6 @@ from .model_core import (
     rn_density,
 )
 from .np_solver import (
-    AtomGapWarning,
     HedgePlan,
     SortedD,
     alpha_from_k,

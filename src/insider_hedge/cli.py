@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
@@ -40,7 +39,7 @@ from .insider_signal import (
 )
 from .measure_engine import build_batch
 from .model_core import ModelParams, bs_call_price
-from .np_solver import AtomGapWarning, HedgePlan, make_hedge_plan
+from .np_solver import HedgePlan, make_hedge_plan
 from .rng import derive_seed
 from .tree_oracle import (
     achievable_levels,
@@ -132,28 +131,22 @@ class CellResult:
     flags: str
 
 
-def _plan(view, **target) -> tuple[HedgePlan, list]:
-    """make_hedge_plan, with the warnings it raises (every AtomGapWarning) returned, not shown."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AtomGapWarning)
-        plan = make_hedge_plan(view, **target)
-    return plan, caught
+def _plan_row(view, epsilons) -> list[HedgePlan]:
+    """One plan per epsilon on one sorted view of D."""
+    return [make_hedge_plan(view, epsilon=epsilon) for epsilon in epsilons]
 
 
-def _plan_row(view, epsilons) -> list[tuple[HedgePlan, list[str]]]:
-    """(plan, flags) per epsilon on one sorted view of D."""
-    row = []
-    for epsilon in epsilons:
-        plan, caught = _plan(view, epsilon=epsilon)
-        flags = ["atom_gap"] if any(issubclass(w.category, AtomGapWarning) for w in caught) else []
-        if plan.alpha < 2.0 * plan.mc_stderr_alpha:
-            flags.append("below_se_floor")
-        row.append((plan, flags))
-    return row
+def _cell(descriptor: str, epsilon: float, plan: HedgePlan, n_paths: int, mode: str,
+          mode_disagree: bool = False) -> CellResult:
+    """One table cell, and the one place its flags are set.
 
-
-def _cell(descriptor: str, epsilon: float, plan: HedgePlan, flags: list[str],
-          n_paths: int, mode: str) -> CellResult:
+    In this order: atom_gap when the plan names an atom gap,
+    below_se_floor when alpha is below twice its standard error, and
+    mode_disagree as run_table_point found it.
+    """
+    flags = [flag for flag, on in (("atom_gap", plan.atom_gap),
+                                   ("below_se_floor", plan.alpha < 2.0 * plan.mc_stderr_alpha),
+                                   ("mode_disagree", mode_disagree)) if on]
     return CellResult(
         signal=descriptor,
         epsilon=epsilon,
@@ -191,15 +184,12 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
                      for signal in signals])
     cells: list[CellResult] = []
     for level, bridge_row, shift_row in zip(config.levels, *rows):
-        for epsilon, (b_plan, b_flags), (s_plan, s_flags) in zip(config.epsilons,
-                                                                  bridge_row, shift_row):
-            gap = abs(b_plan.alpha - s_plan.alpha)
+        for epsilon, b_plan, s_plan in zip(config.epsilons, bridge_row, shift_row):
             band = 3.0 * math.hypot(b_plan.mc_stderr_alpha, s_plan.mc_stderr_alpha)
-            for mode, plan, flags in ((modes[0], b_plan, b_flags), (modes[1], s_plan, s_flags)):
-                if gap > band:
-                    flags = flags + ["mode_disagree"]
-                cells.append(_cell(f"S={level:g}", epsilon, plan, flags,
-                                   config.n_paths, mode.value))
+            disagree = abs(b_plan.alpha - s_plan.alpha) > band
+            for mode, plan in zip(modes, (b_plan, s_plan)):
+                cells.append(_cell(f"S={level:g}", epsilon, plan, config.n_paths,
+                                   mode.value, disagree))
     return cells
 
 
@@ -225,9 +215,8 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
         descriptor = f"S=[{lo:g}..{hi:g}]"
         # as in run_table_point, the view of D is released once its row is planned
         row = _plan_row(build_batch(signal, draws, config.model), config.epsilons)
-        for epsilon, (plan, flags) in zip(config.epsilons, row):
-            cells.append(_cell(descriptor, epsilon, plan, flags,
-                               config.n_paths, "rejection"))
+        for epsilon, plan in zip(config.epsilons, row):
+            cells.append(_cell(descriptor, epsilon, plan, config.n_paths, "rejection"))
     return cells
 
 
@@ -347,14 +336,14 @@ def write_cells(cells: list[CellResult], path: str, fmt: str) -> None:
 def render_cells(cells: list[CellResult]) -> str:
     """Aligned human-readable table.
 
-    Cells whose alpha sits below twice its standard error are printed
-    with the "<" sentinel (mirroring the source tables' "<0.01" style);
-    the machine outputs always keep the numeric value plus a flag.
+    Cells flagged below_se_floor are printed with the "<" sentinel at
+    twice their standard error (mirroring the source tables' "<0.01"
+    style); the machine outputs always keep the numeric value plus a flag.
     """
     header = f"{'signal':>16} {'eps':>5} {'mode':>13} {'alpha':>10} {'stderr':>9} {'success':>8} flags"
     lines = [header]
     for c in cells:
-        if c.alpha < 2.0 * c.alpha_stderr:
+        if "below_se_floor" in c.flags.split("|"):
             alpha_txt = f"<{2.0 * c.alpha_stderr:.2g}"
         else:
             alpha_txt = f"{c.alpha:.4f}"
@@ -564,9 +553,9 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         # no reference to the draws is kept here, so build_batch can free them early
         view = build_batch(signal, draw(config.n_paths, config.seed, workers=config.workers),
                            config.model)
-        plan, caught = _plan(view, epsilon=args.epsilon, alpha=args.alpha)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
+        plan = make_hedge_plan(view, epsilon=args.epsilon, alpha=args.alpha)
+        if plan.atom_gap:
+            print(f"warning: {plan.atom_gap}", file=sys.stderr)
         for name in ("k", "alpha", "success_prob", "initial_capital",
                      "mc_stderr_alpha", "mc_stderr_success"):
             print(f"{name} = {_fmt_num(getattr(plan, name))}")

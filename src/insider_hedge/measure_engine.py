@@ -105,8 +105,10 @@ def qg_density_point(w_t, g_w, p: ModelParams, out=None):
 
 
 def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
-    """dQ_G/dP at the horizon for the indicator signal: Z_T / p_T^G."""
-    return rn_density(w_t, p) / density_indicator(spec.observed, w_t, p.t_expiry, spec, p)
+    """dQ_G/dP at the horizon for the indicator signal: Z_T / p_T^G, divided in place."""
+    qg = rn_density(w_t, p)
+    qg /= density_indicator(spec.observed, w_t, p.t_expiry, spec, p)
+    return qg
 
 
 def _itm_payoff(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -229,11 +231,11 @@ def _write_d(signal: SignalSpec, draws: SignalDraws, p: ModelParams, e_qg_h: flo
 
     The one definition of D: D = H * dQ_G/dP / E_QG[H] in that operation
     order, elementwise, with dQ_G/dP from qg_density_point for a point
-    signal and Z_T / p_T^G for an interval signal, so each value equals
-    the one the full-sample formula gives; every other draw has D = 0
-    exactly.  A point block is computed in place in the rows of `work`,
-    each at least a block long: W_T, H and dQ_G/dP.  Returns the end of
-    the values written.
+    signal and qg_density_indicator for an interval signal, so each value
+    equals the one the full-sample formula gives; every other draw has
+    D = 0 exactly.  A point block is computed in place in the rows of
+    `work`, each at least a block long: W_T, H and dQ_G/dP.  Returns the
+    end of the values written.
     """
     point = isinstance(signal, PointValue)
     if point:
@@ -254,8 +256,7 @@ def _write_d(signal: SignalSpec, draws: SignalDraws, p: ModelParams, e_qg_h: flo
         if point:
             qg = qg_density_point(w_t, signal.g_w, p, out=qg[:h.size])
         else:
-            qg = rn_density(w_t, p)
-            qg /= density_indicator(signal.observed, w_t, p.t_expiry, spec=signal, p=p)
+            qg = qg_density_indicator(w_t, signal, p)
         np.multiply(h, qg, out=d)
         d /= e_qg_h
     return m + h.size

@@ -23,14 +23,13 @@ bit for bit.  Every out-of-the-money draw has D = 0, which lies in every
 success set {D <= k}; the view keeps only the positive D and counts this
 zero atom, so ranks and counts on the full sample are offsets into the
 positive part.  Atoms of D can make an exact hit of either target
-impossible; the solvers then return the conservative level and report
-the attained value next to the target (a warning, never an error).
+impossible; the solvers then return the conservative level, and the
+plan says so in its atom_gap field, next to the attained value.
 """
 from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,17 +38,12 @@ import numpy as np
 __all__ = [
     "SortedD",
     "HedgePlan",
-    "AtomGapWarning",
     "solve_k_for_epsilon",
     "alpha_from_k",
     "success_prob_from_k",
     "solve_k_for_alpha",
     "make_hedge_plan",
 ]
-
-
-class AtomGapWarning(UserWarning):
-    """An atom of D prevented hitting the requested level exactly."""
 
 
 class AlphaEstimate(NamedTuple):
@@ -73,7 +67,9 @@ class HedgePlan:
 
     Exactly one of epsilon_target / alpha_target is set.  The knockout
     payoff H*1{D <= k} is what the reduced-capital strategy replicates;
-    initial_capital = alpha * E_QG[H].
+    initial_capital = alpha * E_QG[H].  atom_gap is empty when the target
+    was reached; otherwise it names the atom of D in the way and the
+    attained level ("atom at k=..." or "atom above k=...").
     """
 
     k: float
@@ -85,6 +81,7 @@ class HedgePlan:
     knockout_payoff: str
     epsilon_target: float | None = None
     alpha_target: float | None = None
+    atom_gap: str = ""
 
     def __post_init__(self) -> None:
         if (self.epsilon_target is None) == (self.alpha_target is None):
@@ -261,42 +258,30 @@ def make_hedge_plan(view: SortedD, *, epsilon: float | None = None,
                     alpha: float | None = None) -> HedgePlan:
     """Solve for the given target and package the result.
 
-    Warns with AtomGapWarning when an atom of D makes the attained level
-    differ from the target by more than the sample granularity.
+    When an atom of D makes the attained level differ from the target by
+    more than the sample granularity, the plan's atom_gap says how.
     """
     if (epsilon is None) == (alpha is None):
         raise ValueError("pass exactly one of epsilon= / alpha=")
+    atom_gap = ""
     if epsilon is not None:
         k = solve_k_for_epsilon(view, epsilon)
-        succ = success_prob_from_k(view, k)
-        a = alpha_from_k(view, k)
         # a tie group extending past the requested rank means the target
         # success level is not attainable exactly
-        rank = _epsilon_rank(view.n, epsilon)
-        if rank >= 1 and view.count(k) > rank:
-            warnings.warn(
-                f"atom at k={k:.6g}: success probability {succ.prob:.6g} attained "
-                f"for target {1.0 - epsilon:.6g}",
-                AtomGapWarning,
-                stacklevel=2,
-            )
+        count, rank = view.count(k), _epsilon_rank(view.n, epsilon)
+        if rank >= 1 and count > rank:
+            atom_gap = (f"atom at k={k:.6g}: success probability {count / view.n:.6g} "
+                        f"attained for target {1.0 - epsilon:.6g}")
     else:
         k, attained = solve_k_for_alpha(view, alpha)
-        succ = success_prob_from_k(view, k)
-        a = alpha_from_k(view, k)
-        # on an atom-free sample the unattained budget is below the next
-        # order statistic's contribution; a larger gap means a tie group
-        # straddles the target (the next order statistic above k >= 0 is
-        # always positive)
-        d = view.d
-        nxt = int(np.searchsorted(d, k, side="right"))
-        if nxt < d.size and alpha - attained >= float(d[nxt]) / view.n - 1e-15:
-            warnings.warn(
-                f"atom above k={k:.6g}: budget {attained:.6g} attained "
-                f"for target {alpha:.6g}",
-                AtomGapWarning,
-                stacklevel=2,
-            )
+        # the solver stopped short of a value it could afford on its own: the tie
+        # group of the next value above k straddles the budget
+        nxt = int(np.searchsorted(view.d, k, side="right"))
+        if nxt < view.d.size and view.sums(nxt)[0] / view.n <= alpha:
+            atom_gap = (f"atom above k={k:.6g}: budget {attained:.6g} attained "
+                        f"for target {alpha:.6g}")
+    succ = success_prob_from_k(view, k)
+    a = alpha_from_k(view, k)
     return HedgePlan(
         k=k,
         alpha=a.alpha,
@@ -307,4 +292,5 @@ def make_hedge_plan(view: SortedD, *, epsilon: float | None = None,
         knockout_payoff=f"H*1{{D <= {k:.6g}}}",
         epsilon_target=epsilon,
         alpha_target=alpha,
+        atom_gap=atom_gap,
     )

@@ -362,6 +362,15 @@ class TestCommandLine:
         assert "cli.py" not in line and "make_hedge_plan" not in line
         assert "success_prob = " in proc.stdout
 
+    @pytest.mark.parametrize("alpha", ["0", "1e-300"])
+    def test_hedge_alpha_target_without_atom_writes_no_warning(self, alpha):
+        # the next D above k = 0 costs more than the budget: no atom is in the way
+        proc = run_cli("hedge", "--level", "300", "--alpha", alpha,
+                       "--n-paths", "20000", "--seed", "3")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "k = 0\n" in proc.stdout
+
     def test_hedge_rejects_nonpositive_workers(self):
         for workers in ("0", "-2"):
             proc = run_cli("hedge", "--level", "110", "--epsilon", "0.1",

@@ -2,7 +2,6 @@ import bisect
 import dataclasses
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insider_hedge import (
-    AtomGapWarning,
     alpha_from_k,
     interval_signal_from_prices,
     make_hedge_plan,
@@ -224,17 +222,29 @@ class TestMakeHedgePlan:
         assert plan.alpha == pytest.approx(0.7 / 4)
 
     def test_atom_gap_warns_not_errors(self):
-        with pytest.warns(AtomGapWarning):
-            plan = make_hedge_plan(TREE_G1, epsilon=0.25)
+        plan = make_hedge_plan(TREE_G1, epsilon=0.25)
+        assert plan.atom_gap == "atom at k=2: success probability 1 attained for target 0.75"
         # conservative side: attained success exceeds the 0.75 target
         assert plan.success_prob == 1.0
         assert plan.alpha == 1.0
 
     def test_no_warning_when_target_attainable(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", AtomGapWarning)
-            plan = make_hedge_plan(TREE_G1, epsilon=0.5)
+        plan = make_hedge_plan(TREE_G1, epsilon=0.5)
+        assert plan.atom_gap == ""
         assert plan.k == 0.0 and plan.alpha == 0.0 and plan.success_prob == 0.5
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300])
+    def test_no_alpha_gap_without_an_atom(self, alpha):
+        # the next value's share 5e-21 is above the budget, with no atom in the way
+        plan = make_hedge_plan(synthetic_batch([1e-20, 0.5]), alpha=alpha)
+        assert (plan.k, plan.alpha) == (0.0, 0.0)
+        assert plan.atom_gap == ""
+
+    def test_alpha_gap_on_a_tie_group_straddling_the_budget(self):
+        # 0.2 + 0.5 fits the budget 0.3 * 3; the tie group of 0.5 as a whole does not
+        plan = make_hedge_plan(synthetic_batch([0.2, 0.5, 0.5]), alpha=0.3)
+        assert plan.k == 0.2
+        assert plan.atom_gap == "atom above k=0.2: budget 0.0666667 attained for target 0.3"
 
     def test_requires_exactly_one_target(self):
         with pytest.raises(ValueError):
@@ -320,11 +330,8 @@ def _solutions(batch, targets) -> list[str]:
                          success_prob_from_k(batch, k_eps), alpha_from_k(batch, k_alpha.k),
                          success_prob_from_k(batch, k_alpha.k))))
         for kind in ("epsilon", "alpha"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", AtomGapWarning)
-                plan = make_hedge_plan(batch, **{kind: target})
-            gap = [w.category is AtomGapWarning for w in caught]
-            out.append(repr((plan, gap)))
+            # the plan's repr holds its atom_gap message
+            out.append(repr(make_hedge_plan(batch, **{kind: target})))
     return out
 
 
@@ -551,7 +558,5 @@ class TestZeroAtomEquivalence:
         targets = [0.0, 0.01, 0.1, 0.5, 1.0]
         assert _solutions(batch, targets) == _solutions(full, targets)
         if zeros == "all":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", AtomGapWarning)
-                plan = make_hedge_plan(batch, epsilon=0.1)
+            plan = make_hedge_plan(batch, epsilon=0.1)
             assert (plan.k, plan.alpha, plan.success_prob) == (0.0, 0.0, 1.0)
