@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
@@ -79,7 +79,12 @@ DEFAULT_CONFIG_KEYS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One table run: market, signal grid, epsilon grid, sampling budget."""
+    """One table run: market, signal grid, epsilon grid, sampling budget.
+
+    Each table checks its own grid when it runs: run_table_point the
+    levels, run_table_indicator the intervals.  signal_kind is read by
+    no command.
+    """
 
     model: ModelParams
     signal_kind: str = "point"
@@ -102,10 +107,6 @@ class RunConfig:
             raise ValueError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.signal_kind not in ("point", "interval"):
             raise ValueError(f"signal_kind must be point or interval, got {self.signal_kind}")
-        if self.signal_kind == "point" and not self.levels:
-            raise ValueError("empty level grid")
-        if self.signal_kind == "interval" and not self.intervals:
-            raise ValueError("empty interval grid")
         if not self.epsilons:
             raise ValueError("empty epsilon grid")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
@@ -173,6 +174,8 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     differ by more than 3 combined standard errors carry the
     mode_disagree flag.
     """
+    if not config.levels:
+        raise ValueError("empty level grid")
     modes = (ConditioningMode.BRIDGE_EXACT, ConditioningMode.PAPER_SHIFT)
     signals = [point_signal_from_price(level, config.model) for level in config.levels]
     rows = []
@@ -204,6 +207,8 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     ValueError before anything is drawn, which ends the run.  The mode
     column keeps the label "rejection" for output-format compatibility.
     """
+    if not config.intervals:
+        raise ValueError("empty interval grid")
     signals = [interval_signal_from_prices(lo, hi, config.model, observed=1)
                for lo, hi in config.intervals]
     # as in hedge, a signal of probability 0 is refused before the 2n draws are filled
@@ -568,7 +573,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "table-point":
         cells = run_table_point(config)
     else:
-        cells = run_table_indicator(replace(config, signal_kind="interval"))
+        cells = run_table_indicator(config)
     if config.output:
         write_cells(cells, config.output, config.fmt)
         print(f"wrote {len(cells)} cells to {config.output}", file=sys.stderr)

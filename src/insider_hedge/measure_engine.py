@@ -128,8 +128,9 @@ def _itm_payoff_ascending(w_t, p: ModelParams, out) -> tuple[np.ndarray, np.ndar
     """
     h = price_from_brownian(w_t, p.t_expiry, p, out=out)
     h -= p.strike
-    first = h.size - int(np.count_nonzero(h > 0.0))
-    if not (h[first:] > 0.0).all():
+    itm = h > 0.0
+    first = h.size - int(np.count_nonzero(itm))
+    if not itm[first:].all():
         return _itm_payoff(w_t, p)
     return h[first:], w_t[first:]
 

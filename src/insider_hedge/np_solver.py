@@ -93,21 +93,28 @@ class HedgePlan:
 
 
 _STRIDE = 4096  # values between two marks
-_CHUNK = 1 << 16  # values summed per pass of from_sample, a multiple of _STRIDE
+_PASS = 1 << 15  # values summed per pass of from_sample, a multiple of _STRIDE
+_CHUNK = 2 * _PASS  # floats in the pass's buffer of (D, D^2) pairs, about 512 KiB
 
 
 def _running_sums(carry, seg: np.ndarray, stride: int, out=None) -> np.ndarray:
     """Sums of D and D^2 before seg[0], seg[stride], ... (after seg at len(seg)), carried
-    in as the first term of each cumsum, never added after it: np.cumsum's, bit for bit."""
-    run = (np.empty(seg.size + 1) if out is None else out)[:seg.size + 1]
-    rows = np.empty((seg.size // stride + 1, 2))
+    in as the first term of the cumsum, never added after it: np.cumsum's, bit for bit.
+
+    One cumsum runs over a complex buffer of (D, D^2) pairs, here seen as rows of two
+    floats.  Complex addition rounds each part on its own, so the parts are the cumsums
+    of D and of D^2, in about the time of one.  out is a complex buffer of at least
+    len(seg) + 1 values; the rows returned are a view of it.
+    """
+    run = (np.empty(seg.size + 1, complex) if out is None else out)[:seg.size + 1]
+    pairs = run.view(float).reshape(-1, 2)
+    pairs[0] = carry
+    pairs[1:, 0] = seg
     # a sum beyond the float range comes out inf, which from_sample refuses
     with np.errstate(over="ignore"):
-        for col, factor in enumerate((1.0, seg)):  # D * 1.0 is D exactly
-            run[0] = carry[col]
-            np.multiply(seg, factor, out=run[1:])
-            rows[:, col] = np.cumsum(run, out=run)[::stride]
-    return rows
+        np.multiply(seg, seg, out=pairs[1:, 1])
+        np.cumsum(run, out=run)
+    return pairs[::stride]
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,8 @@ class SortedD:
         comes out full and sorted, so D is never held twice.  The view's
         arrays are read-only, the kept input included.  A negative or NaN
         D, or sums of D or D^2 beyond the float range, raise ValueError.
+        The marks are summed in passes of 2^15 values, each one complex
+        cumsum of (D, D^2) through one reused buffer.
         """
         d = np.asarray(d_star, dtype=float)
         if not (d[1:] >= d[:-1]).all():
@@ -157,16 +166,17 @@ class SortedD:
         if zeros or d.base is not None:
             d = d[zeros:].copy()
         marks = np.zeros((d.size // _STRIDE + 1, 2))
-        buf = np.empty(_CHUNK + 1)
-        for j in range(0, marks.shape[0], _CHUNK // _STRIDE):
-            seg = d[j * _STRIDE:j * _STRIDE + _CHUNK]
+        buf = np.empty(_PASS + 1, complex)
+        for j in range(0, marks.shape[0], _PASS // _STRIDE):
+            seg = d[j * _STRIDE:j * _STRIDE + _PASS]
             marks[j:j + seg.size // _STRIDE + 1] = _running_sums(marks[j], seg, _STRIDE, buf)
+        # D >= 0, so the sums are nondecreasing: the last ones, which end the last
+        # pass, bound every other
+        total = buf[seg.size]
+        if not np.isfinite(total):
+            raise ValueError(f"the sums of D and D^2 over the sample are {total.real:g} and "
+                             f"{total.imag:g}: D exceeds the float range")
         view = cls(d, marks, n, e_qg_h)
-        # D >= 0, so the sums are nondecreasing: the last ones bound every other
-        total = view.sums(d.size - 1) if d.size else (0.0, 0.0)
-        if not all(map(math.isfinite, total)):
-            raise ValueError(f"the sums of D and D^2 over the sample are {total[0]:g} and "
-                             f"{total[1]:g}: D exceeds the float range")
         for a in (view.d, view.marks):
             a.flags.writeable = False
         return view

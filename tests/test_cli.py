@@ -88,6 +88,20 @@ class TestConfigFile:
         assert line.startswith("error: ") and "signal.kind" in line
         assert proc.stdout == ""
 
+    def test_empty_level_grid_fails_only_the_point_table(self, tmp_path, capsys):
+        # the levels are read by table-point alone, so no other command refuses them
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text("signal.levels =\n")
+        for argv in (["price"],
+                     ["hedge", "--interval", "109:111", "--epsilon", "0.1", "--n-paths", "2000"],
+                     ["table-indicator", "--n-paths", "2000"]):
+            assert main([*argv, "--config", str(cfg)]) == 0, argv
+            out, err = capsys.readouterr()
+            assert out and err == "", argv
+        assert main(["table-point", "--config", str(cfg), "--n-paths", "2000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: empty level grid"]
+
     def test_env_var_supplies_default(self, tmp_path, monkeypatch):
         cfg = tmp_path / "env.cfg"
         cfg.write_text("sigma = 0.4\n")

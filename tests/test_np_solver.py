@@ -17,7 +17,7 @@ from insider_hedge import (
     solve_k_for_epsilon,
     success_prob_from_k,
 )
-from insider_hedge.np_solver import _CHUNK, _STRIDE, SortedD
+from insider_hedge.np_solver import _CHUNK, _PASS, _STRIDE, SortedD
 
 from test_measure_engine import independent_d, seeded_batch, seeded_draws
 
@@ -306,10 +306,11 @@ class TestSortedView:
             SortedD.from_sample(bad, 1.0)
 
     @pytest.mark.parametrize("bad", [[0.5, INF], [1e200, 1e200], [0.0, 1e308, 1e308],
-                                     [1.0] * (3 * _STRIDE) + [1e155]])
+                                     [1.0] * (3 * _STRIDE) + [1e155], [1.0] * _PASS + [1e155]])
     def test_rejects_sums_beyond_the_float_range(self, bad):
         # an infinite D, D^2 past the float range, and a sum of D past it, each with no
-        # numpy warning; in the last, only the stride after the last mark overflows
+        # numpy warning; in the fourth, only the stride after the last mark overflows,
+        # and in the last, only D^2 in the second pass of from_sample
         with pytest.raises(ValueError, match="exceeds the float range"):
             SortedD.from_sample(bad, 1.0)
 
@@ -377,8 +378,9 @@ def _brute_force_epsilon(d, epsilon: float) -> float:
     return float(d[rank - 1]) if rank else 0.0
 
 
-# sizes on either side of one mark stride and of one chunk, and several chunks
-MARK_SIZES = [1, 4095, 4096, 4097, 65535, 65536, 65537, 3 * 65536 + 5]
+# sizes on either side of one mark stride, of one pass of from_sample and of two,
+# and several passes
+MARK_SIZES = [1, 4095, 4096, 4097, 32767, 32768, 32769, 65535, 65536, 65537, 3 * 65536 + 5]
 
 
 def _reference_alpha(view, alpha: float) -> tuple[float, float]:
