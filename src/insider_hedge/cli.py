@@ -81,9 +81,10 @@ DEFAULT_CONFIG_KEYS = (
 class RunConfig:
     """One table run: market, signal grid, epsilon grid, sampling budget.
 
-    Each table checks its own grid when it runs: run_table_point the
-    levels, run_table_indicator the intervals.  signal_kind is read by
-    no command.
+    Each table checks what only the tables read when it runs, before
+    any draw: run_table_point the levels, run_table_indicator the
+    intervals, and both the epsilons and the format.  signal_kind is
+    read by no command.
     """
 
     model: ModelParams
@@ -107,12 +108,6 @@ class RunConfig:
             raise ValueError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.signal_kind not in ("point", "interval"):
             raise ValueError(f"signal_kind must be point or interval, got {self.signal_kind}")
-        if not self.epsilons:
-            raise ValueError("empty epsilon grid")
-        if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
-            raise ValueError("epsilons must lie in [0,1]")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -130,6 +125,16 @@ class CellResult:
     n_paths: int
     mode: str
     flags: str
+
+
+def _check_epsilons_and_format(config: RunConfig) -> None:
+    """Refuse a bad epsilon grid or output format: only the tables read them."""
+    if not config.epsilons:
+        raise ValueError("empty epsilon grid")
+    if any(not 0.0 <= e <= 1.0 for e in config.epsilons):
+        raise ValueError("epsilons must lie in [0,1]")
+    if config.fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {config.fmt}")
 
 
 def _plan_row(view, epsilons) -> list[HedgePlan]:
@@ -174,6 +179,7 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     differ by more than 3 combined standard errors carry the
     mode_disagree flag.
     """
+    _check_epsilons_and_format(config)
     if not config.levels:
         raise ValueError("empty level grid")
     modes = (ConditioningMode.BRIDGE_EXACT, ConditioningMode.PAPER_SHIFT)
@@ -207,6 +213,7 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     ValueError before anything is drawn, which ends the run.  The mode
     column keeps the label "rejection" for output-format compatibility.
     """
+    _check_epsilons_and_format(config)
     if not config.intervals:
         raise ValueError("empty interval grid")
     signals = [interval_signal_from_prices(lo, hi, config.model, observed=1)

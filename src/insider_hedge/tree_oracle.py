@@ -22,18 +22,28 @@ every depth, and so each identity is checked with exact equality.
 Each exact quantity is computed once.  The tree recombines: price,
 probabilities, z and P(G = g | node) depend on a path prefix only
 through its (ups, steps), so a market tabulates them once per node, the
-signal law by one backward recursion.  The equivalence condition is
-checked on the terminal labels before any rational arithmetic.  An
-AtomTable derives each signal value's conditional law of D and its
-threshold candidates once, from its own atoms, and the solvers read
-them.
+price, P, Q_F and z tables up to the horizon (nothing reads them beyond
+it) and the signal law by one backward recursion from the last period.
+The equivalence condition is checked on the terminal labels before any
+rational arithmetic.  An AtomTable derives each signal value's
+conditional law of D and its threshold candidates once, from its own
+atoms, and the solvers read them.
+
+The brute-force check sums subsets in integers: each law's conditional
+probabilities and costs are scaled by the lcm of their denominators, so
+every subset sum is an int and every comparison in the enumeration is
+an int comparison.  Scaling by a positive integer keeps order and
+equality, so the check stays exact.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 __all__ = [
@@ -140,12 +150,14 @@ class TreeMarket:
         self._cond = self._conditional_signal_probs()
 
     def _node_table(self, up: Fraction, down: Fraction, root: Fraction = Fraction(1)) -> dict:
-        """{(ups, steps): root * up^ups * down^(steps - ups)} for steps 0..periods.
+        """{(ups, steps): root * up^ups * down^(steps - ups)} for steps 0..hedge_horizon.
 
-        Built forward one step at a time, one product per node.
+        Built forward one step at a time, one product per node.  Every
+        reader of a node table stops at the horizon, so the nodes past it
+        are not built.
         """
         table = {(0, 0): root}
-        for t in range(1, self.periods + 1):
+        for t in range(1, self.hedge_horizon + 1):
             table[0, t] = table[0, t - 1] * down
             for j in range(1, t + 1):
                 table[j, t] = table[j - 1, t - 1] * up
@@ -472,36 +484,45 @@ def exact_quantile_hedge(table: AtomTable, g, *, epsilon=None, alpha=None) -> Ex
     if not isinstance(target, (int, Fraction)):
         raise TypeError(f"target must be an int or a Fraction, got {target!r}")
     cands = _of_signal_value(table._candidates, g)
+    # both columns are nondecreasing in k, so one bisection finds the candidate
     if epsilon is not None:
         if not 0 <= epsilon <= 1:
             raise ValueError("epsilon must be in [0,1]")
-        target = 1 - epsilon
-        sel = next((c for c in cands if c[1] >= target), cands[-1])
+        # the first candidate with P(D<=k) >= 1 - epsilon
+        i = bisect.bisect_left(cands, 1 - epsilon, key=itemgetter(1))
+        sel = cands[min(i, len(cands) - 1)]
     else:
         if not 0 <= alpha <= 1:
             raise ValueError("alpha must be in [0,1]")
-        affordable = [c for c in cands if c[2] <= alpha]
-        sel = affordable[-1] if affordable else cands[0]
+        # the last candidate with E[D 1{D<=k}] <= alpha, else the first
+        i = bisect.bisect_right(cands, alpha, key=itemgetter(2))
+        sel = cands[max(i - 1, 0)]
     k, cum_p, cum_cost = sel
     hit = (cum_p == 1 - epsilon) if epsilon is not None else (cum_cost == alpha)
     return ExactHedge(k=k, alpha=cum_cost, success_prob=cum_p, exact=bool(hit))
 
 
-def _subset_sums(law):
-    """(success probability, cost) of every subset of the law's atoms, one at a time.
+def _scaled(values) -> tuple:
+    """(the values times the lcm of their denominators, as ints; that lcm)."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
+def _subset_sums(atoms):
+    """(success, cost) of every subset of the (success, cost) int pairs, one at a time.
 
     The sums over each half of the atoms are listed, 2^(n/2) pairs
     apiece, and combined lazily, so memory stays small up to the bound.
     """
-    def listed(atoms):
-        sums = [(Fraction(0), Fraction(0))]
-        for _, d, pc in atoms:
-            sums += [(p_a + pc, cost + pc * d) for p_a, cost in sums]
+    def listed(part):
+        sums = [(0, 0)]
+        for p_atom, c_atom in part:
+            sums += [(p_a + p_atom, cost + c_atom) for p_a, cost in sums]
         return sums
 
-    half = len(law) // 2
-    for (p_head, c_head), (p_tail, c_tail) in itertools.product(listed(law[:half]),
-                                                                  listed(law[half:])):
+    half = len(atoms) // 2
+    for (p_head, c_head), (p_tail, c_tail) in itertools.product(listed(atoms[:half]),
+                                                                  listed(atoms[half:])):
         yield p_head + p_tail, c_head + c_tail
 
 
@@ -516,18 +537,29 @@ def exhaustive_optimality_check(table: AtomTable, g) -> tuple:
     win, so only achievable levels (the theorem's existence hypothesis)
     are checked.  Returns the failures, each naming g, the side and the
     level; empty when every level passes.
+
+    Success probabilities are summed in units of 1/p_scale and costs in
+    units of 1/c_scale, each the lcm of its column's denominators, so
+    every subset sum is an int.  A rational bound is rounded toward the
+    side that keeps each int comparison equal to the rational one.
     """
     law = conditional_law(table, g)
     if len(law) > ENUM_ATOM_LIMIT:
         raise ValueError(f"{len(law)} conditional atoms exceed the enumeration bound "
                          f"{ENUM_ATOM_LIMIT}")
+    probs, p_scale = _scaled([pc for _, _, pc in law])
+    costs, c_scale = _scaled([pc * d for _, d, pc in law])
     levels = achievable_levels(table, g)
-    best = [exact_quantile_hedge(table, g, alpha=budget).success_prob for _, budget in levels]
+    # p >= level iff p >= ceil(level); cost <= budget iff cost <= floor(budget);
+    # p > best iff p > floor(best)
+    bounds = [(math.ceil(level * p_scale), math.floor(budget * c_scale),
+               math.floor(exact_quantile_hedge(table, g, alpha=budget).success_prob * p_scale))
+              for level, budget in levels]
     beaten = [False] * len(levels)
     cheapest = [None] * len(levels)
-    for p_a, cost in _subset_sums(law):
-        for i, (level, budget) in enumerate(levels):
-            if cost <= budget and p_a > best[i]:
+    for p_a, cost in _subset_sums(tuple(zip(probs, costs))):
+        for i, (level, budget, best) in enumerate(bounds):
+            if cost <= budget and p_a > best:
                 beaten[i] = True
             if p_a >= level and (cheapest[i] is None or cost < cheapest[i]):
                 cheapest[i] = cost
@@ -535,7 +567,7 @@ def exhaustive_optimality_check(table: AtomTable, g) -> tuple:
     for (level, budget), over_budget, cost in zip(levels, beaten, cheapest):
         if over_budget:
             failures.append(f"budget optimality at g={g!r}, alpha={budget}")
-        if cost != exact_quantile_hedge(table, g, epsilon=1 - level).alpha:
+        if cost != exact_quantile_hedge(table, g, epsilon=1 - level).alpha * c_scale:
             failures.append(f"shortfall optimality at g={g!r}, 1-eps={level}")
     return tuple(failures)
 

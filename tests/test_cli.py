@@ -109,16 +109,39 @@ class TestConfigFile:
         config = build_config(_namespace())
         assert config.model.sigma == 0.4
 
-    def test_validation(self, params):
+    def test_validation(self, params, monkeypatch):
         with pytest.raises(ValueError, match="n_paths"):
             RunConfig(model=params, n_paths=10)
-        with pytest.raises(ValueError, match="epsilon"):
-            RunConfig(model=params, epsilons=(1.5,))
-        with pytest.raises(ValueError, match="format"):
-            RunConfig(model=params, fmt="xml")
         for workers in (0, -2):
             with pytest.raises(ValueError, match="workers"):
                 RunConfig(model=params, workers=workers)
+        # the epsilons and the format are checked by the tables, before any draw
+        monkeypatch.setattr(cli, "draw_point", _no_draw)
+        monkeypatch.setattr(cli, "draw_interval", _no_draw)
+        for run in (run_table_point, run_table_indicator):
+            with pytest.raises(ValueError, match="epsilons must lie in"):
+                run(RunConfig(model=params, epsilons=(1.5,)))
+            with pytest.raises(ValueError, match="empty epsilon grid"):
+                run(RunConfig(model=params, epsilons=()))
+            with pytest.raises(ValueError, match="format must be csv or json, got xml"):
+                run(RunConfig(model=params, fmt="xml"))
+
+    @pytest.mark.parametrize("key", ["epsilons = 2", "epsilons =", "format = xml"])
+    @pytest.mark.parametrize("argv", [
+        ["price"],
+        ["hedge", "--level", "110", "--epsilon", "0.1", "--n-paths", "2000"],
+    ], ids=["price", "hedge"])
+    def test_table_keys_do_not_fail_other_commands(self, tmp_path, capsys, argv, key):
+        # the epsilon grid and the format are read by the tables alone
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(key + "\n")
+        assert main([*argv, "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew before refusing the configuration")
 
 
 def _namespace(**kwargs):

@@ -443,6 +443,118 @@ class TestExhaustiveChecks:
             exhaustive_optimality_check(table, 1)
 
 
+def fraction_optimality_check(table, g) -> tuple:
+    """Independent reference for exhaustive_optimality_check: every subset summed in Fractions.
+
+    The enumeration the module ran before it summed subsets in integers.
+    It solves through tree_oracle.exact_quantile_hedge, so a patched
+    solver reaches it as it reaches the module's check.
+    """
+    solve = tree_oracle.exact_quantile_hedge
+    law = conditional_law(table, g)
+    levels = achievable_levels(table, g)
+    best = [solve(table, g, alpha=budget).success_prob for _, budget in levels]
+    beaten = [False] * len(levels)
+    cheapest = [None] * len(levels)
+    for subset in itertools.product((0, 1), repeat=len(law)):
+        chosen = [(d, pc) for bit, (_, d, pc) in zip(subset, law) if bit]
+        p_a = sum((pc for _, pc in chosen), F(0))
+        cost = sum((pc * d for d, pc in chosen), F(0))
+        for i, (level, budget) in enumerate(levels):
+            if cost <= budget and p_a > best[i]:
+                beaten[i] = True
+            if p_a >= level and (cheapest[i] is None or cost < cheapest[i]):
+                cheapest[i] = cost
+    failures = []
+    for (level, budget), over_budget, cost in zip(levels, beaten, cheapest):
+        if over_budget:
+            failures.append(f"budget optimality at g={g!r}, alpha={budget}")
+        if cost != solve(table, g, epsilon=1 - level).alpha:
+            failures.append(f"shortfall optimality at g={g!r}, 1-eps={level}")
+    return tuple(failures)
+
+
+SUITE_MARKETS = pytest.mark.parametrize(
+    "market", [reference_market, *(lambda seed=seed: random_market(seed) for seed in range(100))],
+    ids=["reference", *(f"random{seed}" for seed in range(100))])
+
+
+def near_tie_table():
+    """Three atoms given G = 0 where a non-threshold set costs 1/10^20 over a budget.
+
+    The threshold set {D <= 1/2} has success 1/4 at cost 1/8.  The set of
+    the second atom alone has success 1/4 + 1/10^20 at cost 1/8 + 1/10^20:
+    it is over that budget, by less than a float resolves.  E[D | G = 0] = 1.
+    """
+    tiny = F(1, 10**20)
+    law = ((F(1, 2), F(1, 4)),
+           ((F(1, 8) + tiny) / (F(1, 4) + tiny), F(1, 4) + tiny),
+           ((F(3, 4) - tiny) / (F(1, 2) - tiny), F(1, 2) - tiny))
+    base = build_atom_table(reference_market())
+    atoms = tuple(replace(base.atoms[0], prefix=(i,), g=0, prob=pc, d_star=d)
+                  for i, (d, pc) in enumerate(law))
+    return replace(base, atoms=atoms)
+
+
+class TestIntegerEnumeration:
+    @SUITE_MARKETS
+    def test_matches_fraction_reference(self, market):
+        table = build_atom_table(market())
+        for g in table.market.signal_values:
+            assert exhaustive_optimality_check(table, g) == fraction_optimality_check(table, g)
+
+    @pytest.mark.parametrize("target", ["alpha", "epsilon"])
+    @SUITE_MARKETS
+    def test_matches_fraction_reference_under_short_solver(self, short_solver, market, target):
+        table = build_atom_table(market())
+        short_solver(target)
+        caught = 0
+        for g in table.market.signal_values:
+            failures = exhaustive_optimality_check(table, g)
+            assert failures == fraction_optimality_check(table, g)
+            caught += len(failures)
+        assert caught
+
+    def test_cost_gap_of_one_in_ten_to_the_twenty(self):
+        table = near_tie_table()
+        (_, d1, p1), (_, d2, p2), _ = conditional_law(table, 0)
+        budget, over = p1 * d1, p2 * d2
+        assert over - budget == F(1, 10**20) and p2 > p1
+        # in floats the set over budget would tie with it and beat the solver
+        assert float(over) == float(budget)
+        assert sum(d * pc for _, d, pc in conditional_law(table, 0)) == 1
+        assert achievable_levels(table, 0)[1] == (F(1, 4), budget)
+        assert exhaustive_optimality_check(table, 0) == fraction_optimality_check(table, 0) == ()
+
+
+def linear_scan(table, g, *, epsilon=None, alpha=None):
+    """The solver's selection as a scan over every threshold candidate."""
+    cands = tree_oracle._threshold_candidates(conditional_law(table, g))
+    if epsilon is not None:
+        sel = next((c for c in cands if c[1] >= 1 - epsilon), cands[-1])
+    else:
+        affordable = [c for c in cands if c[2] <= alpha]
+        sel = affordable[-1] if affordable else cands[0]
+    k, cum_p, cum_cost = sel
+    hit = (cum_p == 1 - epsilon) if epsilon is not None else (cum_cost == alpha)
+    return tree_oracle.ExactHedge(k=k, alpha=cum_cost, success_prob=cum_p, exact=hit)
+
+
+class TestBisectedSolver:
+    @SUITE_MARKETS
+    def test_matches_linear_scan_around_every_candidate(self, market):
+        table = build_atom_table(market())
+        step = F(1, 10**9)
+        for g in table.market.signal_values:
+            for _, cum_p, cum_cost in tree_oracle._threshold_candidates(conditional_law(table, g)):
+                for name, value in (("epsilon", 1 - cum_p), ("alpha", cum_cost)):
+                    for target in (value - step, value, value + step, 0, 1):
+                        if not 0 <= target <= 1:
+                            continue
+                        assert (exact_quantile_hedge(table, g, **{name: target})
+                                == linear_scan(table, g, **{name: target})), (g, name, target)
+
+
 class TestRandomMarket:
     def test_negative_seed_rejected(self):
         # random.Random(-5) seeds like Random(5)
