@@ -408,8 +408,9 @@ def _parse_intervals(text: str) -> tuple:
     return tuple(out)
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """File options first, command-line flags override."""
+def _config_lookup(args: argparse.Namespace):
+    """pick(flag, key, cast, fallback): the flag when given, else the value of key in the
+    config file (--config, or $INSIDER_HEDGE_CONFIG) cast, else the fallback."""
     path = args.config or os.environ.get(ENV_CONFIG)
     opts = parse_config_file(path) if path else {}
 
@@ -420,7 +421,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             return cast(opts[key])
         return fallback
 
-    model = ModelParams(
+    return pick
+
+
+def _build_model(args: argparse.Namespace, pick) -> ModelParams:
+    return ModelParams(
         mu=pick(args.mu, "mu", float, 0.08),
         sigma=pick(args.sigma, "sigma", float, 0.25),
         s0=pick(args.s0, "s0", float, 100.0),
@@ -428,8 +433,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         t_expiry=pick(args.t_expiry, "t_expiry", float, 0.25),
         delta=pick(args.delta, "delta", float, 0.02),
     )
+
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """File options first, command-line flags override."""
+    pick = _config_lookup(args)
     return RunConfig(
-        model=model,
+        model=_build_model(args, pick),
         levels=pick(getattr(args, "levels", None), "signal.levels", _parse_floats, DEFAULT_LEVELS),
         intervals=pick(getattr(args, "intervals", None), "signal.intervals",
                        _parse_intervals, DEFAULT_INTERVALS),
@@ -533,8 +543,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if args.command == "price":
-        config = build_config(args)
-        print(_fmt_num(bs_call_price(config.model)))
+        # the market is all price reads, so no other key can refuse it
+        print(_fmt_num(bs_call_price(_build_model(args, _config_lookup(args)))))
         return 0
 
     if args.command == "hedge":

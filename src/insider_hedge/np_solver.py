@@ -19,10 +19,13 @@ probability.  Conventions on a finite sample:
 
 All solvers read the same view of D and its running sums, so the
 epsilon -> k -> alpha -> k round trip reproduces the original threshold
-bit for bit.  Every out-of-the-money draw has D = 0, which lies in every
-success set {D <= k}; the view keeps only the positive D and counts this
-zero atom, so ranks and counts on the full sample are offsets into the
-positive part.  Atoms of D can make an exact hit of either target
+bit for bit.  The running sums need no chain through every value: each
+stride of 4096 values is summed by numpy's pairwise reduction, and only
+the stride sums are added in sequence, one mark per stride.  Every
+out-of-the-money draw has D = 0, which lies in every success set
+{D <= k}; the view keeps only the positive D and counts this zero atom,
+so ranks and counts on the full sample are offsets into the positive
+part.  Atoms of D can make an exact hit of either target
 impossible; the solvers then return the conservative level, and the
 plan says so in its atom_gap field, next to the attained value.
 """
@@ -92,29 +95,8 @@ class HedgePlan:
             raise ValueError(f"success_prob out of [0,1]: {self.success_prob}")
 
 
-_STRIDE = 4096  # values between two marks
-_PASS = 1 << 15  # values summed per pass of from_sample, a multiple of _STRIDE
-_CHUNK = 2 * _PASS  # floats in the pass's buffer of (D, D^2) pairs, about 512 KiB
-
-
-def _running_sums(carry, seg: np.ndarray, stride: int, out=None) -> np.ndarray:
-    """Sums of D and D^2 before seg[0], seg[stride], ... (after seg at len(seg)), carried
-    in as the first term of the cumsum, never added after it: np.cumsum's, bit for bit.
-
-    One cumsum runs over a complex buffer of (D, D^2) pairs, here seen as rows of two
-    floats.  Complex addition rounds each part on its own, so the parts are the cumsums
-    of D and of D^2, in about the time of one.  out is a complex buffer of at least
-    len(seg) + 1 values; the rows returned are a view of it.
-    """
-    run = (np.empty(seg.size + 1, complex) if out is None else out)[:seg.size + 1]
-    pairs = run.view(float).reshape(-1, 2)
-    pairs[0] = carry
-    pairs[1:, 0] = seg
-    # a sum beyond the float range comes out inf, which from_sample refuses
-    with np.errstate(over="ignore"):
-        np.multiply(seg, seg, out=pairs[1:, 1])
-        np.cumsum(run, out=run)
-    return pairs[::stride]
+_STRIDE = 4096  # values between two marks, each stride summed pairwise
+_PASS = 1 << 15  # values squared per pass of from_sample, a multiple of _STRIDE
 
 
 @dataclass(frozen=True)
@@ -123,9 +105,11 @@ class SortedD:
 
     The other n - len(d) draws of the sample have D = 0; they are not
     stored and sit before d in sorted order.  marks[j] holds the sums of
-    D and of D^2 before d[j * _STRIDE]; sums(i) continues from the last
-    mark.  Since adding zeros is exact, these are also the prefix sums
-    of the full sorted sample.
+    D and of D^2 before d[j * _STRIDE]: marks[j + 1] is marks[j] plus
+    numpy's pairwise sums of the j-th stride of 4096 values and of their
+    squares, so only the marks are added in sequence.  sums(i) continues
+    from the last mark the same way.  Since adding zeros is exact, these
+    are also the running sums of the full sorted sample.
     """
 
     d: np.ndarray
@@ -148,8 +132,8 @@ class SortedD:
         comes out full and sorted, so D is never held twice.  The view's
         arrays are read-only, the kept input included.  A negative or NaN
         D, or sums of D or D^2 beyond the float range, raise ValueError.
-        The marks are summed in passes of 2^15 values, each one complex
-        cumsum of (D, D^2) through one reused buffer.
+        The strides are summed in passes of 2^15 values, their squares
+        through one reused float buffer.
         """
         d = np.asarray(d_star, dtype=float)
         if not (d[1:] >= d[:-1]).all():
@@ -165,18 +149,24 @@ class SortedD:
         zeros = int(np.searchsorted(d, 0.0, side="right"))
         if zeros or d.base is not None:
             d = d[zeros:].copy()
-        marks = np.zeros((d.size // _STRIDE + 1, 2))
-        buf = np.empty(_PASS + 1, complex)
-        for j in range(0, marks.shape[0], _PASS // _STRIDE):
-            seg = d[j * _STRIDE:j * _STRIDE + _PASS]
-            marks[j:j + seg.size // _STRIDE + 1] = _running_sums(marks[j], seg, _STRIDE, buf)
-        # D >= 0, so the sums are nondecreasing: the last ones, which end the last
-        # pass, bound every other
-        total = buf[seg.size]
-        if not np.isfinite(total):
-            raise ValueError(f"the sums of D and D^2 over the sample are {total.real:g} and "
-                             f"{total.imag:g}: D exceeds the float range")
-        view = cls(d, marks, n, e_qg_h)
+        strided = d[:d.size - d.size % _STRIDE]
+        marks = np.zeros((strided.size // _STRIDE + 1, 2))
+        sq = np.empty(_PASS)
+        # a sum beyond the float range comes out inf, which the check below refuses
+        with np.errstate(over="ignore"):
+            for start in range(0, strided.size, _PASS):
+                seg = strided[start:start + _PASS]
+                rows = marks[start // _STRIDE + 1:][:seg.size // _STRIDE]
+                seg.reshape(-1, _STRIDE).sum(axis=1, out=rows[:, 0])
+                np.multiply(seg, seg, out=sq[:seg.size])
+                sq[:seg.size].reshape(-1, _STRIDE).sum(axis=1, out=rows[:, 1])
+            np.cumsum(marks, axis=0, out=marks)
+            view = cls(d, marks, n, e_qg_h)
+            # D >= 0, so the sums through the last value bound every other
+            total = view.sums(d.size - 1) if d.size else (0.0, 0.0)
+        if not np.isfinite(total).all():
+            raise ValueError(f"the sums of D and D^2 over the sample are {total[0]:g} and "
+                             f"{total[1]:g}: D exceeds the float range")
         for a in (view.d, view.marks):
             a.flags.writeable = False
         return view
@@ -186,11 +176,13 @@ class SortedD:
         return self.n - self.d.size + int(np.searchsorted(self.d, k, side="right"))
 
     def sums(self, i: int) -> tuple[float, float]:
-        """Sums of D and of D^2 through d[i], equal to np.cumsum's entry i bit for bit."""
+        """Sums of D and of D^2 through d[i]: the last mark plus the pairwise sums of
+        its stride through d[i], which at a stride end is the next mark bit for bit."""
         if not 0 <= i < self.d.size:
             raise IndexError(f"index {i} outside the {self.d.size} positive values")
         seg = self.d[i - i % _STRIDE:i + 1]
-        return tuple(map(float, _running_sums(self.marks[i // _STRIDE], seg, seg.size)[-1]))
+        total, total_sq = self.marks[i // _STRIDE]
+        return float(total + np.sum(seg)), float(total_sq + np.sum(seg * seg))
 
 
 def _epsilon_rank(n: int, epsilon: float) -> int:
@@ -252,10 +244,11 @@ def solve_k_for_alpha(view: SortedD, alpha: float) -> BudgetThreshold:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
     d, n = view.d, view.n
-    # sums / n are nondecreasing: bisect the marks, then the sums before d[j * _STRIDE + t]
+    # sums / n are nondecreasing: bisect the marks, then the indices of the stride that
+    # follows the last affordable mark
     j = bisect.bisect_right(view.marks[:, 0], alpha, key=lambda s: s / n) - 1
-    run = _running_sums(view.marks[j], d[j * _STRIDE:(j + 1) * _STRIDE], 1)[:, 0]
-    m = j * _STRIDE + bisect.bisect_right(run, alpha, key=lambda s: s / n) - 2
+    stride = range(j * _STRIDE, min((j + 1) * _STRIDE, d.size))
+    m = j * _STRIDE + bisect.bisect_right(stride, alpha, key=lambda i: view.sums(i)[0] / n) - 1
     if 0 <= m < d.size - 1 and d[m + 1] == d[m]:
         # a tie group straddles the budget: stop at the end of the previous group
         m = int(np.searchsorted(d, d[m], side="left")) - 1

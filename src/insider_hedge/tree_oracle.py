@@ -139,7 +139,9 @@ class TreeMarket:
 
         self.labels = self._normalize_signal(signal)
         self.signal_values = tuple(sorted(set(self.labels)))
-        self._check_equivalence()
+        refusal = self._check_equivalence(self.labels, self.periods, self.hedge_horizon)
+        if refusal:
+            raise ValueError(refusal)
 
         # every node quantity depends on the node only through (ups, steps)
         self.q = (1 - self.d) / (self.u - self.d)  # risk-neutral up probability
@@ -214,25 +216,27 @@ class TreeMarket:
                 cond[j, t] = merged
         return cond
 
-    def _check_equivalence(self) -> None:
-        """Refuse a signal value that has zero probability at a node before the horizon.
+    @staticmethod
+    def _check_equivalence(labels: tuple, periods: int, hedge_horizon: int) -> str:
+        """Why a signal value has zero probability at a node before the horizon, or ""
+        when none has.
 
         With 0 < p_up < 1, P(G=g | node) = 0 exactly when no terminal ups
-        count the node can reach is labelled g, so this takes no
-        arithmetic.  The error names the first such node in _paths order:
-        at the earliest time t, the node with the fewest ups j, whose
-        first path is t - j downs then j ups.
+        count the node can reach is labelled g, so this reads the labels
+        only and takes no arithmetic.  The reason names the first such
+        node in _paths order: at the earliest time t, the node with the
+        fewest ups j, whose first path is t - j downs then j ups.
         """
-        for t in range(self.hedge_horizon + 1):
+        values = sorted(set(labels))
+        for t in range(hedge_horizon + 1):
             for j in range(t + 1):
-                reachable = set(self.labels[j:j + self.periods - t + 1])
-                missing = [g for g in self.signal_values if g not in reachable]
+                reachable = set(labels[j:j + periods - t + 1])
+                missing = [g for g in values if g not in reachable]
                 if missing:
                     word = "d" * (t - j) + "u" * j or "(root)"
-                    raise ValueError(
-                        f"signal value {missing[0]!r} unreachable from node {word} at time {t}: "
-                        "conditional signal law not equivalent to the prior"
-                    )
+                    return (f"signal value {missing[0]!r} unreachable from node {word} at time "
+                            f"{t}: conditional signal law not equivalent to the prior")
+        return ""
 
 
 @dataclass(frozen=True)
@@ -590,25 +594,25 @@ def random_market(seed: int) -> TreeMarket:
                          "repeats the market of its absolute value)")
     rng = random.Random(seed)
     for _ in range(500):
-        u = Fraction(rng.randint(111, 299), 100)
-        d = 1 / u
-        p_up = Fraction(rng.randint(21, 79), 100)
+        ups = rng.randint(111, 299)
+        p_up = rng.randint(21, 79)
         n = rng.choice((2, 3, 4))
         th = rng.randint(1, n - 1)
-        labels = {j: rng.randint(0, 1) for j in range(n + 1)}
-        if len(set(labels.values())) < 2:
+        labels = tuple(rng.randint(0, 1) for _ in range(n + 1))
+        if len(set(labels)) < 2:
             continue
-        prices = sorted({Fraction(u) ** (2 * j - th) for j in range(th + 1)})
-        i = rng.randrange(len(prices) - 1)
-        strike = (prices[i] + prices[i + 1]) / 2
+        # the th + 1 horizon prices u^(2j - th) rise with j: the strike sits in pair i
+        i = rng.randrange(th)
+        # a refused signal costs no Fraction arithmetic
+        if TreeMarket._check_equivalence(labels, n, th):
+            continue
+        u = Fraction(ups, 100)
+        strike = (u ** (2 * i - th) + u ** (2 * i + 2 - th)) / 2
         payoff = {j: max(u ** (2 * j - th) - strike, Fraction(0)) for j in range(th + 1)}
-        try:
-            return TreeMarket(
-                periods=n, hedge_horizon=th, u=u, d=d, p_up=p_up, s0=1,
-                payoff=payoff, signal=labels,
-            )
-        except ValueError:
-            continue
+        return TreeMarket(
+            periods=n, hedge_horizon=th, u=u, d=1 / u, p_up=Fraction(p_up, 100), s0=1,
+            payoff=payoff, signal=dict(enumerate(labels)),
+        )
     raise RuntimeError(f"no valid market found for seed {seed}")
 
 

@@ -139,6 +139,28 @@ class TestConfigFile:
         out, err = capsys.readouterr()
         assert out and err == ""
 
+    @pytest.mark.parametrize("key, error", [
+        ("n_paths = 10", "n_paths must be >= 1000, got 10"),
+        ("seed = 4294967296", "seed must be in [0, 2**32), got 4294967296"),
+        ("mode = nope", "'nope' is not a valid ConditioningMode"),
+    ])
+    def test_sampling_keys_fail_only_the_commands_that_sample(self, tmp_path, capsys,
+                                                             monkeypatch, key, error):
+        # price reads only the market; hedge and the tables read these keys and refuse
+        # the bad values before any draw
+        cfg = tmp_path / "sampling.cfg"
+        cfg.write_text(key + "\n")
+        assert main(["price", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "1.68093\n" and err == ""
+        monkeypatch.setattr(cli, "draw_point", _no_draw)
+        monkeypatch.setattr(cli, "draw_interval", _no_draw)
+        for argv in (["hedge", "--level", "110", "--epsilon", "0.1"],
+                     ["table-point"], ["table-indicator"]):
+            assert main([*argv, "--config", str(cfg)]) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines() == [f"error: {error}"], argv
+
 
 def _no_draw(*args, **kwargs):
     raise AssertionError("drew before refusing the configuration")

@@ -93,19 +93,37 @@ def capped_se(d: np.ndarray, cap: float = 10.0) -> float:
     return y.std(ddof=1) / math.sqrt(len(y))
 
 
+def reference_sums(d, probes) -> list[tuple[float, float]]:
+    """Sums of D and D^2 through d[i], for each i in probes, as SortedD defines them on
+    its sorted positive D: a Python loop walks d stride by stride, sums each stride and
+    its squares with np.sum and carries the marks in Python floats; d[i] adds the np.sum
+    of its stride through d[i] to the mark before it."""
+    d = np.asarray(d, dtype=float)
+    marks, total, total_sq = [], 0.0, 0.0
+    for start in range(0, d.size, _STRIDE):
+        marks.append((total, total_sq))
+        stride = d[start:start + _STRIDE]
+        total += float(np.sum(stride))
+        total_sq += float(np.sum(stride * stride))
+    out = []
+    for i in probes:
+        seg = d[i - i % _STRIDE:i + 1]
+        total, total_sq = marks[i // _STRIDE]
+        out.append((total + float(np.sum(seg)), total_sq + float(np.sum(seg * seg))))
+    return out
+
+
 def assert_sorted_view_of(view, d: np.ndarray) -> None:
     """The view, padded with its implicit zeros, is the sorted sample d, and its
     sums of D and D^2 on either side of every mark and through the last value are
-    the prefix sums of the full sorted sample, bit for bit."""
+    reference_sums of the positive part of the full sorted sample, bit for bit."""
     assert view.n == d.size
     zeros = view.n - view.d.size
     full = np.sort(d)
     assert np.array_equal(np.concatenate([np.zeros(zeros), view.d]), full)
-    prefix, prefix_sq = np.cumsum(full)[zeros:], np.cumsum(full * full)[zeros:]
     probes = {i for j in range(view.marks.shape[0]) for i in (j * _STRIDE - 1, j * _STRIDE)}
-    for i in sorted(probes | {view.d.size - 1}):
-        if 0 <= i < view.d.size:
-            assert view.sums(i) == (prefix[i], prefix_sq[i]), i
+    probes = sorted(i for i in probes | {view.d.size - 1} if 0 <= i < view.d.size)
+    assert [view.sums(i) for i in probes] == reference_sums(full[zeros:], probes)
 
 
 def assert_same_view(a, b) -> None:

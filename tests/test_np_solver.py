@@ -17,9 +17,9 @@ from insider_hedge import (
     solve_k_for_epsilon,
     success_prob_from_k,
 )
-from insider_hedge.np_solver import _CHUNK, _PASS, _STRIDE, SortedD
+from insider_hedge.np_solver import _PASS, _STRIDE, SortedD
 
-from test_measure_engine import independent_d, seeded_batch, seeded_draws
+from test_measure_engine import independent_d, reference_sums, seeded_batch, seeded_draws
 
 INF = float("inf")
 
@@ -291,8 +291,7 @@ class TestSortedView:
     def test_zero_atom_is_a_count(self):
         view = SortedD.from_sample([0.0, 0.7, 0.0, 0.2, 0.7], 1.0)
         assert view.n == 5 and list(view.d) == [0.2, 0.7, 0.7]
-        x = np.array([0.2, 0.7, 0.7])
-        assert [view.sums(i) for i in range(3)] == list(zip(np.cumsum(x), np.cumsum(x * x)))
+        assert [view.sums(i) for i in range(3)] == reference_sums([0.2, 0.7, 0.7], range(3))
         assert view.count(0.0) == 2 and view.count(0.7) == 5
 
     def test_positives_with_sample_size(self):
@@ -337,10 +336,11 @@ def _solutions(batch, targets) -> list[str]:
 
 
 def _brute_force_alpha(d, alpha: float) -> tuple[float, float]:
-    """Scan every tie-group end of the full sorted sample for the last affordable one."""
+    """Scan every tie-group end of the full sorted sample for the last affordable one,
+    with the reference sums of its positive part (the zeros add nothing)."""
     d = np.sort(np.asarray(d, dtype=float))
-    n = d.size
-    prefix = np.cumsum(d)
+    n, zeros = d.size, int(np.count_nonzero(d == 0.0))
+    prefix = [0.0] * zeros + [s for s, _ in reference_sums(d[zeros:], range(n - zeros))]
     best = (0.0, 0.0)
     for m in range(n):
         if (m == n - 1 or d[m + 1] > d[m]) and prefix[m] / n <= alpha:
@@ -358,14 +358,13 @@ TARGETS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size
 
 
 def _scan_at(d, k: float) -> tuple[int, float]:
-    """#{D <= k} and the clamped capital fraction E[D 1{D <= k}], summed in sorted order
-    over the full sample, zeros included."""
+    """#{D <= k}, counted over the full sample, and the clamped capital fraction
+    E[D 1{D <= k}], from the reference sums of its positive part."""
     d = np.sort(np.asarray(d, dtype=float))
-    count, total = 0, 0.0
-    for x in d:
-        if x <= k:
-            count += 1
-            total += x
+    count = sum(1 for x in d if x <= k)
+    positive = d[d > 0.0]
+    below = count - (d.size - positive.size)
+    total = reference_sums(positive, [below - 1])[0][0] if below else 0.0
     return count, min(total / d.size, 1.0)
 
 
@@ -384,13 +383,17 @@ MARK_SIZES = [1, 4095, 4096, 4097, 32767, 32768, 32769, 65535, 65536, 65537, 3 *
 
 
 def _reference_alpha(view, alpha: float) -> tuple[float, float]:
-    """solve_k_for_alpha as one bisect over np.cumsum of the view's positive D."""
+    """solve_k_for_alpha as one bisect over all indices of the view's positive D, keyed
+    by their reference sums."""
     d, n = view.d, view.n
-    prefix = np.cumsum(d)
-    m = bisect.bisect_right(prefix, alpha, key=lambda s: s / n) - 1
+
+    def spent(i: int) -> float:
+        return reference_sums(d, [i])[0][0] / n
+
+    m = bisect.bisect_right(range(d.size), alpha, key=spent) - 1
     if 0 <= m < d.size - 1 and d[m + 1] == d[m]:
         m = int(np.searchsorted(d, d[m], side="left")) - 1
-    return (0.0, 0.0) if m < 0 else (float(d[m]), float(prefix[m] / n))
+    return (0.0, 0.0) if m < 0 else (float(d[m]), spent(m))
 
 
 def _mark_budgets(view) -> list[float]:
@@ -403,25 +406,23 @@ def _mark_budgets(view) -> list[float]:
 
 class TestRunningSums:
     @pytest.mark.parametrize("size", MARK_SIZES)
-    def test_sums_equal_cumsum_bit_for_bit(self, size):
+    def test_sums_equal_stride_reference_bit_for_bit(self, size):
         d = np.sort(np.random.default_rng(size).exponential(size=size))
         view = SortedD.from_sample(d, 1.0, size + 3)
-        prefix, prefix_sq = np.cumsum(d), np.cumsum(d * d)
         marked = np.arange(view.marks.shape[0]) * _STRIDE
         assert view.marks.shape == (size // _STRIDE + 1, 2)
-        assert np.array_equal(view.marks[1:], np.stack([prefix, prefix_sq], 1)[marked[1:] - 1])
+        assert view.marks[1:].tolist() == [list(s) for s in reference_sums(d, marked[1:] - 1)]
         assert view.marks[0].tolist() == [0.0, 0.0]
         if size <= _STRIDE + 1:
             probes = range(size)
         else:
-            # every sum through 4098 values takes about 25 ms, through 2e5 values 12 s:
+            # every sum through 4098 values takes about 0.1 s, through 2e5 values 5 s:
             # past one stride, probe both sides of every mark and a random sample
             rng = np.random.default_rng(size + 1)
             probes = {*(marked - 1), *marked, *marked + 1, size - 1,
                       *rng.integers(0, size, 500).tolist()}
             probes = sorted(i for i in probes if 0 <= i < size)
-        for i in probes:
-            assert view.sums(i) == (prefix[i], prefix_sq[i]), i
+        assert [view.sums(i) for i in probes] == reference_sums(d, probes)
 
     def test_sums_refuse_an_index_outside_d(self):
         view = SortedD.from_sample([0.0, 0.5, 1.0], 1.0)
@@ -431,7 +432,7 @@ class TestRunningSums:
 
     @pytest.mark.parametrize("size", MARK_SIZES)
     @pytest.mark.parametrize("ties", [False, True])
-    def test_alpha_bisection_matches_one_cumsum_bisect(self, size, ties):
+    def test_alpha_bisection_matches_one_reference_bisect(self, size, ties):
         rng = np.random.default_rng(size)
         if ties:
             # tie groups of a few thousand values straddle the marks
@@ -453,14 +454,14 @@ class TestRunningSums:
         values, counts = zip(*groups)
         d = np.sort(np.repeat(values, counts))
         view = SortedD.from_sample(d, 1.0, d.size + zeros)
-        prefix, prefix_sq = np.cumsum(d), np.cumsum(d * d)
-        for i in (0, d.size - 1, *range(_STRIDE - 1, d.size, _STRIDE)):
-            assert view.sums(i) == (prefix[i], prefix_sq[i])
+        probes = [0, d.size - 1, *range(_STRIDE - 1, d.size, _STRIDE)]
+        assert [view.sums(i) for i in probes] == reference_sums(d, probes)
         for alpha in _mark_budgets(view) + [0.0, 1.0, *targets]:
             assert tuple(solve_k_for_alpha(view, alpha)) == _reference_alpha(view, alpha)
 
     def test_from_sample_holds_no_temporary_as_long_as_d(self):
-        # an owned sorted array is kept, so the marks and their chunk buffers are all it adds
+        # an owned sorted array is kept, so the marks, the pass buffer of squares and the
+        # squares of one stride, which sums reads, are all it adds
         d = np.sort(np.random.default_rng(29).exponential(size=300_000))
         SortedD.from_sample(d.copy(), 1.0)
         tracing = tracemalloc.is_tracing()
@@ -474,7 +475,61 @@ class TestRunningSums:
             if not tracing:
                 tracemalloc.stop()
         assert view.d is d
-        assert peak <= 2 * (_CHUNK + 1) * 8 + view.marks.nbytes
+        assert peak <= (_PASS + 2 * _STRIDE) * 8 + view.marks.nbytes
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(MARK_SIZES), st.integers(min_value=0, max_value=5000),
+           st.lists(st.one_of(st.floats(min_value=5e-324, max_value=2.2e-308),
+                              st.floats(min_value=1e-300, max_value=1e150)),
+                    min_size=1, max_size=5),
+           st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=-300, max_value=150),
+           st.integers(min_value=0, max_value=450), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sums_nondecreasing_within_strides_and_across_marks(self, size, zeros, atoms, tied,
+                                                                 low, span, seed):
+        # size positive values: a share `tied` from a few atoms (ties, subnormals), the rest
+        # log-uniform on [10^low, 10^(low + span)] within [1e-300, 1e150]; then the zeros
+        rng = np.random.default_rng(seed)
+        spread = 10.0 ** rng.uniform(low, min(low + span, 150), size)
+        d = np.where(rng.random(size) < tied, rng.choice(atoms, size), spread)
+        view = SortedD.from_sample(np.sort(np.concatenate([np.zeros(zeros), d])), 1.0)
+        assert view.d.size == size
+        # every value of the first, the last and a random stride, and both sides of each mark
+        last = (size - 1) // _STRIDE
+        strides = {0, last, int(rng.integers(0, last + 1))}
+        probes = {i for j in strides for i in range(j * _STRIDE, min((j + 1) * _STRIDE, size))}
+        probes |= {i for j in range(1, view.marks.shape[0]) for i in (j * _STRIDE - 1, j * _STRIDE)}
+        sums = [view.sums(i) for i in sorted(i for i in probes if i < size)]
+        for before, after in zip(sums, sums[1:]):
+            assert before[0] <= after[0] and before[1] <= after[1]
+
+    @pytest.mark.parametrize("size", MARK_SIZES)
+    def test_stride_ends_equal_the_next_mark(self, size):
+        # heavy-tailed values with ties, so that each stride's pairwise sums round
+        rng = np.random.default_rng(size + 2)
+        d = np.sort(np.round(rng.lognormal(0.0, 3.0, size), 1) + 0.1)
+        view = SortedD.from_sample(d, 1.0)
+        for j in range(1, view.marks.shape[0]):
+            assert view.sums(j * _STRIDE - 1) == tuple(view.marks[j]), j
+
+    @pytest.mark.parametrize("size", MARK_SIZES)
+    def test_sums_within_the_pairwise_error_bound(self, size):
+        # |sums(i) - fsum| <= (14 + i / 4096) 2^-52 fsum, for D and D^2: pairwise sums within
+        # a stride, then one addition per mark.  One np.cumsum chain over the same values
+        # breaks this bound on the sizes past 2^16 - 1.
+        rng = np.random.default_rng(size + 3)
+        d = np.sort(rng.exponential(size=size))
+        view = SortedD.from_sample(d, 1.0)
+        chain = np.stack([np.cumsum(d), np.cumsum(d * d)], 1)
+        probes = {*range(_STRIDE - 1, size, _STRIDE), size - 1, *rng.integers(0, size, 30).tolist()}
+        worst, chain_worst = 0.0, 0.0
+        for i in sorted(probes):
+            exact = np.array([math.fsum(d[:i + 1]), math.fsum(d[:i + 1] ** 2)])
+            bound = (14 + i / _STRIDE) * 2.0**-52 * exact
+            worst = max(worst, *(np.abs(np.array(view.sums(i)) - exact) / bound))
+            chain_worst = max(chain_worst, *(np.abs(chain[i] - exact) / bound))
+        assert worst <= 1.0
+        if size >= (1 << 16) - 1:
+            assert chain_worst > 1.0
 
 
 class TestSortedInput:

@@ -315,19 +315,24 @@ class TestDerivedLaws:
 
 class TestWorkDoneOnce:
     def test_random_market_runs_the_recursion_once(self, monkeypatch):
-        checks, recursions = [], []
+        checks, builds, recursions = [], [], []
         check = TreeMarket._check_equivalence
+        build = TreeMarket.__init__
         recursion = TreeMarket._conditional_signal_probs
         monkeypatch.setattr(TreeMarket, "_check_equivalence",
-                            lambda m: checks.append(m) or check(m))
+                            staticmethod(lambda *args: checks.append(args) or check(*args)))
+        monkeypatch.setattr(TreeMarket, "__init__",
+                            lambda m, **kw: builds.append(m) or build(m, **kw))
         monkeypatch.setattr(TreeMarket, "_conditional_signal_probs",
                             lambda m: recursions.append(m) or recursion(m))
         for seed in range(100):
             market = random_market(seed)
-            assert recursions == [market], seed
+            assert builds == recursions == [market], seed
+            builds.clear()
             recursions.clear()
-        # most refusals happen before the recursion: more markets were checked than built
-        assert len(checks) > 200
+        # a refused signal is caught on its labels, before any market is built: more
+        # signals were checked than the 100 built markets checked again
+        assert len(checks) > 300
 
     def test_market_enumerates_no_path(self, monkeypatch):
         # the signal is kept per terminal ups count, so 30 periods cost no 2^30 paths
