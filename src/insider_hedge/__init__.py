@@ -14,7 +14,6 @@ from .insider_signal import (
     SignalDraws,
     SignalSpec,
     density_indicator,
-    density_point,
     draw_interval,
     draw_point,
     indicator_prob,

@@ -395,6 +395,13 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
+def _parse_mode(text: str) -> str:
+    modes = [m.value for m in ConditioningMode]
+    if text not in modes:
+        raise ValueError(f"mode must be {' or '.join(modes)}, got {text!r}")
+    return text
+
+
 def _parse_intervals(text: str) -> tuple:
     out = []
     for tok in text.split(","):
@@ -445,7 +452,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                        _parse_intervals, DEFAULT_INTERVALS),
         epsilons=pick(getattr(args, "epsilons", None), "epsilons", _parse_floats,
                       DEFAULT_EPSILONS),
-        mode=ConditioningMode(pick(getattr(args, "mode", None), "mode", str, "bridge_exact")),
+        mode=ConditioningMode(pick(getattr(args, "mode", None), "mode", _parse_mode,
+                                   "bridge_exact")),
         n_paths=pick(getattr(args, "n_paths", None), "n_paths", int, 1_000_000),
         seed=pick(args.seed, "seed", int, 0),
         output=pick(getattr(args, "output", None), "output", str, None),

@@ -6,12 +6,16 @@ time T + delta:
   * PointValue        -- the exact value W_{T+delta} = g is known at t=0;
   * IntervalIndicator -- only 1{W_{T+delta} in [a, b]} is known.
 
-For each kind the module evaluates the conditional-density process
+For the interval signal the module evaluates the signal density at the
+hedge horizon,
 
-    p_t^g = d P(G in . | F_t) / d P(G in .)   evaluated at g,
+    p_T^G = P(G = observed | F_T) / P(G = observed),
 
-and draws W_T from the law of W_T given the realized signal.  For the
-point signal two sampling modes exist: the exact Gaussian conditioning
+which measure_engine divides into Z_T; the point signal's p_T^g is
+folded into the one exponent of measure_engine.qg_density_point.  For
+both kinds it draws W_T from the law of W_T given the realized signal.
+For the point signal two sampling modes exist: the exact Gaussian
+conditioning
 
     W_T | W_{T+delta} = g  ~  N(g T/(T+delta), T delta/(T+delta))
 
@@ -58,7 +62,6 @@ __all__ = [
     "SignalSpec",
     "point_signal_from_price",
     "interval_signal_from_prices",
-    "density_point",
     "density_indicator",
     "indicator_prob",
     "SignalDraws",
@@ -135,23 +138,8 @@ def interval_signal_from_prices(lo: float, hi: float, p: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# conditional density processes
+# signal probability and horizon density
 # ---------------------------------------------------------------------------
-
-def density_point(z, w_t, t, p: ModelParams):
-    """p_t^z for the point signal:
-
-        sqrt((T+d)/(T+d-t)) * exp(-(z - W_t)^2 / (2(T+d-t)) + z^2 / (2(T+d)))
-
-    Defined for 0 <= t < T + delta (the formula is singular at the
-    signal time itself).
-    """
-    td = p.t_signal
-    if not 0 <= t < td:
-        raise ValueError(f"need 0 <= t < {td}, got t={t}")
-    rem = td - t
-    return np.sqrt(td / rem) * np.exp(-((z - w_t) ** 2) / (2.0 * rem) + z * z / (2.0 * td))
-
 
 def _normal_mass(lo, hi, observed: int):
     """P(lo <= Z <= hi) (observed 1) or P(Z outside [lo, hi]) (observed 0), Z ~ N(0, 1).
@@ -180,21 +168,17 @@ def indicator_prob(spec: IntervalIndicator, p: ModelParams) -> float:
     return mass
 
 
-def density_indicator(value: int, w_t, t, spec: IntervalIndicator, p: ModelParams):
-    """p_t^1 or p_t^0 for the indicator signal.
+def density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
+    """p_T^G for the indicator signal: P(G = spec.observed | W_T = w_t) / P(G = spec.observed).
 
-    Ratio of the conditional to the unconditional probability of the
-    observed indicator value; at t = T the remaining variance is delta.
-    Valid for 0 <= t <= T.
+    Given W_T, W_{T+delta} is N(W_T, delta), so the remaining standard
+    deviation is sqrt(delta) itself, positive for every delta > 0 even
+    where T + delta rounds to T.  The denominator is indicator_prob,
+    which refuses a signal of probability 0.
     """
-    if value not in (0, 1):
-        raise ValueError(f"value must be 0 or 1, got {value}")
-    if not 0 <= t <= p.t_expiry:
-        raise ValueError(f"need 0 <= t <= {p.t_expiry}, got t={t}")
-    rem_sd = math.sqrt(p.t_signal - t)
-    sd = math.sqrt(p.t_signal)
-    num = _normal_mass((spec.a_w - w_t) / rem_sd, (spec.b_w - w_t) / rem_sd, value)
-    return num / _normal_mass(spec.a_w / sd, spec.b_w / sd, value)
+    rem_sd = math.sqrt(p.delta)
+    num = _normal_mass((spec.a_w - w_t) / rem_sd, (spec.b_w - w_t) / rem_sd, spec.observed)
+    return num / indicator_prob(spec, p)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,12 @@ def qg_density_point(w_t, g_w, p: ModelParams, out=None):
         sqrt(d/(T+d)) * exp(-theta*W_T - theta^2 T/2
                             + (g - W_T)^2/(2d) - g^2/(2(T+d)))
 
-    Algebraically identical to rn_density / density_point, whose factors
-    can each overflow where their ratio does not.  The exponent is
-    evaluated with its square completed,
+    Algebraically identical to rn_density / p_T^g with the paper's
+
+        p_T^g = sqrt((T+d)/d) * exp(-(g - W_T)^2/(2d) + g^2/(2(T+d))),
+
+    whose two factors can each overflow where their ratio does not.  The
+    exponent is evaluated with its square completed,
 
         (W_T - g - theta*d)^2/(2d) - theta*g - theta^2 (T+d)/2 - g^2/(2(T+d)),
 
@@ -107,7 +110,7 @@ def qg_density_point(w_t, g_w, p: ModelParams, out=None):
 def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
     """dQ_G/dP at the horizon for the indicator signal: Z_T / p_T^G, divided in place."""
     qg = rn_density(w_t, p)
-    qg /= density_indicator(spec.observed, w_t, p.t_expiry, spec, p)
+    qg /= density_indicator(w_t, spec, p)
     return qg
 
 

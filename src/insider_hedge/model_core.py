@@ -5,9 +5,10 @@ Price dynamics under the physical measure P:
     dS_t = sigma * S_t dW_t + mu * S_t dt,   S_t = S0 * exp(sigma*W_t + (mu - sigma^2/2) t)
 
 The market price of risk is theta = mu / sigma and the risk-neutral
-density process is Z_t = exp(-theta*W_t - theta^2 t / 2).  The interest
-rate is hard-wired to zero, so no discounting appears anywhere and the
-perfect-hedge cost of a claim is its plain risk-neutral expectation.
+density at the horizon is Z_T = exp(-theta*W_T - theta^2 T / 2).  The
+interest rate is hard-wired to zero, so no discounting appears anywhere
+and the perfect-hedge cost of a claim is its plain risk-neutral
+expectation.
 """
 from __future__ import annotations
 
@@ -97,16 +98,14 @@ def brownian_from_price(s, t, p: ModelParams):
     return (np.log(s / p.s0) - (p.mu - 0.5 * p.sigma**2) * t) / p.sigma
 
 
-def rn_density(w, p: ModelParams, t: float | None = None):
-    """Density dQ_F/dP restricted to time t, evaluated at W_t = w.
+def rn_density(w, p: ModelParams):
+    """Density dQ_F/dP restricted to the horizon T, evaluated at W_T = w.
 
-    Defaults to t = t_expiry, the horizon at which all hedging
-    quantities are assembled.  Strictly positive for finite inputs.
+    Z_T = exp(-theta*w - theta^2 T/2), strictly positive for finite
+    inputs.
     """
-    if t is None:
-        t = p.t_expiry
     th = p.theta
-    return np.exp(-th * w - 0.5 * th * th * t)
+    return np.exp(-th * w - 0.5 * th * th * p.t_expiry)
 
 
 def bs_call_price(p: ModelParams) -> float:

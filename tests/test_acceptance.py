@@ -9,8 +9,10 @@ criterion 4 for why the raw mean of the tilted density admits no
 standard-error band.
 """
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,6 @@ from scipy.special import ndtr
 from insider_hedge import (
     build_atom_table,
     bs_call_price,
-    density_indicator,
-    density_point,
     interval_signal_from_prices,
     point_signal_from_price,
     price_from_brownian,
@@ -43,6 +43,7 @@ from insider_hedge.tree_oracle import (
 )
 from fractions import Fraction
 
+from test_insider_signal import density_indicator_at
 from test_measure_engine import full_sample, seeded_batch
 from test_np_solver import synthetic_batch
 
@@ -238,7 +239,8 @@ def test_criterion_4_unit_mass(params):
     # (i) E[D | G] = int D(w) f_cond(w) dw; by the Bayes identity
     # f_cond = phi_T * p_T^g the integrand collapses to h z phi / C.
     # First check that identity holds pointwise through the package's
-    # density formulas, then integrate the collapsed form.
+    # dQ_G/dP (and, for the interval, the paper's p_T^g from
+    # test_insider_signal), then integrate the collapsed form.
     w_k = float(np.log(params.strike / params.s0) / params.sigma
                 - (params.mu - params.sigma**2 / 2) * t / params.sigma)
     for level in (105.0, 110.0, 115.0):
@@ -261,7 +263,7 @@ def test_criterion_4_unit_mass(params):
             sig = interval_signal_from_prices(lo, hi, params, observed=observed)
             # restrict to the in-the-money region where both sides are nonzero
             grid = np.linspace(w_k + 1e-6, 4.0, 2001)
-            p_vals = density_indicator(observed, grid, t, sig, params)
+            p_vals = density_indicator_at(grid, t, sig, params)
             phi_t = np.exp(-grid**2 / (2 * t)) / math.sqrt(2 * math.pi * t)
             lhs = (np.maximum(price_from_brownian(grid, t, params) - params.strike, 0.0)
                    * qg_density_indicator(grid, sig, params) / call) * (phi_t * p_vals)
@@ -418,3 +420,20 @@ def test_criterion_8_cli_determinism(tmp_path):
         failures.append("oracle: stdout differs between runs")
     print("  table-point, table-indicator, oracle: byte-identical reruns (workers 1 vs 4)")
     report(8, "CLI determinism", failures)
+
+
+def test_published_tables_load_as_the_benchmark_loads_them(tmp_path):
+    """perfbench/run.py checks its tables against this module's published values.
+
+    It imports this module in a process of its own with only src and tests on
+    sys.path, and a failed import fails the whole benchmark run; so the same
+    import runs here in a fresh interpreter, without PYTHONPATH.
+    """
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_acceptance as t; "
+            "print(repr((t.LEVELS, t.EPSILONS, t.TABLE_POINT, t.TABLE_INDICATOR)))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(root / "tests")],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == repr((LEVELS, EPSILONS, TABLE_POINT, TABLE_INDICATOR)) + "\n"

@@ -142,7 +142,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, error", [
         ("n_paths = 10", "n_paths must be >= 1000, got 10"),
         ("seed = 4294967296", "seed must be in [0, 2**32), got 4294967296"),
-        ("mode = nope", "'nope' is not a valid ConditioningMode"),
+        ("mode = nope", "mode must be bridge_exact or paper_shift, got 'nope'"),
     ])
     def test_sampling_keys_fail_only_the_commands_that_sample(self, tmp_path, capsys,
                                                              monkeypatch, key, error):
@@ -561,25 +561,44 @@ def run_main(argv) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
+def log_uniform(lo: float, hi: float):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda x: 10.0**x)
+
+
+# mu, sigma, s0, t_expiry, delta of the market behind the published tables
+PUBLISHED_MARKET = (0.08, 0.25, 100.0, 0.25, 0.02)
+# random markets for the hedge input tests: mu, sigma, s0, t_expiry, delta
+MARKETS = (st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
+           log_uniform(1e-3, 10.0), log_uniform(1e-3, 1e4),
+           log_uniform(1e-4, 30.0), log_uniform(1e-5, 10.0))
+
+
 class TestIntervalHedgeInputs:
     """Every interval hedge input is solved or refused in one line, whatever P(G = observed)."""
 
     @settings(max_examples=150, deadline=None)
     # P(G = observed) about 1, far below 1e-4, and 0 in float for both G
-    @example(1e-9, 1e9, 1, 110.0, "epsilon", 0.1, 0)
-    @example(180.0, 190.0, 1, 110.0, "epsilon", 0.1, 0)
-    @example(0.001, 0.002, 1, 110.0, "alpha", 0.2, 0)
-    @example(1e-9, 1e9, 0, 110.0, "alpha", 0.2, 0)
+    @example(1e-9, 1e9, 1, 110.0, "epsilon", 0.1, 0, *PUBLISHED_MARKET)
+    @example(180.0, 190.0, 1, 110.0, "epsilon", 0.1, 0, *PUBLISHED_MARKET)
+    @example(0.001, 0.002, 1, 110.0, "alpha", 0.2, 0, *PUBLISHED_MARKET)
+    @example(1e-9, 1e9, 0, 110.0, "alpha", 0.2, 0, *PUBLISHED_MARKET)
     # a strike whose ratio to s0 underflows to 0
-    @example(1.0, 2.0, 0, 5e-324, "epsilon", 0.0, 0)
+    @example(1.0, 2.0, 0, 5e-324, "epsilon", 0.0, 0, *PUBLISHED_MARKET)
+    # delta far below the float spacing of T, so that T + delta rounds to T
+    @example(109.0, 111.0 / 109.0, 1, 110.0, "epsilon", 0.1, 0, *PUBLISHED_MARKET[:4], 1e-300)
+    @example(109.0, 111.0 / 109.0, 0, 110.0, "alpha", 0.2, 0, *PUBLISHED_MARKET[:4], 1e-300)
     @given(st.floats(min_value=-9.0, max_value=4.0).map(lambda x: 10.0**x),
            st.floats(min_value=-4.0, max_value=12.0).map(lambda y: 1.0 + 10.0**y),
            st.sampled_from([0, 1]),
            st.one_of(st.sampled_from([0.0, 110.0]), st.floats(min_value=0.0, max_value=1e4)),
            st.sampled_from(["epsilon", "alpha"]), st.floats(min_value=0.0, max_value=1.0),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    def test_solved_or_one_error_line(self, lo, ratio, observed, strike, target, value, seed):
-        argv = ["hedge", "--interval", f"{lo!r}:{lo * ratio!r}", "--observed", str(observed),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           *MARKETS)
+    def test_solved_or_one_error_line(self, lo, ratio, observed, strike, target, value, seed,
+                                      mu, sigma, s0, t_expiry, delta):
+        argv = ["hedge", f"--mu={mu!r}", f"--sigma={sigma!r}", f"--s0={s0!r}",
+                f"--t-expiry={t_expiry!r}", f"--delta={delta!r}",
+                "--interval", f"{lo!r}:{lo * ratio!r}", "--observed", str(observed),
                 "--strike", repr(strike), f"--{target}", repr(value),
                 "--n-paths", "1000", "--seed", str(seed)]
         status, out, err = run_main(argv)
@@ -598,10 +617,6 @@ class TestIntervalHedgeInputs:
             assert alpha <= value + 1e-6, argv
 
 
-def log_uniform(lo: float, hi: float):
-    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda x: 10.0**x)
-
-
 class TestPointHedgeInputs:
     """Every point hedge input is solved or refused in one line, however far out D lies."""
 
@@ -614,10 +629,8 @@ class TestPointHedgeInputs:
     @example(0.26338208918985906, 0.0030798744728391812, 57.150377159395035, 0.0,
              0.0005585073151377548, 6.292917248984516, 35.046858060215754,
              "paper_shift", "alpha", 0.1283116287622934, 17)
-    @given(st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
-           log_uniform(1e-3, 10.0), log_uniform(1e-3, 1e4),
-           st.one_of(st.just(0.0), log_uniform(1e-3, 1e5)),
-           log_uniform(1e-4, 30.0), log_uniform(1e-5, 10.0), log_uniform(1e-3, 1e6),
+    @given(*MARKETS[:3], st.one_of(st.just(0.0), log_uniform(1e-3, 1e5)),
+           *MARKETS[3:], log_uniform(1e-3, 1e6),
            st.sampled_from(["bridge_exact", "paper_shift"]),
            st.sampled_from(["epsilon", "alpha"]), st.floats(min_value=0.0, max_value=1.0),
            st.integers(min_value=0, max_value=2**32 - 1))

@@ -12,15 +12,16 @@ from insider_hedge import (
     ModelParams,
     PointValue,
     density_indicator,
-    density_point,
     draw_interval,
     draw_point,
     indicator_prob,
     interval_signal_from_prices,
     point_signal_from_price,
+    qg_density_indicator,
     sample_indicator_conditional,
     sample_point_conditional,
 )
+from insider_hedge.insider_signal import _normal_mass
 from insider_hedge.rng import (
     STREAM_INTERVAL_BRIDGE,
     STREAM_INTERVAL_SIGNAL,
@@ -36,6 +37,26 @@ G_110 = 0.328590719217  # Brownian value of stock level 110 at T + delta
 # W-image of the stock interval [109, 111]
 P1_AT_ZERO = 0.317354709181
 P0_AT_ZERO = 1.03269555238
+
+
+def density_point_at(g, w_t, t, p):
+    """The paper's p_t^g of the point signal at 0 <= t <= T, a reference for the package's
+    horizon densities:
+
+        sqrt((T+d)/r) * exp(-(g - W_t)^2/(2r) + g^2/(2(T+d))),  r = d + (T - t),
+
+    where the remaining variance r is delta exactly at t = T."""
+    rem, td = p.delta + (p.t_expiry - t), p.t_signal
+    return np.sqrt(td / rem) * np.exp(-((g - w_t) ** 2) / (2.0 * rem) + g * g / (2.0 * td))
+
+
+def density_indicator_at(w_t, t, spec, p):
+    """The paper's p_t^G of the indicator signal at 0 <= t <= T, a reference for
+    density_indicator: P(G = spec.observed | W_t) / P(G = spec.observed) from the
+    package's tail-safe normal masses, with remaining variance delta + (T - t)."""
+    rem_sd = math.sqrt(p.delta + (p.t_expiry - t))
+    num = _normal_mass((spec.a_w - w_t) / rem_sd, (spec.b_w - w_t) / rem_sd, spec.observed)
+    return num / indicator_prob(spec, p)
 
 
 class TestSignalSpecs:
@@ -68,26 +89,20 @@ class TestSignalSpecs:
 class TestDensityPoint:
     def test_time_zero_is_one(self, params):
         for z in (-1.0, 0.0, 0.7, 3.0):
-            assert density_point(z, 0.0, 0.0, params) == pytest.approx(1.0, abs=1e-15)
+            assert density_point_at(z, 0.0, 0.0, params) == pytest.approx(1.0, abs=1e-15)
 
     def test_value_at_horizon(self, params):
         # sqrt((T+d)/d) = sqrt(13.5) when z = w = 0
-        got = density_point(0.0, 0.0, params.t_expiry, params)
+        got = density_point_at(0.0, 0.0, params.t_expiry, params)
         assert got == pytest.approx(3.67423461417, abs=1e-5)
 
-    def test_rejects_times_at_or_past_signal(self, params):
-        with pytest.raises(ValueError):
-            density_point(0.0, 0.0, params.t_signal, params)
-        with pytest.raises(ValueError):
-            density_point(0.0, 0.0, -0.1, params)
-
     def test_unit_mean_over_brownian_marginal(self, params):
-        # E_P[p_t^z(W_t)] = 1 for every fixed z and t < T + delta; the
+        # E_P[p_t^z(W_t)] = 1 for every fixed z and t <= T; the
         # integrand is bounded in L2 here so the 4-SE band applies
         rng = np.random.default_rng(21)
         for t in (0.05, 0.1, 0.15, 0.25):
             w = rng.normal(0.0, math.sqrt(t), 1_000_000)
-            vals = density_point(0.3, w, t, params)
+            vals = density_point_at(0.3, w, t, params)
             se = vals.std(ddof=1) / 1000.0
             assert abs(vals.mean() - 1.0) <= 4.0 * se, f"t={t}"
 
@@ -97,7 +112,7 @@ class TestDensityPoint:
         z = 0.4
         w = np.linspace(-1.5, 1.5, 41)
         lhs = (np.exp(-(w**2) / (2 * t)) / math.sqrt(2 * math.pi * t)
-               * density_point(z, w, t, params))
+               * density_point_at(z, w, t, params))
         m, v = z * t / td, t * params.delta / td
         rhs = np.exp(-((w - m) ** 2) / (2 * v)) / math.sqrt(2 * math.pi * v)
         assert np.allclose(lhs, rhs, rtol=1e-12)
@@ -106,24 +121,39 @@ class TestDensityPoint:
 class TestDensityIndicator:
     def test_time_zero_is_one(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
-        assert density_indicator(1, 0.0, 0.0, sig, params) == pytest.approx(1.0, abs=1e-15)
-        assert density_indicator(0, 0.0, 0.0, sig, params) == pytest.approx(1.0, abs=1e-15)
+        for observed in (1, 0):
+            spec = dataclasses.replace(sig, observed=observed)
+            assert density_indicator_at(0.0, 0.0, spec, params) == pytest.approx(1.0, abs=1e-15)
 
     def test_total_probability_identity(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
+        zero = dataclasses.replace(sig, observed=0)
         p1 = indicator_prob(sig, params)
         rng = np.random.default_rng(3)
         cases = [(0.1, 0.2)] + [(rng.uniform(0, params.t_expiry), rng.normal(0, 0.5))
                                 for _ in range(50)]
         for t, w in cases:
-            total = (p1 * density_indicator(1, w, t, sig, params)
-                     + (1.0 - p1) * density_indicator(0, w, t, sig, params))
+            total = (p1 * density_indicator_at(w, t, sig, params)
+                     + (1.0 - p1) * density_indicator_at(w, t, zero, params))
             assert abs(total - 1.0) <= 1e-12
+        for w in np.linspace(-1.0, 1.0, 21):
+            total = (p1 * density_indicator(w, sig, params)
+                     + (1.0 - p1) * density_indicator(w, zero, params))
+            assert abs(total - 1.0) <= 1e-12
+
+    def test_reference_at_horizon_is_the_package_density(self, params):
+        # at t = T the remaining variance delta + (T - T) is delta itself
+        w = np.random.default_rng(4).normal(0.3, 0.2, 1000)
+        for lo, hi in ((109.0, 111.0), (112.0, 114.0)):
+            for observed in (1, 0):
+                sig = interval_signal_from_prices(lo, hi, params, observed=observed)
+                assert np.array_equal(density_indicator(w, sig, params),
+                                      density_indicator_at(w, params.t_expiry, sig, params))
 
     def test_frozen_values_at_horizon(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
-        got1 = density_indicator(1, 0.0, params.t_expiry, sig, params)
-        got0 = density_indicator(0, 0.0, params.t_expiry, sig, params)
+        got1 = density_indicator(0.0, sig, params)
+        got0 = density_indicator(0.0, dataclasses.replace(sig, observed=0), params)
         assert got1 > 0.0
         assert got1 == pytest.approx(P1_AT_ZERO, abs=1e-6)
         assert got0 == pytest.approx(P0_AT_ZERO, abs=1e-6)
@@ -131,7 +161,8 @@ class TestDensityIndicator:
     def test_wide_interval_is_unit(self, params):
         sig = IntervalIndicator(-50.0, 50.0, observed=1)
         for w in (-0.5, 0.0, 1.0):
-            assert density_indicator(1, w, 0.2, sig, params) == pytest.approx(1.0, abs=1e-12)
+            assert density_indicator_at(w, 0.2, sig, params) == pytest.approx(1.0, abs=1e-12)
+            assert density_indicator(w, sig, params) == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_masses_against_high_precision(self, params):
         # far-out normal masses where 1 - Phi or Phi(b) - Phi(a) would cancel in
@@ -143,28 +174,38 @@ class TestDensityIndicator:
             inside = ncdf(hi) - ncdf(lo)
             return inside if observed == 1 else 1 - inside
 
-        def prob(value, sig):
-            sd = mpmath.sqrt(mpf(params.t_signal))
-            return mass(mpf(sig.a_w) / sd, mpf(sig.b_w) / sd, value)
+        def prob(sig, p):
+            sd = mpmath.sqrt(mpf(p.t_signal))
+            return mass(mpf(sig.a_w) / sd, mpf(sig.b_w) / sd, sig.observed)
 
-        def density(value, w, t, sig):
-            rem = mpmath.sqrt(mpf(params.t_signal) - mpf(t))
+        def density(w, t, sig, p):
+            # remaining variance delta + (T - t), in exact arithmetic
+            rem = mpmath.sqrt(mpf(p.delta) + (mpf(p.t_expiry) - mpf(t)))
             a, b = mpf(sig.a_w), mpf(sig.b_w)
-            return mass((a - w) / rem, (b - w) / rem, value) / prob(value, sig)
+            return mass((a - w) / rem, (b - w) / rem, sig.observed) / prob(sig, p)
 
         narrow = IntervalIndicator(3.0, 3.01)
         table_sig = interval_signal_from_prices(109.0, 111.0, params)
         wide_zero = IntervalIndicator(-5.0, 5.0, observed=0)
+        # delta far below the float spacing of T, so that T + delta rounds to T
+        tiny = dataclasses.replace(params, delta=1e-20)
+        assert tiny.t_signal == tiny.t_expiry
+        tiny_sig = interval_signal_from_prices(109.0, 111.0, tiny)
+        near_edge = tiny_sig.a_w + 1e-10
         with mpmath.workdps(200):
             cases = [
-                (indicator_prob(narrow, params), prob(1, narrow)),
-                (density_indicator(1, -3.0, params.t_expiry, table_sig, params),
-                 density(1, mpf(-3.0), params.t_expiry, table_sig)),
-                (density_indicator(0, 0.0, 0.2, wide_zero, params),
-                 density(0, mpf(0.0), 0.2, wide_zero)),
+                (indicator_prob(narrow, params), prob(narrow, params)),
+                (density_indicator(-3.0, table_sig, params),
+                 density(mpf(-3.0), params.t_expiry, table_sig, params)),
+                (density_indicator_at(0.0, 0.2, wide_zero, params),
+                 density(mpf(0.0), 0.2, wide_zero, params)),
+                (density_indicator(near_edge, tiny_sig, tiny),
+                 density(mpf(near_edge), tiny.t_expiry, tiny_sig, tiny)),
             ]
             errors = [float(abs(got - want) / want) for got, want in cases]
         assert all(e <= 1e-12 for e in errors), errors
+        qg = qg_density_indicator(near_edge, tiny_sig, tiny)
+        assert math.isfinite(qg) and qg > 0.0
 
 
 class TestPointSampler:

@@ -18,7 +18,6 @@ from insider_hedge import (
     bs_call_price,
     build_batch,
     density_indicator,
-    density_point,
     draw_interval,
     draw_point,
     indicator_prob,
@@ -35,6 +34,7 @@ from insider_hedge import (
 )
 from insider_hedge.np_solver import _STRIDE
 from insider_hedge.rng import BLOCK_SIZE
+from test_insider_signal import density_point_at
 
 G_110 = 0.328590719217
 
@@ -68,7 +68,7 @@ def independent_d(signal, draws, p) -> np.ndarray:
     from qg_density_point for a point signal and Z_T / p_T^G for an interval."""
     if isinstance(signal, IntervalIndicator):
         w_t = sample_indicator_conditional(signal, draws, p).w_t
-        p_g = density_indicator(signal.observed, w_t, p.t_expiry, signal, p)
+        p_g = density_indicator(w_t, signal, p)
     else:
         w_t = sample_point_conditional(signal.g_w, draws, p)
     h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
@@ -142,7 +142,7 @@ class TestQgDensityPoint:
         w = rng.normal(0.0, 0.5, 1000)
         g = rng.normal(0.0, 0.5, 1000)
         closed = qg_density_point(w, g, params)
-        ratio = rn_density(w, params) / density_point(g, w, params.t_expiry, params)
+        ratio = rn_density(w, params) / density_point_at(g, w, params.t_expiry, params)
         assert np.allclose(closed, ratio, rtol=1e-10)
 
     def test_positive(self, params):

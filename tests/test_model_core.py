@@ -69,9 +69,6 @@ class TestPriceTransforms:
 
 
 class TestRnDensity:
-    def test_time_zero_is_one(self, params):
-        assert rn_density(0.0, params, t=0.0) == 1.0
-
     def test_at_horizon(self, params):
         # exp(-theta^2 T / 2) with theta = 0.32
         assert abs(rn_density(0.0, params) - 0.98728157159) <= 1e-6
