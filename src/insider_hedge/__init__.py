@@ -25,7 +25,6 @@ from .insider_signal import (
 from .measure_engine import (
     build_batch,
     qg_density_indicator,
-    qg_density_point,
 )
 from .model_core import (
     BrownianPair,

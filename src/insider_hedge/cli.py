@@ -360,7 +360,7 @@ def render_cells(cells: list[CellResult]) -> str:
         else:
             alpha_txt = f"{c.alpha:.4f}"
         lines.append(
-            f"{c.signal:>16} {c.epsilon:>5.2f} {c.mode:>13} {alpha_txt:>10} "
+            f"{c.signal:>16} {_fmt_num(c.epsilon):>5} {c.mode:>13} {alpha_txt:>10} "
             f"{c.alpha_stderr:>9.2g} {c.success_prob:>8.4f} {c.flags}"
         )
     return "\n".join(lines)
@@ -534,9 +534,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(parser, args)
-    except (ValueError, OSError) as exc:
-        # bad inputs and unreadable or unwritable files end in one line, not a traceback
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # bad inputs, unreadable or unwritable files and samples too large to allocate
+        # end in one line, not a traceback
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

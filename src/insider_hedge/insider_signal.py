@@ -12,8 +12,8 @@ hedge horizon,
     p_T^G = P(G = observed | F_T) / P(G = observed),
 
 which measure_engine divides into Z_T; the point signal's p_T^g is
-folded into the one exponent of measure_engine.qg_density_point.  For
-both kinds it draws W_T from the law of W_T given the realized signal.
+folded into measure_engine's exponent of the normals.  For both kinds
+it draws W_T from the law of W_T given the realized signal.
 For the point signal two sampling modes exist: the exact Gaussian
 conditioning
 
@@ -32,8 +32,9 @@ Point draws carry their conditioning mode.  A table draws once and maps
 the same draws for each of its signals.  Given the signal, W_T = c + s*z
 with s > 0 for one normal z in either point mode and in the bridge;
 point_map and bridge_map give (c, s), and measure_engine inverts the
-same map.  Point draws are sorted ascending, so every point sample of
-W_T comes out in ascending order.
+same map; for a point signal it computes D from the normals and (c, s)
+without forming W_T.  Point draws are sorted ascending, so every point
+sample of W_T comes out in ascending order.
 """
 from __future__ import annotations
 

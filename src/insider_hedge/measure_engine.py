@@ -9,44 +9,35 @@ measure density dQ_G/dP = Z_T / p_T^G:
 E_QG[H] equals the plain Black-Scholes price (the insider measure agrees
 with the risk-neutral one on F_T), so the normalizer is closed form and
 adds no Monte Carlo noise.  D is the single quantity the threshold
-solvers consume: success probabilities are plain means of 1{D <= k} and
-capital fractions are means of D * 1{D <= k}.  So build_batch returns
-only the solvers' sorted view of D (np_solver.SortedD), which carries
-the normalizer; the draws of W_T are dropped once D is computed.
+solvers consume, so build_batch returns only the solvers' sorted view
+of D (np_solver.SortedD), which carries the normalizer.
 
 Every out-of-the-money draw (H = 0) has D = 0, an atom of mass
-P_G(S_T <= K) that lies in every success set.  D is therefore computed
-on the in-the-money draws only, and the sorted view counts the zeros
-instead of storing them.  Draws that cannot reach the strike are not
-even mapped to W_T: build_batch decides in draw space which draws can
-reach a window just below the strike, and feeds only those to the
-samplers.
+P_G(S_T <= K) that lies in every success set, which the sorted view
+counts instead of storing.  D is computed on the in-the-money draws
+only, and draws that cannot reach a window just below the strike are
+left out in draw space, by cuts that invert insider_signal's point_map
+and bridge_map.  build_batch walks the other draws in blocks of
+rng.BLOCK_SIZE and writes each block's D straight into one buffer,
+which the sorted view keeps when it comes out full and sorted.
 
-build_batch walks those draws in blocks of rng.BLOCK_SIZE.  Each block
-is sampled, priced, cut to its in-the-money draws and turned into D,
-which goes straight into one buffer sized to the draws that can reach
-the strike; no temporary is longer than a block.  When that buffer
-comes out full and sorted, the sorted view keeps it as its array of D.
-A point block is computed in place, in three block buffers that
-build_batch allocates once and drops before D is sorted: W_T, H, and
-dQ_G/dP as one exp of the combined exponent of Z_T / p_T^G
-(qg_density_point), since Z_T alone overflows on well-posed inputs.  A
-D beyond the float range comes out inf, which the sorted view refuses
-by name; one that underflows comes out 0.
-
-Point samples of W_T are an increasing affine map of draw_point's
-ascending normals, in either mode, so the draws that can reach the
-strike are a suffix of them, found by one searchsorted, and its blocks
-come in the order of ascending W_T: the in-the-money draws of each
-block are a suffix of it, and D is usually sorted already.  Interval
-samples depend on two draws each: a draw is kept when the bridge from
-the largest W_{T+delta} its branch allows reaches the window, and each
-block gathers its kept draws and then its in-the-money ones by index.
-The draw-space cuts invert insider_signal's point_map and bridge_map.
+A point signal's W_T = c + s*z is affine in draw_point's ascending
+normals z, so S_T and dQ_G/dP are two exponents of z whose constants
+are folded once per signal: no W_T is formed, and a block takes two
+reused block buffers.  dQ_G/dP is one exp of Z_T / p_T^g's combined
+exponent, since Z_T alone overflows on well-posed inputs; a D beyond the
+float range comes out inf, which the sorted view refuses by name, and
+one that underflows comes out 0.  The draws that can reach the strike
+are a suffix of the normals, as are the in-the-money draws of each
+block, so D is usually sorted already.  An interval draw is kept when
+the bridge from the largest W_{T+delta} its branch allows reaches the
+window; each block gathers its kept draws and then its in-the-money
+ones by index, and maps them to W_T.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -61,7 +52,6 @@ from .insider_signal import (
     indicator_prob,
     point_map,
     sample_indicator_conditional,
-    sample_point_conditional,
 )
 from .model_core import (
     ModelParams,
@@ -74,37 +64,9 @@ from .np_solver import SortedD
 from .rng import BLOCK_SIZE
 
 __all__ = [
-    "qg_density_point",
     "qg_density_indicator",
     "build_batch",
 ]
-
-
-def qg_density_point(w_t, g_w, p: ModelParams, out=None):
-    """dQ_G/dP = Z_T / p_T^G at the horizon for the point signal, as one exponent:
-
-        sqrt(d/(T+d)) * exp(-theta*W_T - theta^2 T/2
-                            + (g - W_T)^2/(2d) - g^2/(2(T+d)))
-
-    Algebraically identical to rn_density / p_T^g with the paper's
-
-        p_T^g = sqrt((T+d)/d) * exp(-(g - W_T)^2/(2d) + g^2/(2(T+d))),
-
-    whose two factors can each overflow where their ratio does not.  The
-    exponent is evaluated with its square completed,
-
-        (W_T - g - theta*d)^2/(2d) - theta*g - theta^2 (T+d)/2 - g^2/(2(T+d)),
-
-    so that it is built in one array, written into `out` when given.
-    """
-    th, d, td = p.theta, p.delta, p.t_signal
-    x = np.subtract(w_t, g_w + th * d, out=out)
-    x *= x
-    x /= 2.0 * d
-    x += -th * g_w - 0.5 * th * th * td - g_w * g_w / (2.0 * td)
-    x = np.exp(x, out=out)
-    x *= math.sqrt(d / td)
-    return x
 
 
 def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
@@ -122,25 +84,50 @@ def _itm_payoff(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return h[itm], w_t[itm]
 
 
-def _itm_payoff_ascending(w_t, p: ModelParams, out) -> tuple[np.ndarray, np.ndarray]:
-    """_itm_payoff for an ascending W_T, whose in-the-money draws are a suffix.
+class _PointExponents(NamedTuple):
+    """S_T = s0 * exp(a*z + b) and dQ_G/dP = exp((u*z - v)^2 + r) on a point signal's normals z."""
 
-    H is computed in `out`.  The draws with H > 0 are the same as
-    _itm_payoff's, element for element, for any W_T: a payoff whose
-    positive values are not a suffix goes to _itm_payoff.
+    a: float
+    b: float
+    u: float
+    v: float
+    r: float
+
+
+def _point_exponents(signal: PointValue, draws: SignalDraws, p: ModelParams) -> _PointExponents:
+    """The constants of a point signal's two exponents of draws.z.
+
+    W_T = c + s*z (point_map) gives a = sigma*s and b = sigma*c +
+    (mu - sigma^2/2) T.  dQ_G/dP = Z_T / p_T^g, with the paper's
+    p_T^g = sqrt((T+d)/d) exp(-(g - W_T)^2/(2d) + g^2/(2(T+d))), has the
+    exponent Q*(z - z0)^2 + r with its square completed: Q = s^2/(2d),
+    z0 = (g + theta*d - c)/s and r = -theta*g - theta^2 (T+d)/2 -
+    g^2/(2(T+d)) + ln sqrt(d/(T+d)).  The square is held as (u*z - v)^2,
+    u = sqrt(Q) and v = u*z0, so that no constant divides by s, which is
+    0 where T*d underflows.
     """
-    h = price_from_brownian(w_t, p.t_expiry, p, out=out)
+    c, s = point_map(signal.g_w, draws, p)
+    g, th, d, td = signal.g_w, p.theta, p.delta, p.t_signal
+    root = math.sqrt(2.0 * d)
+    return _PointExponents(
+        p.sigma * s, p.sigma * c + (p.mu - 0.5 * p.sigma**2) * p.t_expiry,
+        s / root, (g + th * d - c) / root,
+        -th * g - 0.5 * th * th * td - g * g / (2.0 * td) + 0.5 * (math.log(d) - math.log(td)))
+
+
+def _point_payoff(z, ex: _PointExponents, p: ModelParams, out) -> np.ndarray:
+    """H = S_T - K = s0 * exp(a*z + b) - K for the normals z, computed in `out`."""
+    h = np.multiply(z, ex.a, out=out)
+    h += ex.b
+    h = np.exp(h, out=h)
+    h *= p.s0
     h -= p.strike
-    itm = h > 0.0
-    first = h.size - int(np.count_nonzero(itm))
-    if not itm[first:].all():
-        return _itm_payoff(w_t, p)
-    return h[first:], w_t[first:]
+    return h
 
 
 # relative gap below the strike from which draws are sampled: far wider than the
-# rounding of price_from_brownian and brownian_from_price, so every draw whose W_T
-# is below the gap's Brownian level has S_T < K in floating point too
+# rounding of S_T and of brownian_from_price, so every draw whose W_T is below
+# the gap's Brownian level has S_T < K in floating point too
 _STRIKE_GAP = 1e-9
 # relative margin by which a draw-space cut is moved outward: far wider than the
 # rounding of the affine map it inverts and of the ndtri value it repeats
@@ -229,25 +216,28 @@ def _interval_blocks(signal: IntervalIndicator, draws: SignalDraws, p: ModelPara
         yield _interval_candidates(block, mass, z_cut, below) if prune else block
 
 
-def _write_d(signal: SignalSpec, draws: SignalDraws, p: ModelParams, e_qg_h: float,
-             out: np.ndarray, m: int, work: np.ndarray | None) -> int:
-    """Map one block of draws to W_T and write D of its in-the-money draws into out[m:].
+def _write_d(signal: SignalSpec, block, p: ModelParams, e_qg_h: float, out: np.ndarray,
+             m: int, ex: _PointExponents | None, work: np.ndarray | None) -> int:
+    """Write D of one block's in-the-money draws into out[m:]; return the end written.
 
     The one definition of D: D = H * dQ_G/dP / E_QG[H] in that operation
-    order, elementwise, with dQ_G/dP from qg_density_point for a point
-    signal and qg_density_indicator for an interval signal, so each value
-    equals the one the full-sample formula gives; every other draw has
-    D = 0 exactly.  A point block is computed in place in the rows of
-    `work`, each at least a block long: W_T, H and dQ_G/dP.  Returns the
-    end of the values written.
+    order, elementwise, so each value equals the one the full-sample
+    formula gives; every other draw has D = 0 exactly.  For a point
+    signal the block is a slice of its normals, `ex` holds its exponents,
+    and H and dQ_G/dP are computed in the two rows of `work`, each at
+    least a block long.  Its in-the-money draws are read as a suffix, and
+    gathered by index when the positive H are not one (normals out of
+    order, or rounding).  For an interval signal `ex` and `work` are None
+    and the block holds draw_interval's draws.
     """
-    point = isinstance(signal, PointValue)
-    if point:
-        w_t, h, qg = work[:, :draws.z.size]
-        h, w_t = _itm_payoff_ascending(
-            sample_point_conditional(signal.g_w, draws, p, out=w_t), p, h)
+    if ex is not None:
+        h = _point_payoff(block, ex, p, work[0, :block.size])
+        itm = h > 0.0
+        first = h.size - int(np.count_nonzero(itm))
+        itm = slice(first, None) if itm[first:].all() else np.flatnonzero(itm)
+        h, z = h[itm], block[itm]
     else:
-        h, w_t = _itm_payoff(sample_indicator_conditional(signal, draws, p).w_t, p)
+        h, w_t = _itm_payoff(sample_indicator_conditional(signal, block, p).w_t, p)
     if not h.size:
         return m
     if not e_qg_h > 0.0:
@@ -257,8 +247,12 @@ def _write_d(signal: SignalSpec, draws: SignalDraws, p: ModelParams, e_qg_h: flo
     # a D beyond the float range comes out inf, which SortedD.from_sample refuses by
     # name; one that underflows comes out 0 (far-out levels, where the exact D is tiny)
     with np.errstate(over="ignore"):
-        if point:
-            qg = qg_density_point(w_t, signal.g_w, p, out=qg[:h.size])
+        if ex is not None:
+            qg = np.multiply(z, ex.u, out=work[1, :h.size])
+            qg -= ex.v
+            qg *= qg
+            qg += ex.r
+            np.exp(qg, out=qg)
         else:
             qg = qg_density_indicator(w_t, signal, p)
         np.multiply(h, qg, out=d)
@@ -275,7 +269,7 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     set can serve many signals.  Only the draws that can reach the
     strike window are sampled; the others count towards D's zero atom.
     Point draws are sorted, so those draws are one suffix and a point
-    signal's W_T is ascending: its in-the-money draws are read as a
+    signal's S_T is ascending: its in-the-money draws are read as a
     suffix, and its D usually needs no sort.  Interval draws are kept
     by a bound on W_T from each draw's branch and gathered by index.
 
@@ -289,11 +283,11 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     n = draws.z.size
     if isinstance(signal, PointValue):
         lo = _point_start(signal, draws, p)
-        # `for whole in (draws,)` binds the draws in the generator, not in this frame
-        blocks = (whole._replace(z=whole.z[i:i + BLOCK_SIZE])
-                  for whole in (draws,) for i in range(lo, n, BLOCK_SIZE))
+        ex = _point_exponents(signal, draws, p)
+        # `for z in (draws.z,)` binds the normals in the generator, not in this frame
+        blocks = (z[i:i + BLOCK_SIZE] for z in (draws.z,) for i in range(lo, n, BLOCK_SIZE))
     elif isinstance(signal, IntervalIndicator):
-        lo = 0
+        lo, ex = 0, None
         blocks = _interval_blocks(signal, draws, p)
     else:
         raise TypeError(f"unsupported signal {signal!r}")
@@ -302,12 +296,12 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     del draws
     e_qg_h = bs_call_price(p)
     d = np.empty(n - lo)
-    # W_T, H and dQ_G/dP of a point block, reused by every block; allocated after d,
+    # H and dQ_G/dP of a point block, reused by every block; allocated after d,
     # which the view keeps, so that freeing them leaves no hole below it in the heap
-    work = np.empty((3, min(BLOCK_SIZE, n - lo))) if isinstance(signal, PointValue) else None
+    work = np.empty((2, min(BLOCK_SIZE, n - lo))) if ex is not None else None
     m = 0
     for block in blocks:
-        m = _write_d(signal, block, p, e_qg_h, d, m, work)
+        m = _write_d(signal, block, p, e_qg_h, d, m, ex, work)
         # gathered interval draws go before the next block is gathered and D is sorted
         del block
     # the point block buffers go before D is sorted

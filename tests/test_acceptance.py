@@ -20,13 +20,14 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from insider_hedge import (
+    ConditioningMode,
+    SignalDraws,
     build_atom_table,
     bs_call_price,
     interval_signal_from_prices,
     point_signal_from_price,
     price_from_brownian,
     qg_density_indicator,
-    qg_density_point,
     random_market,
     reference_market,
     rn_density,
@@ -44,7 +45,7 @@ from insider_hedge.tree_oracle import (
 from fractions import Fraction
 
 from test_insider_signal import density_indicator_at
-from test_measure_engine import full_sample, seeded_batch
+from test_measure_engine import full_sample, independent_d, seeded_batch
 from test_np_solver import synthetic_batch
 
 N_PATHS = 1_000_000
@@ -239,17 +240,19 @@ def test_criterion_4_unit_mass(params):
     # (i) E[D | G] = int D(w) f_cond(w) dw; by the Bayes identity
     # f_cond = phi_T * p_T^g the integrand collapses to h z phi / C.
     # First check that identity holds pointwise through the package's
-    # dQ_G/dP (and, for the interval, the paper's p_T^g from
+    # point D and interval dQ_G/dP (against the paper's p_T^g from
     # test_insider_signal), then integrate the collapsed form.
     w_k = float(np.log(params.strike / params.s0) / params.sigma
                 - (params.mu - params.sigma**2 / 2) * t / params.sigma)
     for level in (105.0, 110.0, 115.0):
-        g = point_signal_from_price(level, params).g_w
-        m, v = g * t / td, t * params.delta / td
-        grid = np.linspace(m - 6 * math.sqrt(v), m + 6 * math.sqrt(v), 501)
+        sig = point_signal_from_price(level, params)
+        m, v = sig.g_w * t / td, t * params.delta / td
+        z = np.linspace(-6.0, 6.0, 501)
+        grid = m + math.sqrt(v) * z
         f_cond = np.exp(-((grid - m) ** 2) / (2 * v)) / math.sqrt(2 * math.pi * v)
-        lhs = (np.maximum(price_from_brownian(grid, t, params) - params.strike, 0.0)
-               * qg_density_point(grid, g, params) / call) * f_cond
+        # the package's point D, computed from the bridge normals that give the grid
+        draws = SignalDraws(z, mode=ConditioningMode.BRIDGE_EXACT)
+        lhs = independent_d(sig, draws, params) * f_cond
         rhs = np.array([h_z_phi(w) for w in grid]) / call
         if not np.allclose(lhs, rhs, rtol=1e-9, atol=1e-300):
             failures.append(f"point Bayes identity broken at level {level}")

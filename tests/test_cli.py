@@ -350,6 +350,17 @@ class TestOutputs:
         assert "<0.0008" in text       # 2 * stderr sentinel, mirroring "<0.01" style
         assert "0.2700" in text
 
+    def test_epsilon_labels_tell_grid_values_apart(self):
+        # two decimals printed 0.005 and 0.01 both as 0.01, and 0.125 and 0.12 as 0.12
+        from insider_hedge.cli import CellResult, render_cells
+
+        epsilons = (0.005, 0.01, 0.125, 0.12)
+        cells = [CellResult(signal="S=110", epsilon=e, alpha=0.2, alpha_stderr=0.001,
+                            success_prob=1.0 - e, k=3.0, n_paths=1000, mode="bridge_exact",
+                            flags="") for e in epsilons]
+        rows = render_cells(cells).splitlines()[1:]
+        assert [row.split()[1] for row in rows] == ["0.005", "0.01", "0.125", "0.12"]
+
 
 class TestOracleSuite:
     def test_small_suite_passes(self):
@@ -561,6 +572,20 @@ def run_main(argv) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hedge", "--level", "110", "--epsilon", "0.1"],
+    ["hedge", "--interval", "109:111", "--alpha", "0.2"],
+    ["table-point"],
+    ["table-indicator"],
+])
+def test_sample_too_large_to_allocate_is_one_error_line(argv):
+    # numpy refuses 8 * 10^15 bytes before touching any memory
+    status, out, err = run_main([*argv, "--n-paths", str(10**15)])
+    assert status == 1 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: Unable to allocate")
+
+
 def log_uniform(lo: float, hi: float):
     return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda x: 10.0**x)
 
@@ -653,3 +678,41 @@ class TestPointHedgeInputs:
             assert success >= 1.0 - value - 1e-6, argv
         else:
             assert alpha <= value + 1e-6, argv
+
+
+class TestPointHedgeEdges:
+    """Point hedges at the float edges of D's constants: solved, or refused by name."""
+
+    CALL_PRICE_ZERO = ("error: the call price at strike 11500 is 0, so D = H / E_QG[H] "
+                       "is undefined on the draws in the money")
+
+    @pytest.mark.parametrize("flags, refusal", [
+        # E_QG[H] = 6.8e-297, near underflow, with draws in the money
+        (["--strike=1e4", "--level=1.5e4"], None),
+        (["--strike=1e4", "--level=1.1e4"], None),
+        # E_QG[H] underflows to 0 with draws in the money
+        (["--strike=11500", "--level=1.5e4"], CALL_PRICE_ZERO),
+        # delta near the float floor: W_T rounds to one value, S_T is one price
+        (["--level=110", "--delta=1e-300"], None),
+        (["--level=110", "--delta=1e-300", "--strike=0"], None),
+        # levels far out on either side: every D is 0, by the strike or by underflow
+        (["--level=1e300"], None),
+        (["--level=1e-300"], None),
+        (["--level=1e-300", "--strike=0"], None),
+    ])
+    @pytest.mark.parametrize("target", [["--epsilon", "0.1"], ["--alpha", "0.2"]])
+    @pytest.mark.parametrize("mode", ["bridge_exact", "paper_shift"])
+    def test_solved_or_refused_by_name(self, flags, refusal, target, mode):
+        argv = ["hedge", *flags, "--mode", mode, *target, "--n-paths", "2000"]
+        status, out, err = run_main(argv)
+        if refusal:
+            assert (status, out, err) == (1, "", refusal + "\n")
+            return
+        assert status == 0, err
+        fields = dict(line.split(" = ", 1) for line in out.splitlines())
+        alpha, success = float(fields["alpha"]), float(fields["success_prob"])
+        assert 0.0 <= alpha <= 1.0 and 0.0 <= success <= 1.0
+        if target[0] == "--epsilon":
+            assert success >= 0.9
+        else:
+            assert alpha <= 0.2

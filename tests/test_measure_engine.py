@@ -27,7 +27,6 @@ from insider_hedge import (
     point_signal_from_price,
     price_from_brownian,
     qg_density_indicator,
-    qg_density_point,
     rn_density,
     sample_indicator_conditional,
     sample_point_conditional,
@@ -62,22 +61,50 @@ def seeded_batch(signal, mode, n, p, seed, workers=1):
     return build_batch(signal, seeded_draws(signal, mode, n, seed, workers), p)
 
 
+def qg_density_point(w_t, g_w, p):
+    """dQ_G/dP = Z_T / p_T^g at the horizon for the point signal, as one exponent, a
+    reference for the package's point D: rn_density / p_T^g with its square completed,
+
+        sqrt(d/(T+d)) * exp((W_T - g - theta*d)^2/(2d) - theta*g - theta^2 (T+d)/2
+                            - g^2/(2(T+d))),
+
+    since Z_T and the paper's p_T^g can each overflow where their ratio does not."""
+    th, d, td = p.theta, p.delta, p.t_signal
+    x = w_t - (g_w + th * d)
+    x = x * x / (2.0 * d) + (-th * g_w - 0.5 * th * th * td - g_w * g_w / (2.0 * td))
+    return np.exp(x) * math.sqrt(d / td)
+
+
+def composed_point_d(signal, draws, p) -> np.ndarray:
+    """Point D of every draw, zeros included, in draw order, composed from W_T: the
+    sampler's W_T, price_from_brownian's S_T and the reference qg_density_point."""
+    w_t = sample_point_conditional(signal.g_w, draws, p)
+    h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
+    itm = h > 0.0
+    d = np.zeros(h.size)
+    d[itm] = h[itm] * qg_density_point(w_t[itm], signal.g_w, p) / bs_call_price(p)
+    return d
+
+
 def independent_d(signal, draws, p) -> np.ndarray:
-    """D of every draw, zeros included, in draw order, from the public model and
-    signal functions: H * dQ_G/dP / E_QG[H] where H > 0, else 0, with dQ_G/dP
-    from qg_density_point for a point signal and Z_T / p_T^G for an interval."""
+    """D of every draw, zeros included, in draw order: H * dQ_G/dP / E_QG[H] where
+    H > 0, else 0.  For a point signal H and dQ_G/dP are the two exponents of the
+    normals whose constants measure_engine folds, evaluated on the whole sample at
+    once; for an interval signal dQ_G/dP is Z_T / p_T^G from the public model and
+    signal functions."""
     if isinstance(signal, IntervalIndicator):
         w_t = sample_indicator_conditional(signal, draws, p).w_t
         p_g = density_indicator(w_t, signal, p)
+        h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
     else:
-        w_t = sample_point_conditional(signal.g_w, draws, p)
-    h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
+        ex = measure_engine._point_exponents(signal, draws, p)
+        h = np.maximum(p.s0 * np.exp(draws.z * ex.a + ex.b) - p.strike, 0.0)
     # out of the money, D = 0 without dividing: E_QG[H] itself is 0 for a far strike
     itm = h > 0.0
     if isinstance(signal, IntervalIndicator):
         qg = rn_density(w_t[itm], p) / p_g[itm]
     else:
-        qg = qg_density_point(w_t[itm], signal.g_w, p)
+        qg = np.exp((draws.z[itm] * ex.u - ex.v) ** 2 + ex.r)
     d = np.zeros(h.size)
     d[itm] = h[itm] * qg / bs_call_price(p)
     return d
@@ -169,6 +196,48 @@ class TestQgDensityIndicator:
         assert np.all(vals > 0.0) and np.all(np.isfinite(vals))
 
 
+class TestFusedPointD:
+    """The package's point D, two exponents of the normals, against the composition it
+    replaced: the sampler's W_T, price_from_brownian and the reference qg_density_point."""
+
+    @pytest.mark.parametrize("market, level", [
+        ({}, 105.0), ({}, 110.0), ({}, 115.0),
+        ({"delta": 1e-5}, 110.0), ({"sigma": 0.6, "t_expiry": 1.0}, 110.0),
+    ])
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_within_the_rounding_of_both_forms(self, params, mode, market, level):
+        # Each form rounds the exponent of S_T and of dQ_G/dP to a few ulps of the terms
+        # summed in it, and exp turns an absolute error in an exponent into the same
+        # relative error.  Bound the terms of S_T's exponent by s_terms and those of
+        # dQ_G/dP's by q_terms, whose square term carries the rounding of W_T - g - theta*d
+        # (or of g + theta*d - c) divided by d; 2^-44 leaves a factor of 64 over 16 ulps.
+        # H = S_T - K multiplies S_T's relative error by S_T/H: the cancellation of a
+        # draw just in the money, alike in both forms.
+        p = dataclasses.replace(params, **market)
+        sig = point_signal_from_price(level, p)
+        draws = draw_point(mode, 200_000, seed=3)
+        g, z = sig.g_w, draws.z
+        c, s = insider_signal.point_map(g, draws, p)
+        old_s = price_from_brownian(sample_point_conditional(g, draws, p), p.t_expiry, p)
+        ex = measure_engine._point_exponents(sig, draws, p)
+        new_s = p.s0 * np.exp(z * ex.a + ex.b)
+        span = abs(c) + s * np.abs(z)
+        s_terms = 1.0 + p.sigma * span + abs(p.mu - 0.5 * p.sigma**2) * p.t_expiry
+        q_terms = (1.0 + (span + abs(g) + abs(p.theta) * p.delta) ** 2 / p.delta
+                   + abs(p.theta * g) + p.theta**2 * p.t_signal + g * g / p.t_signal
+                   + abs(math.log(p.delta / p.t_signal)))
+        old, new = composed_point_d(sig, draws, p), independent_d(sig, draws, p)
+        both = (old_s > p.strike) & (new_s > p.strike)
+        rel = 2.0**-44 * (old_s / (old_s - p.strike) * s_terms + q_terms)
+        assert both.sum() > 10_000
+        assert np.all(np.abs(new - old)[both] <= rel[both] * old[both])
+        # a draw that only one form puts in the money has S_T within its rounding of K
+        one = (old_s > p.strike) != (new_s > p.strike)
+        assert np.all(np.abs(old_s - p.strike)[one] <= 2.0**-44 * (s_terms * old_s)[one])
+        assert np.all((old == 0.0) & (new == 0.0) | both | one)
+        assert_sorted_view_of(build_batch(sig, draws, p), new)
+
+
 class TestBuildBatchPoint:
     @pytest.fixture(params=["bridge_exact", "paper_shift"])
     def mode(self, request):
@@ -241,21 +310,22 @@ class TestSortedPointDraws:
 
     def test_payoff_out_of_order_falls_back_to_the_gather(self, params, monkeypatch):
         # should rounding ever break the payoff's order, the in-the-money draws are gathered:
-        # here a payoff knocked out on a set of W_T values leaves holes in the suffix
+        # here a payoff knocked out on a set of normals leaves holes in the suffix
         sig = point_signal_from_price(110.0, params)
         draws = draw_point("bridge_exact", 5000, seed=29)
 
-        def knocked_out(w):
-            return np.floor(w * 1e6) % 7 == 0
+        def knocked_out(z):
+            return np.floor(z * 1e6) % 7 == 0
 
-        def holed_price(w, t, p, out=None):
-            s = price_from_brownian(w, t, p, out=out)
-            s[knocked_out(w)] = 0.0
-            return s
+        def holed_payoff(z, ex, p, out):
+            h = payoff(z, ex, p, out)
+            h[knocked_out(z)] = -p.strike
+            return h
 
-        monkeypatch.setattr(measure_engine, "price_from_brownian", holed_price)
+        payoff = measure_engine._point_payoff
+        monkeypatch.setattr(measure_engine, "_point_payoff", holed_payoff)
         d = independent_d(sig, draws, params)
-        d[knocked_out(sample_point_conditional(sig.g_w, draws, params))] = 0.0
+        d[knocked_out(draws.z)] = 0.0
         assert_sorted_view_of(build_batch(sig, draws, params), d)
 
     def test_far_out_level_overflows_quietly_to_zero_d(self, params):
@@ -431,11 +501,12 @@ class TestBlocks:
         draws = SignalDraws(np.sort(z), mode=mode)
         sampled = []
 
-        def counted(g_w, d, q, out=None):
-            sampled.append(d.z.size)
-            return sample_point_conditional(g_w, d, q, out=out)
+        def counted(z, ex, p, out):
+            sampled.append(z.size)
+            return payoff(z, ex, p, out)
 
-        monkeypatch.setattr(measure_engine, "sample_point_conditional", counted)
+        payoff = measure_engine._point_payoff
+        monkeypatch.setattr(measure_engine, "_point_payoff", counted)
         view = build_batch(sig, draws, params)
         assert sampled == blocks
         assert view.d.size == sum(blocks)
