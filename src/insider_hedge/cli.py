@@ -12,10 +12,11 @@ version          print the package version
 
 Configuration is a flat key/value text file (see DEFAULT_CONFIG_KEYS);
 command-line flags override file keys, and the INSIDER_HEDGE_CONFIG
-environment variable supplies a default config path.  Reruns with the
-same config and seed write byte-identical output files regardless of
-the worker count: all sampling uses block-deterministic streams and
-cells are assembled in grid order.
+environment variable supplies a default config path.  Each command
+reads only the keys it uses, so a bad value of another key cannot
+refuse it.  Reruns with the same config and seed write byte-identical
+output files: all sampling uses block-deterministic streams and cells
+are assembled in grid order.  --workers is accepted and has no effect.
 """
 from __future__ import annotations
 
@@ -83,8 +84,9 @@ class RunConfig:
 
     Each table checks what only the tables read when it runs, before
     any draw: run_table_point the levels, run_table_indicator the
-    intervals, and both the epsilons and the format.  signal_kind is
-    read by no command.
+    intervals, and both the epsilons and the format.  signal_kind and
+    workers are checked here and read by no command: every stream is
+    filled block by block in one loop.
     """
 
     model: ModelParams
@@ -92,7 +94,6 @@ class RunConfig:
     levels: tuple = DEFAULT_LEVELS
     intervals: tuple = DEFAULT_INTERVALS
     epsilons: tuple = DEFAULT_EPSILONS
-    mode: ConditioningMode = ConditioningMode.BRIDGE_EXACT
     n_paths: int = 1_000_000
     seed: int = 0
     output: str | None = None
@@ -186,8 +187,7 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     signals = [point_signal_from_price(level, config.model) for level in config.levels]
     rows = []
     for j, mode in enumerate(modes):
-        draws = draw_point(mode, config.n_paths, derive_seed(config.seed, j),
-                           workers=config.workers)
+        draws = draw_point(mode, config.n_paths, derive_seed(config.seed, j))
         # each view of D is released once its row is planned: one is alive at a time
         rows.append([_plan_row(build_batch(signal, draws, config.model), config.epsilons)
                      for signal in signals])
@@ -221,7 +221,7 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     # as in hedge, a signal of probability 0 is refused before the 2n draws are filled
     for signal in signals:
         indicator_prob(signal, config.model)
-    draws = draw_interval(config.n_paths, derive_seed(config.seed), workers=config.workers)
+    draws = draw_interval(config.n_paths, derive_seed(config.seed))
     cells: list[CellResult] = []
     for (lo, hi), signal in zip(config.intervals, signals):
         descriptor = f"S=[{lo:g}..{hi:g}]"
@@ -416,48 +416,43 @@ def _parse_intervals(text: str) -> tuple:
 
 
 def _config_lookup(args: argparse.Namespace):
-    """pick(flag, key, cast, fallback): the flag when given, else the value of key in the
-    config file (--config, or $INSIDER_HEDGE_CONFIG) cast, else the fallback."""
+    """pick(dest, cast, fallback, key=dest): the flag args.dest when given, else the
+    value of key in the config file (--config, or $INSIDER_HEDGE_CONFIG) cast, else
+    the fallback.  A command without the flag reads no key, so a bad value of a key
+    that a command never uses cannot refuse it."""
     path = args.config or os.environ.get(ENV_CONFIG)
     opts = parse_config_file(path) if path else {}
 
-    def pick(flag, key, cast, fallback):
-        if flag is not None:
-            return flag
-        if key in opts:
-            return cast(opts[key])
-        return fallback
+    def pick(dest, cast, fallback, key=None):
+        if not hasattr(args, dest):
+            return fallback
+        if getattr(args, dest) is not None:
+            return getattr(args, dest)
+        key = key or dest
+        return cast(opts[key]) if key in opts else fallback
 
     return pick
 
 
-def _build_model(args: argparse.Namespace, pick) -> ModelParams:
-    return ModelParams(
-        mu=pick(args.mu, "mu", float, 0.08),
-        sigma=pick(args.sigma, "sigma", float, 0.25),
-        s0=pick(args.s0, "s0", float, 100.0),
-        strike=pick(args.strike, "strike", float, 110.0),
-        t_expiry=pick(args.t_expiry, "t_expiry", float, 0.25),
-        delta=pick(args.delta, "delta", float, 0.02),
-    )
+def _build_model(pick) -> ModelParams:
+    return ModelParams(mu=pick("mu", float, 0.08), sigma=pick("sigma", float, 0.25),
+                       s0=pick("s0", float, 100.0), strike=pick("strike", float, 110.0),
+                       t_expiry=pick("t_expiry", float, 0.25),
+                       delta=pick("delta", float, 0.02))
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """File options first, command-line flags override."""
-    pick = _config_lookup(args)
+def build_config(args: argparse.Namespace, pick=None) -> RunConfig:
+    """File options first, command-line flags override; pick defaults to args' lookup."""
+    pick = pick or _config_lookup(args)
     return RunConfig(
-        model=_build_model(args, pick),
-        levels=pick(getattr(args, "levels", None), "signal.levels", _parse_floats, DEFAULT_LEVELS),
-        intervals=pick(getattr(args, "intervals", None), "signal.intervals",
-                       _parse_intervals, DEFAULT_INTERVALS),
-        epsilons=pick(getattr(args, "epsilons", None), "epsilons", _parse_floats,
-                      DEFAULT_EPSILONS),
-        mode=ConditioningMode(pick(getattr(args, "mode", None), "mode", _parse_mode,
-                                   "bridge_exact")),
-        n_paths=pick(getattr(args, "n_paths", None), "n_paths", int, 1_000_000),
-        seed=pick(args.seed, "seed", int, 0),
-        output=pick(getattr(args, "output", None), "output", str, None),
-        fmt=pick(getattr(args, "fmt", None), "format", str, "csv"),
+        model=_build_model(pick),
+        levels=pick("levels", _parse_floats, DEFAULT_LEVELS, "signal.levels"),
+        intervals=pick("intervals", _parse_intervals, DEFAULT_INTERVALS, "signal.intervals"),
+        epsilons=pick("epsilons", _parse_floats, DEFAULT_EPSILONS),
+        n_paths=pick("n_paths", int, 1_000_000),
+        seed=pick("seed", int, 0),
+        output=pick("output", str, None),
+        fmt=pick("fmt", str, "csv", "format"),
         workers=getattr(args, "workers", 1),
     )
 
@@ -475,7 +470,8 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_sampling_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-paths", dest="n_paths", type=int)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted and checked to be >= 1; has no effect")
 
 
 def _add_table_flags(sub: argparse.ArgumentParser) -> None:
@@ -553,11 +549,12 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "price":
         # the market is all price reads, so no other key can refuse it
-        print(_fmt_num(bs_call_price(_build_model(args, _config_lookup(args)))))
+        print(_fmt_num(bs_call_price(_build_model(_config_lookup(args)))))
         return 0
 
     if args.command == "hedge":
-        config = build_config(args)
+        pick = _config_lookup(args)
+        config = build_config(args, pick)
         if (args.level is None) == (args.interval is None):
             parser.error("pass exactly one of --level / --interval")
         if args.interval is not None and args.mode is not None:
@@ -568,7 +565,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("pass exactly one of --epsilon / --alpha")
         if args.level is not None:
             signal = point_signal_from_price(args.level, config.model)
-            mode = config.mode
+            mode = ConditioningMode(pick("mode", _parse_mode, "bridge_exact"))
             draw = partial(draw_point, mode)
         else:
             intervals = _parse_intervals(args.interval)
@@ -582,8 +579,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             mode = None
             draw = draw_interval
         # no reference to the draws is kept here, so build_batch can free them early
-        view = build_batch(signal, draw(config.n_paths, config.seed, workers=config.workers),
-                           config.model)
+        view = build_batch(signal, draw(config.n_paths, config.seed), config.model)
         plan = make_hedge_plan(view, epsilon=args.epsilon, alpha=args.alpha)
         if plan.atom_gap:
             print(f"warning: {plan.atom_gap}", file=sys.stderr)

@@ -30,7 +30,7 @@ Sampling is split in two steps: draw_point / draw_interval fill the
 random streams, and the samplers map those draws to W_T for one signal.
 Point draws carry their conditioning mode.  A table draws once and maps
 the same draws for each of its signals.  Given the signal, W_T = c + s*z
-with s > 0 for one normal z in either point mode and in the bridge;
+with s >= 0 for one normal z in either point mode and in the bridge;
 point_map and bridge_map give (c, s), and measure_engine inverts the
 same map; for a point signal it computes D from the normals and (c, s)
 without forming W_T.  Point draws are sorted ascending, so every point
@@ -188,7 +188,7 @@ def density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
 
 def bridge_map(w_td, p: ModelParams):
     """(c, s) with W_T = c + s*z, z standard normal, given W_{T+delta} = w_td:
-    the bridge N(w_td T/(T+d), T d/(T+d)), s > 0."""
+    the bridge N(w_td T/(T+d), T d/(T+d)), s >= 0 (0 where T d underflows)."""
     td = p.t_signal
     return w_td * p.t_expiry / td, math.sqrt(p.t_expiry * p.delta / td)
 
@@ -221,7 +221,7 @@ def _read_only(draws: SignalDraws) -> SignalDraws:
     return draws
 
 
-def draw_point(mode: ConditioningMode, n: int, seed: int, workers: int = 1) -> SignalDraws:
+def draw_point(mode: ConditioningMode, n: int, seed: int) -> SignalDraws:
     """n standard normals for the point sampler of `mode`, sorted ascending.
 
     Each mode draws from its own stream tag, so the two modes' estimates
@@ -235,26 +235,26 @@ def draw_point(mode: ConditioningMode, n: int, seed: int, workers: int = 1) -> S
         raise ValueError("n must be >= 1")
     mode = ConditioningMode(mode)
     tag = STREAM_POINT_BRIDGE if mode is ConditioningMode.BRIDGE_EXACT else STREAM_POINT_SHIFT
-    z = standard_normal_stream((seed, tag), n, workers=workers)
+    z = standard_normal_stream((seed, tag), n)
     if mode is ConditioningMode.PAPER_SHIFT:
         np.negative(z, out=z)
     z.sort()
     return _read_only(SignalDraws(z, mode=mode))
 
 
-def draw_interval(n: int, seed: int, workers: int = 1) -> SignalDraws:
+def draw_interval(n: int, seed: int) -> SignalDraws:
     """n uniforms on (0, 1] and n bridge normals for the interval sampler."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n, workers=workers)
+    u = uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n)
     # on (0, 1]: a zero would map to an infinite quantile
     np.subtract(1.0, u, out=u)
-    z = standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n, workers=workers)
+    z = standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n)
     return _read_only(SignalDraws(z, u))
 
 
 def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, float]:
-    """(c, s), s > 0, with W_T = c + s*z for draws.z given W_{T+delta} = g_w.
+    """(c, s), s >= 0, with W_T = c + s*z for draws.z given W_{T+delta} = g_w.
 
     bridge_exact is the exact conditional law N(g T/(T+d), T d/(T+d))
     (bridge_map); paper_shift is g - N(0, delta), that is (g, sqrt(delta))
@@ -268,16 +268,15 @@ def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, fl
     return g_w, math.sqrt(p.delta)
 
 
-def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams,
-                             out=None) -> np.ndarray:
+def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams) -> np.ndarray:
     """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z.
 
-    W_T = c + s*z with point_map's (c, s), written into `out` when
-    given.  s > 0 and rounding is monotone, so draw_point's ascending
-    normals give W_T in nondecreasing order in either mode.
+    W_T = c + s*z with point_map's (c, s).  s >= 0 and rounding is
+    monotone, so draw_point's ascending normals give W_T in
+    nondecreasing order in either mode.
     """
     c, s = point_map(g_w, draws, p)
-    w_t = np.multiply(draws.z, s, out=out)
+    w_t = draws.z * s
     w_t += c
     return w_t
 

@@ -149,11 +149,15 @@ def _strike_floor(p: ModelParams) -> float:
 
 
 def _z_cut(c: float, s: float, w_lo: float) -> float:
-    """The normal z at which c + s*z reaches w_lo, s > 0, moved down by a margin.
+    """The normal z at which c + s*z reaches w_lo, s >= 0, moved down by a margin.
 
     Every z below the cut has c + s*z < w_lo in floating point; an
-    infinite c gives an infinite cut.
+    infinite c gives an infinite cut.  s is 0 where T*delta underflows,
+    and then every draw has W_T = c: the cut is -inf when c reaches
+    w_lo and +inf otherwise.
     """
+    if s == 0.0:
+        return -math.inf if c >= w_lo else math.inf
     z = (w_lo - c) / s
     if math.isfinite(z):
         z -= _CUT_MARGIN * (1.0 + (abs(w_lo) + abs(c)) / s)

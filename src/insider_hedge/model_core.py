@@ -84,11 +84,12 @@ class BrownianPair(NamedTuple):
     w_tdelta: np.ndarray
 
 
-def price_from_brownian(w, t, p: ModelParams, out=None):
-    """Stock level at time t for Brownian value w, written into `out` when given."""
-    s = np.multiply(w, p.sigma, out=out)
+def price_from_brownian(w, t, p: ModelParams):
+    """Stock level at time t for Brownian value w, computed in one new array."""
+    s = np.multiply(w, p.sigma)
     s += (p.mu - 0.5 * p.sigma**2) * t
-    s = np.exp(s, out=out)
+    # in place, except for a scalar w, whose numpy scalar has no buffer to write
+    s = np.exp(s, out=s) if isinstance(s, np.ndarray) else np.exp(s)
     s *= p.s0
     return s
 

@@ -1,19 +1,17 @@
-"""Deterministic, chunk-parallel random streams.
+"""Deterministic random streams, generated block by block.
 
 Every stream is identified by an integer key tuple and generated in
 fixed-size blocks: block ``b`` of stream ``key`` comes from its own
 SFC64 generator, seeded once from ``SeedSequence([*key, b])``.  No
 generator is advanced or jumped past its own block, so a small, fast
 generator suffices.  Block boundaries depend only on the draw index,
-never on the worker count, so a stream can be filled by any number of
-threads and still produce bit-identical output.  A stream is one flat
-array of standard normals or of uniforms; the samplers key theirs by
-(seed, stream tag), so every tag below fixes the draws behind a table's
-numbers.
+and one loop fills the blocks in order, so a stream's values depend
+only on its key (the command line's --workers is accepted and has no
+effect).  A stream is one flat array of standard normals or of
+uniforms; the samplers key theirs by (seed, stream tag), so every tag
+below fixes the draws behind a table's numbers.
 """
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,35 +51,21 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _block_stream(key, n: int, workers: int, draw) -> np.ndarray:
+def _block_stream(key, n: int, draw) -> np.ndarray:
     """n draws, block b filled in place by draw(block_generator(key, b), out=block)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = np.empty(n)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def fill(b: int) -> None:
-        lo = b * BLOCK_SIZE
-        hi = min(n, lo + BLOCK_SIZE)
-        draw(block_generator(key, b), out=out[lo:hi])
-
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            fill(b)
+    for b, lo in enumerate(range(0, n, BLOCK_SIZE)):
+        draw(block_generator(key, b), out=out[lo:lo + BLOCK_SIZE])
     return out
 
 
-def standard_normal_stream(key, n: int, workers: int = 1) -> np.ndarray:
-    """n iid standard normals, reproducible for fixed key.
-
-    The output is independent of `workers`; threads fill disjoint blocks.
-    """
-    return _block_stream(key, n, workers, np.random.Generator.standard_normal)
+def standard_normal_stream(key, n: int) -> np.ndarray:
+    """n iid standard normals, reproducible for fixed key."""
+    return _block_stream(key, n, np.random.Generator.standard_normal)
 
 
-def uniform_stream(key, n: int, workers: int = 1) -> np.ndarray:
-    """n iid uniforms on [0, 1), reproducible for fixed key and independent of `workers`."""
-    return _block_stream(key, n, workers, np.random.Generator.random)
+def uniform_stream(key, n: int) -> np.ndarray:
+    """n iid uniforms on [0, 1), reproducible for fixed key."""
+    return _block_stream(key, n, np.random.Generator.random)

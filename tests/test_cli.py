@@ -41,6 +41,26 @@ def small_config(params):
                      epsilons=(0.1, 0.25), n_paths=2000, seed=7)
 
 
+SAMPLING_COMMANDS = (["hedge", "--level", "110", "--epsilon", "0.1"],
+                     ["table-point"], ["table-indicator"])
+
+# the commands of the key tests below, and for each bad key line the commands that
+# read it and the error they print
+KEY_READERS = {
+    "hedge-level": ["hedge", "--level", "110", "--epsilon", "0.1"],
+    "hedge-interval": ["hedge", "--interval", "109:111", "--epsilon", "0.1"],
+    "table-point": ["table-point"],
+    "table-indicator": ["table-indicator"],
+}
+READ_BY = {
+    "signal.levels = abc": (("table-point",), "could not convert string to float: 'abc'"),
+    "signal.intervals = 1-2": (("table-indicator",), "interval '1-2' must look like LO:HI"),
+    "epsilons = x": (("table-point", "table-indicator"),
+                     "could not convert string to float: 'x'"),
+    "mode = nope": (("hedge-level",), "mode must be bridge_exact or paper_shift, got 'nope'"),
+}
+
+
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -56,7 +76,8 @@ class TestConfigFile:
         opts = parse_config_file(str(cfg))
         assert opts["mu"] == "0.05" and opts["signal.levels"] == "108, 110"
 
-        ns = _namespace(config=str(cfg), mu=0.08)  # flag overrides the file
+        # the flag overrides the file; table-point has the flags of the keys it reads
+        ns = cli._parser().parse_args(["table-point", "--config", str(cfg), "--mu", "0.08"])
         config = build_config(ns)
         assert config.model.mu == 0.08
         assert config.model.sigma == 0.3
@@ -139,15 +160,16 @@ class TestConfigFile:
         out, err = capsys.readouterr()
         assert out and err == ""
 
-    @pytest.mark.parametrize("key, error", [
-        ("n_paths = 10", "n_paths must be >= 1000, got 10"),
-        ("seed = 4294967296", "seed must be in [0, 2**32), got 4294967296"),
-        ("mode = nope", "mode must be bridge_exact or paper_shift, got 'nope'"),
+    @pytest.mark.parametrize("key, error, refusing", [
+        ("n_paths = 10", "n_paths must be >= 1000, got 10", SAMPLING_COMMANDS),
+        ("seed = 4294967296", "seed must be in [0, 2**32), got 4294967296", SAMPLING_COMMANDS),
+        ("mode = nope", "mode must be bridge_exact or paper_shift, got 'nope'",
+         SAMPLING_COMMANDS[:1]),
     ])
     def test_sampling_keys_fail_only_the_commands_that_sample(self, tmp_path, capsys,
-                                                             monkeypatch, key, error):
-        # price reads only the market; hedge and the tables read these keys and refuse
-        # the bad values before any draw
+                                                             monkeypatch, key, error, refusing):
+        # price reads only the market; the commands that read these keys refuse the bad
+        # values before any draw
         cfg = tmp_path / "sampling.cfg"
         cfg.write_text(key + "\n")
         assert main(["price", "--config", str(cfg)]) == 0
@@ -155,11 +177,24 @@ class TestConfigFile:
         assert out == "1.68093\n" and err == ""
         monkeypatch.setattr(cli, "draw_point", _no_draw)
         monkeypatch.setattr(cli, "draw_interval", _no_draw)
-        for argv in (["hedge", "--level", "110", "--epsilon", "0.1"],
-                     ["table-point"], ["table-indicator"]):
+        for argv in refusing:
             assert main([*argv, "--config", str(cfg)]) == 1, argv
             out, err = capsys.readouterr()
             assert out == "" and err.splitlines() == [f"error: {error}"], argv
+
+    @pytest.mark.parametrize("command", sorted(KEY_READERS))
+    @pytest.mark.parametrize("key", sorted(READ_BY))
+    def test_each_command_reads_only_its_own_keys(self, tmp_path, capsys, command, key):
+        # a bad value refuses the commands that read its key, and no other
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(key + "\n")
+        readers, error = READ_BY[key]
+        status = main([*KEY_READERS[command], "--config", str(cfg), "--n-paths", "2000"])
+        out, err = capsys.readouterr()
+        if command in readers:
+            assert (status, out, err) == (1, "", f"error: {error}\n")
+        else:
+            assert status == 0 and out and err == "", err
 
 
 def _no_draw(*args, **kwargs):
@@ -612,6 +647,9 @@ class TestIntervalHedgeInputs:
     # delta far below the float spacing of T, so that T + delta rounds to T
     @example(109.0, 111.0 / 109.0, 1, 110.0, "epsilon", 0.1, 0, *PUBLISHED_MARKET[:4], 1e-300)
     @example(109.0, 111.0 / 109.0, 0, 110.0, "alpha", 0.2, 0, *PUBLISHED_MARKET[:4], 1e-300)
+    # the least positive delta: T * delta underflows, so the bridge's s is 0
+    @example(109.0, 111.0 / 109.0, 1, 110.0, "epsilon", 0.1, 0, *PUBLISHED_MARKET[:4], 5e-324)
+    @example(109.0, 111.0 / 109.0, 0, 110.0, "epsilon", 0.1, 0, *PUBLISHED_MARKET[:4], 5e-324)
     @given(st.floats(min_value=-9.0, max_value=4.0).map(lambda x: 10.0**x),
            st.floats(min_value=-4.0, max_value=12.0).map(lambda y: 1.0 + 10.0**y),
            st.sampled_from([0, 1]),
@@ -654,6 +692,8 @@ class TestPointHedgeInputs:
     @example(0.26338208918985906, 0.0030798744728391812, 57.150377159395035, 0.0,
              0.0005585073151377548, 6.292917248984516, 35.046858060215754,
              "paper_shift", "alpha", 0.1283116287622934, 17)
+    # the least positive delta: T * delta underflows, so the bridge's s is 0
+    @example(0.08, 0.25, 100.0, 110.0, 0.25, 5e-324, 110.0, "bridge_exact", "epsilon", 0.1, 0)
     @given(*MARKETS[:3], st.one_of(st.just(0.0), log_uniform(1e-3, 1e5)),
            *MARKETS[3:], log_uniform(1e-3, 1e6),
            st.sampled_from(["bridge_exact", "paper_shift"]),

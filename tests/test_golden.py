@@ -1,16 +1,17 @@
 """Golden outputs: the tables, three hedges and the oracle report, byte for byte.
 
 The digests are SHA-256 of the CSV that write_cells writes for both
-default-grid tables at n = 20000 and n = 200000, seed 0, of the hedge command's
-stdout for a point epsilon hedge, a shift-mode point alpha hedge, a
-G = 0 interval alpha hedge, a G = 1 epsilon hedge on the interval that
-lies furthest below the strike and a shift-mode epsilon hedge at a high
-level at n = 20000, of two hedges at n = 200000, a G = 0 interval
-alpha hedge and a shift-mode epsilon hedge, whose draws span several
-random-stream blocks, and of the oracle suite's report lines (seed 0,
-100 instances, and seed 7, 30 instances) joined by newlines.  A
-refactor must leave them unchanged.  A change that moves sampled
-numbers on purpose updates them and says so in CHANGES.md.
+default-grid tables at n = 20000 and n = 200000, seed 0, of the CSV and
+the JSON of both tables at the default n = 10^6, seeds 0 and 1, of the
+hedge command's stdout for a point epsilon hedge, a shift-mode point
+alpha hedge, a G = 0 interval alpha hedge, a G = 1 epsilon hedge on the
+interval that lies furthest below the strike and a shift-mode epsilon
+hedge at a high level at n = 20000, of two hedges at n = 200000, a G = 0
+interval alpha hedge and a shift-mode epsilon hedge, whose draws span
+several random-stream blocks, and of the oracle suite's report lines
+(seed 0, 100 instances, and seed 7, 30 instances) joined by newlines.  A
+refactor must leave them unchanged.  A change that moves sampled numbers
+on purpose updates them and says so in CHANGES.md.
 """
 import hashlib
 from dataclasses import replace
@@ -36,6 +37,18 @@ TABLE_DIGESTS = {
 MULTI_BLOCK_TABLE_DIGESTS = {
     "point": "080d1e039b15ed1a21f9068ade045503f872e9dabdb36bd68545f4ae7819fbb0",
     "indicator": "7d1e7e7e8a89ae05bd7dc4fa4fd976dea44512e918024e799d11afabdd085fd9",
+}
+
+# n = 10^6, the default sample size: (table, seed) -> digests of the CSV and the JSON
+FULL_SIZE_TABLE_DIGESTS = {
+    ("point", 0): ("a4fb26053334696795076817313e1568bccdb8a84c85f8531c72c654a830a067",
+                   "2f25fcfbbbbcb5249159e5ef2d1cd6bc8827456b68e2cec37de5fd517ad79922"),
+    ("point", 1): ("1c9ab79e39b0fd86e6786ff39766ca90a3fc5312af9d909cbb3286cce92c71c7",
+                   "1736929f0cbd34a2d72bc527edb395d1574cda68b16b0ff4097654534d98f81d"),
+    ("indicator", 0): ("84f367de7159a316aa7aa641641c939e0b83cfa9e2d7e5285b1dd6c737c85e25",
+                       "5be6f0334da37eba7cb1e2ccc1dc38b9a053dd0295235367b651f71585ecfa42"),
+    ("indicator", 1): ("e1487217ba3b36e9e6cbb5feb5c1d9db00255b62b86445072767d4c836076c36",
+                       "5754d95eb8bd5abf6ed401ccfe9591f97b2ca0707634482c3c98c76acc5786bb"),
 }
 
 HEDGE_DIGESTS = {
@@ -68,15 +81,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def table_digest(kind, params, n_paths, tmp_path) -> str:
-    config = RunConfig(model=params, n_paths=n_paths, seed=0)
+def table_digests(kind, params, n_paths, tmp_path, seed=0, fmts=("csv",)) -> tuple:
+    """Digests of the table's files, one per format in fmts."""
+    config = RunConfig(model=params, n_paths=n_paths, seed=seed)
     if kind == "point":
         cells = run_table_point(config)
     else:
         cells = run_table_indicator(replace(config, signal_kind="interval"))
-    path = tmp_path / f"{kind}.csv"
-    write_cells(cells, str(path), "csv")
-    return _sha256(path.read_bytes())
+    digests = []
+    for fmt in fmts:
+        path = tmp_path / f"{kind}.{fmt}"
+        write_cells(cells, str(path), fmt)
+        digests.append(_sha256(path.read_bytes()))
+    return tuple(digests)
+
+
+def table_digest(kind, params, n_paths, tmp_path) -> str:
+    return table_digests(kind, params, n_paths, tmp_path)[0]
 
 
 def hedge_digest(args, n_paths, capsys) -> str:
@@ -92,6 +113,12 @@ def test_table_csv(kind, params, tmp_path):
 @pytest.mark.parametrize("kind", sorted(MULTI_BLOCK_TABLE_DIGESTS))
 def test_table_csv_multi_block(kind, params, tmp_path):
     assert table_digest(kind, params, 200_000, tmp_path) == MULTI_BLOCK_TABLE_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind, seed", sorted(FULL_SIZE_TABLE_DIGESTS))
+def test_table_csv_and_json_full_size(kind, seed, params, tmp_path):
+    digests = table_digests(kind, params, 1_000_000, tmp_path, seed, ("csv", "json"))
+    assert digests == FULL_SIZE_TABLE_DIGESTS[kind, seed]
 
 
 @pytest.mark.parametrize("args", sorted(HEDGE_DIGESTS))

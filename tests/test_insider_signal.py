@@ -231,11 +231,10 @@ class TestPointSampler:
             w = sample_point_conditional(0.7, draw_point(mode, 5_000, seed=1), p)
             assert np.max(np.abs(w - 0.7)) <= 1e-4
 
-    def test_deterministic_and_worker_invariant(self, params):
+    def test_deterministic_across_reruns(self, params):
         for mode in ConditioningMode:
             a = sample_point_conditional(G_110, draw_point(mode, 150_000, seed=8), params)
-            b = sample_point_conditional(G_110, draw_point(mode, 150_000, seed=8, workers=3),
-                                         params)
+            b = sample_point_conditional(G_110, draw_point(mode, 150_000, seed=8), params)
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 5000])
@@ -330,10 +329,10 @@ class TestIndicatorSampler:
             with pytest.raises(ValueError, match="probability 0"):
                 sample_indicator_conditional(null, draw_interval(100, seed=1), params)
 
-    def test_deterministic_and_worker_invariant(self, params):
+    def test_deterministic_across_reruns(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
         a = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params)
-        b = sample_indicator_conditional(sig, draw_interval(150_000, seed=5, workers=4), params)
+        b = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params)
         assert np.array_equal(a.w_t, b.w_t)
         assert np.array_equal(a.w_tdelta, b.w_tdelta)
 

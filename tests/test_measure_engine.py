@@ -49,16 +49,16 @@ CAPPED_TARGETS = {
 }
 
 
-def seeded_draws(signal, mode, n, seed, workers=1):
+def seeded_draws(signal, mode, n, seed):
     """The draws the hedge command makes for the signal; `mode` picks the point stream."""
     if isinstance(signal, IntervalIndicator):
-        return draw_interval(n, seed, workers=workers)
-    return draw_point(mode or ConditioningMode.BRIDGE_EXACT, n, seed, workers=workers)
+        return draw_interval(n, seed)
+    return draw_point(mode or ConditioningMode.BRIDGE_EXACT, n, seed)
 
 
-def seeded_batch(signal, mode, n, p, seed, workers=1):
+def seeded_batch(signal, mode, n, p, seed):
     """build_batch on draws from `seed`, made as the hedge command makes them."""
-    return build_batch(signal, seeded_draws(signal, mode, n, seed, workers), p)
+    return build_batch(signal, seeded_draws(signal, mode, n, seed), p)
 
 
 def qg_density_point(w_t, g_w, p):
@@ -572,9 +572,6 @@ class TestBuildBatchIndicator:
         d = full_sample(batch)
         got = np.minimum(d, 10.0).mean()
         assert abs(got - target) <= 4.0 * capped_se(d) + 1e-6
-
-    def test_worker_invariance(self, batch, signal, params):
-        assert_same_view(batch, seeded_batch(signal, None, 200_000, params, seed=42, workers=4))
 
 
 class TestBatchValidation:

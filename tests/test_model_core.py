@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,25 @@ class TestPriceTransforms:
         for t in (0.0, 0.25, 0.27):
             back = brownian_from_price(price_from_brownian(w, t, params), t, params)
             assert back == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+    def test_array_peaks_at_one_result(self, params):
+        # exp runs in place in the result, so no second block-sized array is made
+        w = np.linspace(-3.0, 3.0, 1 << 16)
+        drift = (params.mu - 0.5 * params.sigma**2) * params.t_expiry
+        # a first call leaves whatever numpy allocates once out of the count
+        price_from_brownian(w, params.t_expiry, params)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            s = price_from_brownian(w, params.t_expiry, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert s.nbytes <= peak < 2 * s.nbytes
+        assert np.array_equal(s, np.exp(w * params.sigma + drift) * params.s0)
 
 
 class TestRnDensity:
