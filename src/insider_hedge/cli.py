@@ -1,4 +1,4 @@
-"""Batch front end: table runs, single hedges, and the tree verification suite.
+"""Batch front end: table runs, single hedges, and the tree verification suite's report.
 
 Subcommands
 -----------
@@ -8,6 +8,7 @@ table-point      capital-fraction table over point-signal levels x epsilons
                  (both conditioning modes are emitted side by side)
 table-indicator  same table for interval-indicator signals (exact interval sampler)
 oracle           exact verification suite on the reference and random trees
+                 (tree_oracle.run_oracle_suite)
 version          print the package version
 
 Configuration is a flat key/value text file (see DEFAULT_CONFIG_KEYS);
@@ -17,6 +18,9 @@ reads only the keys it uses, so a bad value of another key cannot
 refuse it.  Reruns with the same config and seed write byte-identical
 output files: all sampling uses block-deterministic streams and cells
 are assembled in grid order.  --workers is accepted and has no effect.
+
+The numeric modules are imported inside the code that samples or
+prices, so `oracle` and `version` load neither numpy nor scipy.
 """
 from __future__ import annotations
 
@@ -26,39 +30,21 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, partial
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .insider_signal import (
-    ConditioningMode,
-    draw_interval,
-    draw_point,
-    indicator_prob,
-    interval_signal_from_prices,
-    point_signal_from_price,
-)
-from .measure_engine import build_batch
-from .model_core import ModelParams, bs_call_price
-from .np_solver import HedgePlan, make_hedge_plan
-from .rng import derive_seed
-from .tree_oracle import (
-    achievable_levels,
-    build_atom_table,
-    exact_quantile_hedge,
-    exhaustive_optimality_check,
-    perturb_atom,
-    random_market,
-    reference_market,
-    verify_theorems,
-)
+from .tree_oracle import run_oracle_suite
+
+if TYPE_CHECKING:
+    from .model_core import ModelParams
+    from .np_solver import HedgePlan
 
 __all__ = [
     "RunConfig",
     "CellResult",
     "run_table_point",
     "run_table_indicator",
-    "run_oracle_suite",
     "write_cells",
     "render_cells",
     "main",
@@ -70,6 +56,8 @@ CSV_HEADER = "signal,epsilon,alpha,alpha_stderr,success_prob,k,n_paths,mode,flag
 DEFAULT_LEVELS = tuple(float(x) for x in range(105, 116))
 DEFAULT_INTERVALS = ((109.0, 111.0), (108.0, 112.0), (107.0, 113.0), (112.0, 114.0), (106.0, 108.0))
 DEFAULT_EPSILONS = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25)
+# the values of insider_signal.ConditioningMode, spelled out so the parser needs no numpy
+MODE_NAMES = ("bridge_exact", "paper_shift")
 
 DEFAULT_CONFIG_KEYS = (
     "mu", "sigma", "s0", "strike", "t_expiry", "delta",
@@ -140,6 +128,7 @@ def _check_epsilons_and_format(config: RunConfig) -> None:
 
 def _plan_row(view, epsilons) -> list[HedgePlan]:
     """One plan per epsilon on one sorted view of D."""
+    from .np_solver import make_hedge_plan
     return [make_hedge_plan(view, epsilon=epsilon) for epsilon in epsilons]
 
 
@@ -183,6 +172,9 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     _check_epsilons_and_format(config)
     if not config.levels:
         raise ValueError("empty level grid")
+    from .insider_signal import ConditioningMode, draw_point, point_signal_from_price
+    from .measure_engine import build_batch
+    from .rng import derive_seed
     modes = (ConditioningMode.BRIDGE_EXACT, ConditioningMode.PAPER_SHIFT)
     signals = [point_signal_from_price(level, config.model) for level in config.levels]
     rows = []
@@ -216,6 +208,9 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     _check_epsilons_and_format(config)
     if not config.intervals:
         raise ValueError("empty interval grid")
+    from .insider_signal import draw_interval, indicator_prob, interval_signal_from_prices
+    from .measure_engine import build_batch
+    from .rng import derive_seed
     signals = [interval_signal_from_prices(lo, hi, config.model, observed=1)
                for lo, hi in config.intervals]
     # as in hedge, a signal of probability 0 is refused before the 2n draws are filled
@@ -230,78 +225,6 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
         for epsilon, plan in zip(config.epsilons, row):
             cells.append(_cell(descriptor, epsilon, plan, config.n_paths, "rejection"))
     return cells
-
-
-# ---------------------------------------------------------------------------
-# tree verification suite
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OracleReport:
-    passed: bool
-    lines: tuple
-
-
-def _check_instance(name: str, market) -> tuple[bool, str]:
-    table = build_atom_table(market)
-    report = verify_theorems(table)
-    if not report.passed:
-        return False, f"{name}: FAIL {report.failures[0]}"
-    n_levels = 0
-    for g in market.signal_values:
-        n_levels += len(achievable_levels(table, g))
-        failures = exhaustive_optimality_check(table, g)
-        if failures:
-            return False, f"{name}: FAIL {failures[0]}"
-    return True, f"{name}: ok ({report.n_checks} identities, {n_levels} exhaustive levels)"
-
-
-def run_oracle_suite(seed: int, instance_count: int) -> OracleReport:
-    """Reference market, negative control, and seeded random instances.
-
-    Passes only when every identity holds exactly, every achievable
-    level is solved optimally (verified by subset enumeration), the
-    known threshold non-existence case is flagged rather than
-    mis-solved, and the deliberately corrupted table is rejected.
-    Instance i is random_market(seed + i), so seed must be >= 0.
-    """
-    if seed < 0:
-        raise ValueError(f"oracle seed must be >= 0, got {seed} (a negative seed "
-                         "repeats the instances of its absolute value)")
-    if instance_count < 1:
-        raise ValueError("instance_count must be >= 1")
-    lines: list[str] = []
-    passed = True
-
-    ref = reference_market()
-    ok, line = _check_instance("reference", ref)
-    passed &= ok
-    lines.append(line)
-
-    table = build_atom_table(ref)
-    flagged = exact_quantile_hedge(table, 1, epsilon=Fraction(1, 4))
-    if flagged.exact:
-        passed = False
-        lines.append("reference: FAIL epsilon=1/4 should have no exact threshold")
-    else:
-        lines.append("reference: non-existence case flagged (epsilon=1/4, conservative "
-                     f"success={flagged.success_prob})")
-
-    mutated = perturb_atom(table)
-    if verify_theorems(mutated).passed:
-        passed = False
-        lines.append("negative-control: FAIL mutation not detected")
-    else:
-        lines.append("negative-control: mutation detected")
-
-    for i in range(instance_count):
-        ok, line = _check_instance(f"instance {i:03d}", random_market(seed + i))
-        passed &= ok
-        lines.append(line)
-
-    lines.append(f"oracle suite: {'PASS' if passed else 'FAIL'} "
-                 f"({instance_count} random instances)")
-    return OracleReport(passed=passed, lines=tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +319,8 @@ def _parse_floats(text: str) -> tuple:
 
 
 def _parse_mode(text: str) -> str:
-    modes = [m.value for m in ConditioningMode]
-    if text not in modes:
-        raise ValueError(f"mode must be {' or '.join(modes)}, got {text!r}")
+    if text not in MODE_NAMES:
+        raise ValueError(f"mode must be {' or '.join(MODE_NAMES)}, got {text!r}")
     return text
 
 
@@ -435,6 +357,7 @@ def _config_lookup(args: argparse.Namespace):
 
 
 def _build_model(pick) -> ModelParams:
+    from .model_core import ModelParams
     return ModelParams(mu=pick("mu", float, 0.08), sigma=pick("sigma", float, 0.25),
                        s0=pick("s0", float, 100.0), strike=pick("strike", float, 110.0),
                        t_expiry=pick("t_expiry", float, 0.25),
@@ -502,7 +425,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="indicator signal: stock interval LO:HI for S_{T+delta}")
     p_hedge.add_argument("--observed", type=int, choices=(0, 1),
                          help="with --interval: observed indicator value (default 1)")
-    p_hedge.add_argument("--mode", choices=[m.value for m in ConditioningMode],
+    p_hedge.add_argument("--mode", choices=MODE_NAMES,
                          help="with --level: conditioning mode (default bridge_exact)")
     p_hedge.add_argument("--epsilon", type=float)
     p_hedge.add_argument("--alpha", type=float)
@@ -546,6 +469,18 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         report = run_oracle_suite(args.seed, args.instances)
         print("\n".join(report.lines))
         return 0 if report.passed else 1
+
+    from .insider_signal import (
+        ConditioningMode,
+        draw_interval,
+        draw_point,
+        indicator_prob,
+        interval_signal_from_prices,
+        point_signal_from_price,
+    )
+    from .measure_engine import build_batch
+    from .model_core import bs_call_price
+    from .np_solver import make_hedge_plan
 
     if args.command == "price":
         # the market is all price reads, so no other key can refuse it

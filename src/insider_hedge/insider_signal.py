@@ -13,7 +13,7 @@ hedge horizon,
 
 which measure_engine divides into Z_T; the point signal's p_T^g is
 folded into measure_engine's exponent of the normals.  For both kinds
-it draws W_T from the law of W_T given the realized signal.
+it maps normals to W_T under the law of W_T given the realized signal.
 For the point signal two sampling modes exist: the exact Gaussian
 conditioning
 
@@ -27,7 +27,8 @@ from its normal law restricted to [a, b] (or to the complement), then
 W_T from the same Gaussian bridge.
 
 Sampling is split in two steps: draw_point / draw_interval fill the
-random streams, and the samplers map those draws to W_T for one signal.
+random streams, and point_map / sample_indicator_conditional map those
+draws to W_T for one signal.
 Point draws carry their conditioning mode.  A table draws once and maps
 the same draws for each of its signals.  Given the signal, W_T = c + s*z
 with s >= 0 for one normal z in either point mode and in the bridge;
@@ -70,7 +71,6 @@ __all__ = [
     "draw_interval",
     "bridge_map",
     "point_map",
-    "sample_point_conditional",
     "sample_indicator_conditional",
 ]
 
@@ -266,19 +266,6 @@ def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, fl
     if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
         return bridge_map(g_w, p)
     return g_w, math.sqrt(p.delta)
-
-
-def sample_point_conditional(g_w: float, draws: SignalDraws, p: ModelParams) -> np.ndarray:
-    """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z.
-
-    W_T = c + s*z with point_map's (c, s).  s >= 0 and rounding is
-    monotone, so draw_point's ascending normals give W_T in
-    nondecreasing order in either mode.
-    """
-    c, s = point_map(g_w, draws, p)
-    w_t = draws.z * s
-    w_t += c
-    return w_t
 
 
 def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,

@@ -34,6 +34,11 @@ probabilities and costs are scaled by the lcm of their denominators, so
 every subset sum is an int and every comparison in the enumeration is
 an int comparison.  Scaling by a positive integer keeps order and
 equality, so the check stays exact.
+
+run_oracle_suite runs every check on the reference market, on a
+corrupted copy of its table (which must fail) and on seeded random
+markets; the `oracle` command prints its report.  The module imports
+only the standard library.
 """
 from __future__ import annotations
 
@@ -61,6 +66,8 @@ __all__ = [
     "exhaustive_optimality_check",
     "random_market",
     "reference_market",
+    "OracleReport",
+    "run_oracle_suite",
 ]
 
 ENUM_ATOM_LIMIT = 24
@@ -627,3 +634,75 @@ def reference_market() -> TreeMarket:
         payoff={0: 0, 1: 1},
         signal={0: 0, 1: 1, 2: 0},  # terminal ups -> 1{S_2 == 1}
     )
+
+
+# ---------------------------------------------------------------------------
+# verification suite
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OracleReport:
+    passed: bool
+    lines: tuple
+
+
+def _check_instance(name: str, market: TreeMarket) -> tuple[bool, str]:
+    table = build_atom_table(market)
+    report = verify_theorems(table)
+    if not report.passed:
+        return False, f"{name}: FAIL {report.failures[0]}"
+    n_levels = 0
+    for g in market.signal_values:
+        n_levels += len(achievable_levels(table, g))
+        failures = exhaustive_optimality_check(table, g)
+        if failures:
+            return False, f"{name}: FAIL {failures[0]}"
+    return True, f"{name}: ok ({report.n_checks} identities, {n_levels} exhaustive levels)"
+
+
+def run_oracle_suite(seed: int, instance_count: int) -> OracleReport:
+    """Reference market, negative control, and seeded random instances.
+
+    Passes only when every identity holds exactly, every achievable
+    level is solved optimally (verified by subset enumeration), the
+    known threshold non-existence case is flagged rather than
+    mis-solved, and the deliberately corrupted table is rejected.
+    Instance i is random_market(seed + i), so seed must be >= 0.
+    """
+    if seed < 0:
+        raise ValueError(f"oracle seed must be >= 0, got {seed} (a negative seed "
+                         "repeats the instances of its absolute value)")
+    if instance_count < 1:
+        raise ValueError("instance_count must be >= 1")
+    lines: list[str] = []
+    passed = True
+
+    ref = reference_market()
+    ok, line = _check_instance("reference", ref)
+    passed &= ok
+    lines.append(line)
+
+    table = build_atom_table(ref)
+    flagged = exact_quantile_hedge(table, 1, epsilon=Fraction(1, 4))
+    if flagged.exact:
+        passed = False
+        lines.append("reference: FAIL epsilon=1/4 should have no exact threshold")
+    else:
+        lines.append("reference: non-existence case flagged (epsilon=1/4, conservative "
+                     f"success={flagged.success_prob})")
+
+    mutated = perturb_atom(table)
+    if verify_theorems(mutated).passed:
+        passed = False
+        lines.append("negative-control: FAIL mutation not detected")
+    else:
+        lines.append("negative-control: mutation detected")
+
+    for i in range(instance_count):
+        ok, line = _check_instance(f"instance {i:03d}", random_market(seed + i))
+        passed &= ok
+        lines.append(line)
+
+    lines.append(f"oracle suite: {'PASS' if passed else 'FAIL'} "
+                 f"({instance_count} random instances)")
+    return OracleReport(passed=passed, lines=tuple(lines))

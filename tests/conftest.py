@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from insider_hedge import ModelParams, tree_oracle
+from insider_hedge import tree_oracle
+from insider_hedge.model_core import ModelParams
 
 
 @pytest.fixture()

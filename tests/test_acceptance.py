@@ -19,28 +19,25 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from insider_hedge import (
+from insider_hedge.cli import RunConfig, run_oracle_suite, run_table_indicator, run_table_point
+from insider_hedge.insider_signal import (
     ConditioningMode,
     SignalDraws,
-    build_atom_table,
-    bs_call_price,
     interval_signal_from_prices,
     point_signal_from_price,
-    price_from_brownian,
-    qg_density_indicator,
-    random_market,
-    reference_market,
-    rn_density,
-    verify_theorems,
 )
-from insider_hedge.cli import RunConfig, run_oracle_suite, run_table_indicator, run_table_point
-from insider_hedge.model_core import ModelParams
+from insider_hedge.measure_engine import qg_density_indicator
+from insider_hedge.model_core import ModelParams, bs_call_price, price_from_brownian, rn_density
 from insider_hedge.np_solver import alpha_from_k, solve_k_for_alpha, solve_k_for_epsilon
 from insider_hedge.tree_oracle import (
     achievable_levels,
+    build_atom_table,
     exact_quantile_hedge,
     exhaustive_optimality_check,
     perturb_atom,
+    random_market,
+    reference_market,
+    verify_theorems,
 )
 from fractions import Fraction
 

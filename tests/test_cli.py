@@ -137,8 +137,8 @@ class TestConfigFile:
             with pytest.raises(ValueError, match="workers"):
                 RunConfig(model=params, workers=workers)
         # the epsilons and the format are checked by the tables, before any draw
-        monkeypatch.setattr(cli, "draw_point", _no_draw)
-        monkeypatch.setattr(cli, "draw_interval", _no_draw)
+        monkeypatch.setattr(insider_signal, "draw_point", _no_draw)
+        monkeypatch.setattr(insider_signal, "draw_interval", _no_draw)
         for run in (run_table_point, run_table_indicator):
             with pytest.raises(ValueError, match="epsilons must lie in"):
                 run(RunConfig(model=params, epsilons=(1.5,)))
@@ -175,8 +175,8 @@ class TestConfigFile:
         assert main(["price", "--config", str(cfg)]) == 0
         out, err = capsys.readouterr()
         assert out == "1.68093\n" and err == ""
-        monkeypatch.setattr(cli, "draw_point", _no_draw)
-        monkeypatch.setattr(cli, "draw_interval", _no_draw)
+        monkeypatch.setattr(insider_signal, "draw_point", _no_draw)
+        monkeypatch.setattr(insider_signal, "draw_interval", _no_draw)
         for argv in refusing:
             assert main([*argv, "--config", str(cfg)]) == 1, argv
             out, err = capsys.readouterr()
@@ -248,7 +248,7 @@ class TestTables:
         def no_draws(*args, **kwargs):
             raise AssertionError("draw_interval ran for a table with a null interval")
 
-        monkeypatch.setattr(cli, "draw_interval", no_draws)
+        monkeypatch.setattr(insider_signal, "draw_interval", no_draws)
         out = tmp_path / "t.csv"
         assert main(["table-indicator", "--intervals", "109:111,0.001:0.002",
                      "--n-paths", "2000", "--output", str(out)]) == 1
@@ -428,6 +428,10 @@ class TestOracleSuite:
 
 
 class TestCommandLine:
+    def test_mode_names_are_the_conditioning_modes(self):
+        # the parser spells the modes out so that it needs no numpy
+        assert cli.MODE_NAMES == tuple(m.value for m in insider_signal.ConditioningMode)
+
     def test_version(self):
         proc = run_cli("version")
         assert proc.returncode == 0
@@ -526,7 +530,7 @@ class TestCommandLine:
         def no_draws(*args, **kwargs):
             raise AssertionError("draw_interval ran for a signal of probability 0")
 
-        monkeypatch.setattr(cli, "draw_interval", no_draws)
+        monkeypatch.setattr(insider_signal, "draw_interval", no_draws)
         assert main(["hedge", *argv, "--epsilon", "0.1"]) == 1
         out, err = capsys.readouterr()
         [line] = err.splitlines()
@@ -552,7 +556,7 @@ class TestCommandLine:
         def no_draws(*args, **kwargs):
             raise AssertionError("draw_point ran for a refused seed")
 
-        monkeypatch.setattr(cli, "draw_point", no_draws)
+        monkeypatch.setattr(insider_signal, "draw_point", no_draws)
         for seed in (2**32, -1):
             assert main([*argv, str(seed)]) == 1
             out, err = capsys.readouterr()

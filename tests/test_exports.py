@@ -1,6 +1,9 @@
-"""Every exported name exists, and every public package name is exported by its module."""
+"""Every exported name exists, the package root binds no public name, and the
+package root, cli, `version` and `oracle` load neither numpy nor scipy."""
 import importlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -17,8 +20,21 @@ def test_all_resolves(module):
     assert not missing, f"{module.__name__}.__all__ names missing attributes {missing}"
 
 
-def test_package_names_are_exported():
-    exported = set().union(*(module.__all__ for module in MODULES))
-    public = {name for name, value in vars(insider_hedge).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public <= exported, f"not in any __all__: {sorted(public - exported)}"
+def test_package_root_binds_no_public_name():
+    # importing a submodule binds it on the package; nothing else may be bound there
+    public = [name for name, value in vars(insider_hedge).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert public == []
+
+
+@pytest.mark.parametrize("code", [
+    "import insider_hedge",
+    "import insider_hedge.cli",
+    "from insider_hedge.cli import main; main(['version'])",
+    "from insider_hedge.cli import main; main(['oracle', '--instances', '1'])",
+], ids=["package", "cli", "version", "oracle"])
+def test_loads_neither_numpy_nor_scipy(code):
+    probe = f"{code}\nimport sys\nprint(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

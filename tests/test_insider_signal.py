@@ -6,22 +6,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from insider_hedge import (
+from insider_hedge.insider_signal import (
     ConditioningMode,
     IntervalIndicator,
-    ModelParams,
     PointValue,
+    _normal_mass,
     density_indicator,
     draw_interval,
     draw_point,
     indicator_prob,
     interval_signal_from_prices,
+    point_map,
     point_signal_from_price,
-    qg_density_indicator,
     sample_indicator_conditional,
-    sample_point_conditional,
 )
-from insider_hedge.insider_signal import _normal_mass
+from insider_hedge.measure_engine import qg_density_indicator
+from insider_hedge.model_core import ModelParams
 from insider_hedge.rng import (
     STREAM_INTERVAL_BRIDGE,
     STREAM_INTERVAL_SIGNAL,
@@ -48,6 +48,18 @@ def density_point_at(g, w_t, t, p):
     where the remaining variance r is delta exactly at t = T."""
     rem, td = p.delta + (p.t_expiry - t), p.t_signal
     return np.sqrt(td / rem) * np.exp(-((g - w_t) ** 2) / (2.0 * rem) + g * g / (2.0 * td))
+
+
+def sample_point_conditional(g_w, draws, p):
+    """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z: the
+    reference for the point blocks of build_batch, which never form W_T.
+
+    W_T = c + s*z with point_map's (c, s).  s >= 0 and rounding is monotone, so
+    draw_point's ascending normals give W_T in nondecreasing order in either mode."""
+    c, s = point_map(g_w, draws, p)
+    w_t = draws.z * s
+    w_t += c
+    return w_t
 
 
 def density_indicator_at(w_t, t, spec, p):

@@ -9,31 +9,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from insider_hedge import (
+from insider_hedge import insider_signal, measure_engine
+from insider_hedge.insider_signal import (
     ConditioningMode,
     IntervalIndicator,
-    ModelParams,
     SignalDraws,
-    brownian_from_price,
-    bs_call_price,
-    build_batch,
     density_indicator,
     draw_interval,
     draw_point,
     indicator_prob,
-    insider_signal,
     interval_signal_from_prices,
-    measure_engine,
     point_signal_from_price,
-    price_from_brownian,
-    qg_density_indicator,
-    rn_density,
     sample_indicator_conditional,
-    sample_point_conditional,
+)
+from insider_hedge.measure_engine import build_batch, qg_density_indicator
+from insider_hedge.model_core import (
+    ModelParams,
+    brownian_from_price,
+    bs_call_price,
+    price_from_brownian,
+    rn_density,
 )
 from insider_hedge.np_solver import _STRIDE
 from insider_hedge.rng import BLOCK_SIZE
-from test_insider_signal import density_point_at
+from test_insider_signal import density_point_at, sample_point_conditional
 
 G_110 = 0.328590719217
 

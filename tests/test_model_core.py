@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from insider_hedge import (
+from insider_hedge.model_core import (
     ModelParams,
     brownian_from_price,
     bs_call_price,

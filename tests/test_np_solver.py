@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insider_hedge import (
+from insider_hedge.insider_signal import interval_signal_from_prices, point_signal_from_price
+from insider_hedge.np_solver import (
+    _PASS,
+    _STRIDE,
+    SortedD,
     alpha_from_k,
-    interval_signal_from_prices,
     make_hedge_plan,
-    point_signal_from_price,
     solve_k_for_alpha,
     solve_k_for_epsilon,
     success_prob_from_k,
 )
-from insider_hedge.np_solver import _PASS, _STRIDE, SortedD
 
 from test_measure_engine import independent_d, reference_sums, seeded_batch, seeded_draws
 

@@ -4,17 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from insider_hedge import (
+from insider_hedge import tree_oracle
+from insider_hedge.tree_oracle import (
     TreeMarket,
+    achievable_levels,
     build_atom_table,
+    conditional_law,
     exact_quantile_hedge,
     exhaustive_optimality_check,
+    perturb_atom,
     random_market,
     reference_market,
     verify_theorems,
 )
-from insider_hedge import tree_oracle
-from insider_hedge.tree_oracle import achievable_levels, conditional_law, perturb_atom
 
 
 def brute_force_reference_atoms():
