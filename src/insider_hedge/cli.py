@@ -11,7 +11,7 @@ oracle           exact verification suite on the reference and random trees
                  (tree_oracle.run_oracle_suite)
 version          print the package version
 
-Configuration is a flat key/value text file (see DEFAULT_CONFIG_KEYS);
+Configuration is a flat key/value text file (see SETTINGS);
 command-line flags override file keys, and the INSIDER_HEDGE_CONFIG
 environment variable supplies a default config path.  Each command
 reads only the keys it uses, so a bad value of another key cannot
@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
@@ -51,19 +51,15 @@ __all__ = [
 ]
 
 ENV_CONFIG = "INSIDER_HEDGE_CONFIG"
-CSV_HEADER = "signal,epsilon,alpha,alpha_stderr,success_prob,k,n_paths,mode,flags"
 
 DEFAULT_LEVELS = tuple(float(x) for x in range(105, 116))
 DEFAULT_INTERVALS = ((109.0, 111.0), (108.0, 112.0), (107.0, 113.0), (112.0, 114.0), (106.0, 108.0))
 DEFAULT_EPSILONS = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25)
 # the values of insider_signal.ConditioningMode, spelled out so the parser needs no numpy
 MODE_NAMES = ("bridge_exact", "paper_shift")
-
-DEFAULT_CONFIG_KEYS = (
-    "mu", "sigma", "s0", "strike", "t_expiry", "delta",
-    "signal.levels", "signal.intervals",
-    "epsilons", "mode", "n_paths", "seed", "output", "format",
-)
+# the market of the published tables: ModelParams' fields, each with its flag and config key
+MARKET_DEFAULTS = {"mu": 0.08, "sigma": 0.25, "s0": 100.0, "strike": 110.0,
+                   "t_expiry": 0.25, "delta": 0.02}
 
 
 @dataclass(frozen=True)
@@ -116,6 +112,11 @@ class CellResult:
     flags: str
 
 
+# the table columns, one per CellResult field in its order, and whether each is a float
+_COLUMNS = tuple((f.name, f.type == "float") for f in fields(CellResult))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
 def _check_epsilons_and_format(config: RunConfig) -> None:
     """Refuse a bad epsilon grid or output format: only the tables read them."""
     if not config.epsilons:
@@ -143,17 +144,9 @@ def _cell(descriptor: str, epsilon: float, plan: HedgePlan, n_paths: int, mode: 
     flags = [flag for flag, on in (("atom_gap", plan.atom_gap),
                                    ("below_se_floor", plan.alpha < 2.0 * plan.mc_stderr_alpha),
                                    ("mode_disagree", mode_disagree)) if on]
-    return CellResult(
-        signal=descriptor,
-        epsilon=epsilon,
-        alpha=plan.alpha,
-        alpha_stderr=plan.mc_stderr_alpha,
-        success_prob=plan.success_prob,
-        k=plan.k,
-        n_paths=n_paths,
-        mode=mode,
-        flags="|".join(flags),
-    )
+    return CellResult(signal=descriptor, epsilon=epsilon, alpha=plan.alpha,
+                      alpha_stderr=plan.mc_stderr_alpha, success_prob=plan.success_prob,
+                      k=plan.k, n_paths=n_paths, mode=mode, flags="|".join(flags))
 
 
 def run_table_point(config: RunConfig) -> list[CellResult]:
@@ -241,28 +234,19 @@ def _json_num(x: float):
     return float(f"{x:.6g}")
 
 
+def _values(cell: CellResult, num, other=lambda v: v) -> list:
+    """The cell's column values in order: each float through num, each other through other."""
+    return [(num if is_float else other)(getattr(cell, name)) for name, is_float in _COLUMNS]
+
+
 def write_cells(cells: list[CellResult], path: str, fmt: str) -> None:
     """CSV or JSON table of the cells."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for c in cells:
-            lines.append(",".join([
-                c.signal, _fmt_num(c.epsilon), _fmt_num(c.alpha), _fmt_num(c.alpha_stderr),
-                _fmt_num(c.success_prob), _fmt_num(c.k), str(c.n_paths), c.mode, c.flags,
-            ]))
+        lines = [CSV_HEADER, *(",".join(_values(c, _fmt_num, str)) for c in cells)]
         text = "\n".join(lines) + "\n"
     else:
-        rows = [{
-            "signal": c.signal,
-            "epsilon": _json_num(c.epsilon),
-            "alpha": _json_num(c.alpha),
-            "alpha_stderr": _json_num(c.alpha_stderr),
-            "success_prob": _json_num(c.success_prob),
-            "k": _json_num(c.k),
-            "n_paths": c.n_paths,
-            "mode": c.mode,
-            "flags": c.flags,
-        } for c in cells]
+        rows = [{name: value for (name, _), value in zip(_COLUMNS, _values(c, _json_num))}
+                for c in cells]
         text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -308,7 +292,7 @@ def parse_config_file(path: str) -> dict:
             if key in options:
                 raise ValueError(f"{path}:{i}: duplicate key {key!r}")
             options[key] = value.strip()
-    unknown = set(options) - set(DEFAULT_CONFIG_KEYS)
+    unknown = set(options) - {key for key, _ in SETTINGS.values()}
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     return options
@@ -337,62 +321,62 @@ def _parse_intervals(text: str) -> tuple:
     return tuple(out)
 
 
+# every setting a config file can hold: flag dest -> (config key, parser of its value)
+SETTINGS = {
+    **{name: (name, float) for name in MARKET_DEFAULTS},
+    "levels": ("signal.levels", _parse_floats),
+    "intervals": ("signal.intervals", _parse_intervals),
+    "epsilons": ("epsilons", _parse_floats),
+    "mode": ("mode", _parse_mode),
+    "n_paths": ("n_paths", int),
+    "seed": ("seed", int),
+    "output": ("output", str),
+    "fmt": ("format", str),
+}
+
+
 def _config_lookup(args: argparse.Namespace):
-    """pick(dest, cast, fallback, key=dest): the flag args.dest when given, else the
-    value of key in the config file (--config, or $INSIDER_HEDGE_CONFIG) cast, else
+    """pick(dest, fallback): the flag args.dest when given, else the value of its
+    SETTINGS key in the config file (--config, or $INSIDER_HEDGE_CONFIG) parsed, else
     the fallback.  A command without the flag reads no key, so a bad value of a key
     that a command never uses cannot refuse it."""
     path = args.config or os.environ.get(ENV_CONFIG)
     opts = parse_config_file(path) if path else {}
 
-    def pick(dest, cast, fallback, key=None):
+    def pick(dest, fallback):
         if not hasattr(args, dest):
             return fallback
         if getattr(args, dest) is not None:
             return getattr(args, dest)
-        key = key or dest
-        return cast(opts[key]) if key in opts else fallback
+        key, parse = SETTINGS[dest]
+        return parse(opts[key]) if key in opts else fallback
 
     return pick
 
 
 def _build_model(pick) -> ModelParams:
     from .model_core import ModelParams
-    return ModelParams(mu=pick("mu", float, 0.08), sigma=pick("sigma", float, 0.25),
-                       s0=pick("s0", float, 100.0), strike=pick("strike", float, 110.0),
-                       t_expiry=pick("t_expiry", float, 0.25),
-                       delta=pick("delta", float, 0.02))
+    return ModelParams(**{name: pick(name, default) for name, default in MARKET_DEFAULTS.items()})
 
 
 def build_config(args: argparse.Namespace, pick=None) -> RunConfig:
-    """File options first, command-line flags override; pick defaults to args' lookup."""
+    """File options first, command-line flags override, and each setting falls back to
+    RunConfig's own default; pick defaults to args' lookup."""
     pick = pick or _config_lookup(args)
-    return RunConfig(
-        model=_build_model(pick),
-        levels=pick("levels", _parse_floats, DEFAULT_LEVELS, "signal.levels"),
-        intervals=pick("intervals", _parse_intervals, DEFAULT_INTERVALS, "signal.intervals"),
-        epsilons=pick("epsilons", _parse_floats, DEFAULT_EPSILONS),
-        n_paths=pick("n_paths", int, 1_000_000),
-        seed=pick("seed", int, 0),
-        output=pick("output", str, None),
-        fmt=pick("fmt", str, "csv", "format"),
-        workers=getattr(args, "workers", 1),
-    )
+    return RunConfig(model=_build_model(pick), workers=getattr(args, "workers", 1),
+                     **{f.name: pick(f.name, f.default)
+                        for f in fields(RunConfig) if f.name in SETTINGS})
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file path (default: $INSIDER_HEDGE_CONFIG)")
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--sigma", type=float)
-    sub.add_argument("--s0", type=float)
-    sub.add_argument("--strike", type=float)
-    sub.add_argument("--t-expiry", dest="t_expiry", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--seed", type=int)
+    for name in MARKET_DEFAULTS:
+        sub.add_argument("--" + name.replace("_", "-"), type=float)
 
 
 def _add_sampling_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n-paths", dest="n_paths", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--n-paths", type=int)
     sub.add_argument("--workers", type=int, default=1,
                      help="accepted and checked to be >= 1; has no effect")
 
@@ -420,15 +404,17 @@ def _parser() -> argparse.ArgumentParser:
     p_hedge = commands.add_parser("hedge", help="solve one signal for one target")
     _add_model_flags(p_hedge)
     _add_sampling_flags(p_hedge)
-    p_hedge.add_argument("--level", type=float, help="point signal: stock level of S_{T+delta}")
-    p_hedge.add_argument("--interval", type=str,
-                         help="indicator signal: stock interval LO:HI for S_{T+delta}")
+    signal = p_hedge.add_mutually_exclusive_group(required=True)
+    signal.add_argument("--level", type=float, help="point signal: stock level of S_{T+delta}")
+    signal.add_argument("--interval", type=str,
+                        help="indicator signal: stock interval LO:HI for S_{T+delta}")
     p_hedge.add_argument("--observed", type=int, choices=(0, 1),
                          help="with --interval: observed indicator value (default 1)")
     p_hedge.add_argument("--mode", choices=MODE_NAMES,
                          help="with --level: conditioning mode (default bridge_exact)")
-    p_hedge.add_argument("--epsilon", type=float)
-    p_hedge.add_argument("--alpha", type=float)
+    target = p_hedge.add_mutually_exclusive_group(required=True)
+    target.add_argument("--epsilon", type=float)
+    target.add_argument("--alpha", type=float)
 
     p_tp = commands.add_parser("table-point", help="point-signal table, both modes")
     _add_model_flags(p_tp)
@@ -490,17 +476,13 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "hedge":
         pick = _config_lookup(args)
         config = build_config(args, pick)
-        if (args.level is None) == (args.interval is None):
-            parser.error("pass exactly one of --level / --interval")
         if args.interval is not None and args.mode is not None:
             parser.error("--mode applies to --level only")
         if args.level is not None and args.observed is not None:
             parser.error("--observed applies to --interval only")
-        if (args.epsilon is None) == (args.alpha is None):
-            parser.error("pass exactly one of --epsilon / --alpha")
         if args.level is not None:
             signal = point_signal_from_price(args.level, config.model)
-            mode = ConditioningMode(pick("mode", _parse_mode, "bridge_exact"))
+            mode = ConditioningMode(pick("mode", "bridge_exact"))
             draw = partial(draw_point, mode)
         else:
             intervals = _parse_intervals(args.interval)
@@ -527,10 +509,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     config = build_config(args)
-    if args.command == "table-point":
-        cells = run_table_point(config)
-    else:
-        cells = run_table_indicator(config)
+    cells = (run_table_point if args.command == "table-point" else run_table_indicator)(config)
     if config.output:
         write_cells(cells, config.output, config.fmt)
         print(f"wrote {len(cells)} cells to {config.output}", file=sys.stderr)

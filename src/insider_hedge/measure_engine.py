@@ -27,12 +27,14 @@ are folded once per signal: no W_T is formed, and a block takes two
 reused block buffers.  dQ_G/dP is one exp of Z_T / p_T^g's combined
 exponent, since Z_T alone overflows on well-posed inputs; a D beyond the
 float range comes out inf, which the sorted view refuses by name, and
-one that underflows comes out 0.  The draws that can reach the strike
-are a suffix of the normals, as are the in-the-money draws of each
-block, so D is usually sorted already.  An interval draw is kept when
-the bridge from the largest W_{T+delta} its branch allows reaches the
-window; each block gathers its kept draws and then its in-the-money
-ones by index, and maps them to W_T.
+one that underflows comes out 0.  A point block whose exponent falls
+below the normal range (E_QG[H] near underflow) takes ln H - ln E_QG[H]
+into it before the exp, so that D keeps its bits.  The draws that can
+reach the strike are a suffix of the normals, as are the in-the-money
+draws of each block, so D is usually sorted already.  An interval draw
+is kept when the bridge from the largest W_{T+delta} its branch allows
+reaches the window; each block gathers its kept draws and then its
+in-the-money ones by index, and maps them to W_T.
 """
 from __future__ import annotations
 
@@ -129,6 +131,8 @@ def _point_payoff(z, ex: _PointExponents, p: ModelParams, out) -> np.ndarray:
 # rounding of S_T and of brownian_from_price, so every draw whose W_T is below
 # the gap's Brownian level has S_T < K in floating point too
 _STRIKE_GAP = 1e-9
+# the log of the least normal float, below which exp loses bits
+_LOG_TINY = math.log(np.finfo(float).tiny)
 # relative margin by which a draw-space cut is moved outward: far wider than the
 # rounding of the affine map it inverts and of the ndtri value it repeats
 _CUT_MARGIN = 1e-12
@@ -231,8 +235,10 @@ def _write_d(signal: SignalSpec, block, p: ModelParams, e_qg_h: float, out: np.n
     and H and dQ_G/dP are computed in the two rows of `work`, each at
     least a block long.  Its in-the-money draws are read as a suffix, and
     gathered by index when the positive H are not one (normals out of
-    order, or rounding).  For an interval signal `ex` and `work` are None
-    and the block holds draw_interval's draws.
+    order, or rounding).  A point block whose dQ_G/dP would leave the
+    normal range takes D = exp(exponent + ln H - ln E_QG[H]) instead.  For
+    an interval signal `ex` and `work` are None and the block holds
+    draw_interval's draws.
     """
     if ex is not None:
         h = _point_payoff(block, ex, p, work[0, :block.size])
@@ -256,6 +262,14 @@ def _write_d(signal: SignalSpec, block, p: ModelParams, e_qg_h: float, out: np.n
             qg -= ex.v
             qg *= qg
             qg += ex.r
+            # the exponent is never below r, so only a signal whose r lies below the
+            # normal range can give a subnormal dQ_G/dP; such a block takes H and
+            # E_QG[H] into the exponent before the exp
+            if ex.r < _LOG_TINY and qg.min() < _LOG_TINY:
+                qg += np.log(h, out=h)
+                qg -= math.log(e_qg_h)
+                np.exp(qg, out=d)
+                return m + h.size
             np.exp(qg, out=qg)
         else:
             qg = qg_density_indicator(w_t, signal, p)

@@ -61,6 +61,11 @@ class ModelParams:
             raise ValueError(f"t_expiry must be positive, got {self.t_expiry}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        # sigma^2 and theta^2 times a time enter every price and density exponent: past
+        # the float range they end in an OverflowError or a NaN D, not a named error
+        for name, rate in (("sigma", self.sigma), ("theta", self.theta)):
+            if not math.isfinite(rate * rate * self.t_signal):
+                raise ValueError(f"{name}^2 * (t_expiry + delta) overflows the float range")
 
     @property
     def theta(self) -> float:

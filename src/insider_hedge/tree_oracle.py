@@ -46,6 +46,7 @@ import bisect
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter
@@ -519,28 +520,25 @@ def _scaled(values) -> tuple:
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
-def _subset_sums(atoms):
-    """(success, cost) of every subset of the (success, cost) int pairs, one at a time.
+def _subset_sums(atoms) -> list:
+    """(success, cost) of every subset of the (success, cost) int pairs, up to interchange.
 
-    The sums over each half of the atoms are listed, 2^(n/2) pairs
-    apiece, and combined lazily, so memory stays small up to the bound.
+    Atoms with equal pairs are interchangeable (the paths of one node
+    always are), so a subset is listed once per count it takes of each
+    pair: one running list, grown group by group.
     """
-    def listed(part):
-        sums = [(0, 0)]
-        for p_atom, c_atom in part:
-            sums += [(p_a + p_atom, cost + c_atom) for p_a, cost in sums]
-        return sums
-
-    half = len(atoms) // 2
-    for (p_head, c_head), (p_tail, c_tail) in itertools.product(listed(atoms[:half]),
-                                                                  listed(atoms[half:])):
-        yield p_head + p_tail, c_head + c_tail
+    sums = [(0, 0)]
+    for (p_atom, c_atom), count in Counter(atoms).items():
+        sums = [(p_a + j * p_atom, cost + j * c_atom)
+                for p_a, cost in sums for j in range(count + 1)]
+    return sums
 
 
 def exhaustive_optimality_check(table: AtomTable, g) -> tuple:
     """Brute-force both problems at every achievable level of g.
 
-    Enumerates every subset of g's conditional horizon atoms once.  At
+    Enumerates every subset of g's conditional horizon atoms once, up to
+    the interchange of atoms with equal success and cost.  At
     each achievable level (P, alpha) no set affordable at the budget
     alpha may beat the solver's success probability, and the cheapest
     set with success probability >= P must cost the solver's capital

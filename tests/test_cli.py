@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -52,6 +54,9 @@ KEY_READERS = {
     "table-point": ["table-point"],
     "table-indicator": ["table-indicator"],
 }
+# the flags that each command reads from its arguments alone, never from a config file
+FLAGS_READ_FROM_ARGS_ONLY = {"help", "config", "workers", "level", "interval", "observed",
+                             "epsilon", "alpha", "instances"}
 READ_BY = {
     "signal.levels = abc": (("table-point",), "could not convert string to float: 'abc'"),
     "signal.intervals = 1-2": (("table-indicator",), "interval '1-2' must look like LO:HI"),
@@ -98,6 +103,26 @@ class TestConfigFile:
         cfg.write_text("mu = 0.08\nsigma = 0.3\n mu = 0.5\n")
         with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'mu'"):
             parse_config_file(str(cfg))
+
+    def test_settings_and_flags_agree(self, monkeypatch, capsys):
+        # every setting has a flag on some command, every flag that can read a config
+        # key is a setting, and the market flags are ModelParams' fields
+        [commands] = [action for action in cli._parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        dests = {action.dest for sub in commands.choices.values() for action in sub._actions}
+        assert dests - FLAGS_READ_FROM_ARGS_ONLY == set(cli.SETTINGS)
+        assert set(cli.MARKET_DEFAULTS) == {f.name for f in dataclasses.fields(ModelParams)}
+        assert len({key for key, _ in cli.SETTINGS.values()}) == len(cli.SETTINGS)
+        # with no flag and no file, each setting is RunConfig's own default
+        monkeypatch.delenv("INSIDER_HEDGE_CONFIG", raising=False)
+        for command in ("table-point", "table-indicator"):
+            config = build_config(cli._parser().parse_args([command]))
+            assert config == RunConfig(model=ModelParams(**cli.MARKET_DEFAULTS))
+        # price samples nothing, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_signal_kind_is_not_a_config_key(self, tmp_path):
         # an empty level grid must fail, whatever the file says about the signal kind
@@ -623,6 +648,22 @@ def test_sample_too_large_to_allocate_is_one_error_line(argv):
     assert status == 1 and out == ""
     [line] = err.splitlines()
     assert line.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--sigma", "1e160"],
+    ["price", "--t-expiry", "1e300", "--sigma", "1e10"],
+    ["hedge", "--level", "110", "--epsilon", "0.1", "--n-paths", "2000", "--sigma", "1e160"],
+    ["table-point", "--n-paths", "1000", "--sigma", "1e300"],
+    ["hedge", "--level", "110", "--epsilon", "0.1", "--n-paths", "2000", "--mu", "1e154"],
+])
+def test_overflowing_market_is_one_error_line(argv):
+    # sigma^2 or theta^2 times T + delta beyond the float range would end in an
+    # OverflowError traceback or in a NaN D
+    status, out, err = run_main(argv)
+    assert status == 1 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and line.endswith("overflows the float range")
 
 
 def log_uniform(lo: float, hi: float):

@@ -237,6 +237,45 @@ class TestFusedPointD:
         assert_sorted_view_of(build_batch(sig, draws, p), new)
 
 
+def mpmath_point_d(signal, draws, p) -> list:
+    """D of every draw in 50 digits, from W_T = c + s*z: H * Z_T / p_T^g / E_QG[H], with
+    the paper's p_T^g and the Black-Scholes price in mpmath, none of them folded."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        mu, sig, s0, k = (mpmath.mpf(x) for x in (p.mu, p.sigma, p.s0, p.strike))
+        t, d, g = mpmath.mpf(p.t_expiry), mpmath.mpf(p.delta), mpmath.mpf(signal.g_w)
+        th, c, s = mu / sig, *(mpmath.mpf(x) for x in insider_signal.point_map(g, draws, p))
+        d1 = (mpmath.log(s0 / k) + sig * sig * t / 2) / (sig * mpmath.sqrt(t))
+        e_qg_h = s0 * mpmath.ncdf(d1) - k * mpmath.ncdf(d1 - sig * mpmath.sqrt(t))
+        out = []
+        for z in draws.z:
+            w = c + s * mpmath.mpf(z)
+            h = s0 * mpmath.exp(sig * w + (mu - sig * sig / 2) * t) - k
+            p_g = mpmath.sqrt((t + d) / d) * mpmath.exp(-(g - w) ** 2 / (2 * d)
+                                                         + g * g / (2 * (t + d)))
+            out.append(max(h, 0) * mpmath.exp(-th * w - th * th * t / 2) / p_g / e_qg_h)
+        return out
+
+
+class TestPointDNearCallPriceUnderflow:
+    """At strike 1e4 and level 1.5e4, E_QG[H] = 6.8e-297 and dQ_G/dP alone underflows on
+    most paper_shift draws, while every D is a normal float in [1e-25, 1e-22]."""
+
+    def test_d_keeps_its_bits_and_the_plan_its_target(self, params):
+        from insider_hedge.np_solver import make_hedge_plan
+
+        p = dataclasses.replace(params, strike=1e4)
+        sig = point_signal_from_price(1.5e4, p)
+        draws = draw_point(ConditioningMode.PAPER_SHIFT, 2000, 0)
+        view = build_batch(sig, draws, p)
+        ref = np.sort(np.array(mpmath_point_d(sig, draws, p), dtype=float))
+        assert ref.min() > 1e-26 and view.d.size == 2000
+        np.testing.assert_allclose(view.d, ref, rtol=1e-9, atol=0.0)
+        plan = make_hedge_plan(view, epsilon=0.1)
+        assert plan.success_prob == pytest.approx(0.9) and plan.atom_gap == ""
+
+
 class TestBuildBatchPoint:
     @pytest.fixture(params=["bridge_exact", "paper_shift"])
     def mode(self, request):
