@@ -66,11 +66,11 @@ MARKET_DEFAULTS = {"mu": 0.08, "sigma": 0.25, "s0": 100.0, "strike": 110.0,
 class RunConfig:
     """One table run: market, signal grid, epsilon grid, sampling budget.
 
-    Each table checks what only the tables read when it runs, before
-    any draw: run_table_point the levels, run_table_indicator the
-    intervals, and both the epsilons and the format.  signal_kind and
-    workers are checked here and read by no command: every stream is
-    filled block by block in one loop.
+    Every setting is checked here, before any draw.  A command leaves
+    each setting it has no flag for at its default here, and every
+    default passes, so a bad value of a key that a command never reads
+    cannot refuse it.  signal_kind and workers are read by no command:
+    every stream is filled block by block in one loop.
     """
 
     model: ModelParams
@@ -95,6 +95,16 @@ class RunConfig:
             raise ValueError(f"signal_kind must be point or interval, got {self.signal_kind}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.epsilons:
+            raise ValueError("empty epsilon grid")
+        if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
+            raise ValueError("epsilons must lie in [0,1]")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {self.fmt}")
+        if not self.levels:
+            raise ValueError("empty level grid")
+        if not self.intervals:
+            raise ValueError("empty interval grid")
 
 
 @dataclass(frozen=True)
@@ -115,16 +125,6 @@ class CellResult:
 # the table columns, one per CellResult field in its order, and whether each is a float
 _COLUMNS = tuple((f.name, f.type == "float") for f in fields(CellResult))
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
-
-
-def _check_epsilons_and_format(config: RunConfig) -> None:
-    """Refuse a bad epsilon grid or output format: only the tables read them."""
-    if not config.epsilons:
-        raise ValueError("empty epsilon grid")
-    if any(not 0.0 <= e <= 1.0 for e in config.epsilons):
-        raise ValueError("epsilons must lie in [0,1]")
-    if config.fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {config.fmt}")
 
 
 def _plan_row(view, epsilons) -> list[HedgePlan]:
@@ -154,25 +154,21 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
 
     Levels are stock prices of the post-expiry price, converted to
     Brownian space internally.  Each conditioning mode draws one stream
-    of n_paths normals, from its own derived seed and stream tag, and
-    maps it to every level (common random numbers): each cell keeps its
-    sampling law, while the errors of one mode's rows are correlated
-    across levels.  The two modes stay independent, so their
-    disagreement is visible in the output: cells where the two modes
-    differ by more than 3 combined standard errors carry the
-    mode_disagree flag.
+    of n_paths normals, keyed by (seed, its stream tag) as in hedge, and
+    maps it to every level (common random numbers): each cell equals
+    the hedge command with its settings, while the errors of one mode's
+    rows are correlated across levels.  The tags differ, so the modes
+    stay independent and their disagreement is visible in the output:
+    cells where the two modes differ by more than 3 combined standard
+    errors carry the mode_disagree flag.
     """
-    _check_epsilons_and_format(config)
-    if not config.levels:
-        raise ValueError("empty level grid")
     from .insider_signal import ConditioningMode, draw_point, point_signal_from_price
     from .measure_engine import build_batch
-    from .rng import derive_seed
     modes = (ConditioningMode.BRIDGE_EXACT, ConditioningMode.PAPER_SHIFT)
     signals = [point_signal_from_price(level, config.model) for level in config.levels]
     rows = []
-    for j, mode in enumerate(modes):
-        draws = draw_point(mode, config.n_paths, derive_seed(config.seed, j))
+    for mode in modes:
+        draws = draw_point(mode, config.n_paths, config.seed)
         # each view of D is released once its row is planned: one is alive at a time
         rows.append([_plan_row(build_batch(signal, draws, config.model), config.epsilons)
                      for signal in signals])
@@ -191,25 +187,21 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     """Indicator-signal table: one row per (interval, epsilon), observed G=1.
 
     Intervals are stock-price ranges for the post-expiry price.  The
-    table draws n_paths uniforms and bridge normals once, from one
-    derived seed, and the exact interval sampler maps them to each
+    table draws n_paths uniforms and bridge normals once, from the seed
+    as hedge does, and the exact interval sampler maps them to each
     interval (common random numbers, as in run_table_point).  An
     interval whose conditioning event has probability 0 raises
     ValueError before anything is drawn, which ends the run.  The mode
     column keeps the label "rejection" for output-format compatibility.
     """
-    _check_epsilons_and_format(config)
-    if not config.intervals:
-        raise ValueError("empty interval grid")
     from .insider_signal import draw_interval, indicator_prob, interval_signal_from_prices
     from .measure_engine import build_batch
-    from .rng import derive_seed
     signals = [interval_signal_from_prices(lo, hi, config.model, observed=1)
                for lo, hi in config.intervals]
     # as in hedge, a signal of probability 0 is refused before the 2n draws are filled
     for signal in signals:
         indicator_prob(signal, config.model)
-    draws = draw_interval(config.n_paths, derive_seed(config.seed))
+    draws = draw_interval(config.n_paths, config.seed)
     cells: list[CellResult] = []
     for (lo, hi), signal in zip(config.intervals, signals):
         descriptor = f"S=[{lo:g}..{hi:g}]"
@@ -278,9 +270,9 @@ def render_cells(cells: list[CellResult]) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_config_file(path: str) -> dict:
-    """Flat key/value config; '#' starts a comment, '=' separates."""
+    """Flat 'key = value' config in UTF-8, a BOM allowed; '#' starts a comment."""
     options: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -349,7 +341,12 @@ def _config_lookup(args: argparse.Namespace):
         if getattr(args, dest) is not None:
             return getattr(args, dest)
         key, parse = SETTINGS[dest]
-        return parse(opts[key]) if key in opts else fallback
+        if key not in opts:
+            return fallback
+        try:
+            return parse(opts[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from exc
 
     return pick
 

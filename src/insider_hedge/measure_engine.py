@@ -177,12 +177,9 @@ def _point_start(signal: PointValue, draws: SignalDraws, p: ModelParams) -> int:
     not sorted) give the whole of draws.z.
     """
     z = draws.z
-    if p.strike > 0.0:
-        cut = _z_cut(*point_map(signal.g_w, draws, p), _strike_floor(p))
-        start = int(np.searchsorted(z, cut))
-        if not (start and z[:start].max() >= cut):
-            return start
-    return 0
+    cut = _z_cut(*point_map(signal.g_w, draws, p), _strike_floor(p))
+    start = int(np.searchsorted(z, cut))
+    return 0 if start and z[:start].max() >= cut else start
 
 
 def _interval_candidates(draws: SignalDraws, mass: float, z_cut: float,

@@ -6,17 +6,16 @@ SFC64 generator, seeded once from ``SeedSequence([*key, b])``.  No
 generator is advanced or jumped past its own block, so a small, fast
 generator suffices.  Block boundaries depend only on the draw index,
 and one loop fills the blocks in order, so a stream's values depend
-only on its key (the command line's --workers is accepted and has no
-effect).  A stream is one flat array of standard normals or of
-uniforms; the samplers key theirs by (seed, stream tag), so every tag
-below fixes the draws behind a table's numbers.
+only on its key.  A stream is one flat array of standard normals or of
+uniforms.  Every command keys its streams by (seed, stream tag): the
+tags below are distinct, so they alone keep the streams of one seed
+apart, and a table and a hedge with the same seed draw the same numbers.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK_SIZE", "block_generator", "standard_normal_stream", "uniform_stream",
-           "derive_seed"]
+__all__ = ["BLOCK_SIZE", "block_generator", "standard_normal_stream", "uniform_stream"]
 
 BLOCK_SIZE = 1 << 16
 
@@ -28,8 +27,6 @@ STREAM_INTERVAL_BRIDGE = 5
 
 
 def _as_entropy(key) -> list[int]:
-    if isinstance(key, (int, np.integer)):
-        key = (int(key),)
     ent = [int(k) for k in key]
     if any(k < 0 for k in ent):
         raise ValueError(f"seed key must be nonnegative, got {ent}")
@@ -39,16 +36,6 @@ def _as_entropy(key) -> list[int]:
 def block_generator(key, block: int) -> np.random.Generator:
     """Generator for one block of the stream identified by `key`."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(_as_entropy(key) + [block])))
-
-
-def derive_seed(seed: int, *path: int) -> int:
-    """Collision-resistant child seed for (seed, path), e.g. one per conditioning mode.
-
-    The path length is part of the entropy: SeedSequence pads its entropy
-    with zeros, so without it (s,) and (s, 0) would give the same seed.
-    """
-    ss = np.random.SeedSequence(_as_entropy(seed) + [int(p) for p in path] + [len(path)])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _block_stream(key, n: int, draw) -> np.ndarray:

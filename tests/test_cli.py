@@ -58,11 +58,14 @@ KEY_READERS = {
 FLAGS_READ_FROM_ARGS_ONLY = {"help", "config", "workers", "level", "interval", "observed",
                              "epsilon", "alpha", "instances"}
 READ_BY = {
-    "signal.levels = abc": (("table-point",), "could not convert string to float: 'abc'"),
-    "signal.intervals = 1-2": (("table-indicator",), "interval '1-2' must look like LO:HI"),
+    "signal.levels = abc": (("table-point",),
+                            "signal.levels: could not convert string to float: 'abc'"),
+    "signal.intervals = 1-2": (("table-indicator",),
+                               "signal.intervals: interval '1-2' must look like LO:HI"),
     "epsilons = x": (("table-point", "table-indicator"),
-                     "could not convert string to float: 'x'"),
-    "mode = nope": (("hedge-level",), "mode must be bridge_exact or paper_shift, got 'nope'"),
+                     "epsilons: could not convert string to float: 'x'"),
+    "mode = nope": (("hedge-level",),
+                    "mode: mode must be bridge_exact or paper_shift, got 'nope'"),
 }
 
 
@@ -103,6 +106,20 @@ class TestConfigFile:
         cfg.write_text("mu = 0.08\nsigma = 0.3\n mu = 0.5\n")
         with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'mu'"):
             parse_config_file(str(cfg))
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("mu 0.08\n")
+        with pytest.raises(ValueError, match=r"bare\.cfg:1: expected 'key = value', got"):
+            parse_config_file(str(cfg))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # Windows Notepad starts a UTF-8 file with a byte-order mark
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes("\ufeffstrike = 0\r\nsigma = 0.3\r\n".encode("utf-8"))
+        assert parse_config_file(str(cfg)) == {"strike": "0", "sigma": "0.3"}
+        assert main(["price", "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == ("100\n", "")
 
     def test_settings_and_flags_agree(self, monkeypatch, capsys):
         # every setting has a flag on some command, every flag that can read a config
@@ -161,7 +178,7 @@ class TestConfigFile:
         for workers in (0, -2):
             with pytest.raises(ValueError, match="workers"):
                 RunConfig(model=params, workers=workers)
-        # the epsilons and the format are checked by the tables, before any draw
+        # the epsilons and the format are refused before any draw
         monkeypatch.setattr(insider_signal, "draw_point", _no_draw)
         monkeypatch.setattr(insider_signal, "draw_interval", _no_draw)
         for run in (run_table_point, run_table_indicator):
@@ -188,8 +205,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, error, refusing", [
         ("n_paths = 10", "n_paths must be >= 1000, got 10", SAMPLING_COMMANDS),
         ("seed = 4294967296", "seed must be in [0, 2**32), got 4294967296", SAMPLING_COMMANDS),
-        ("mode = nope", "mode must be bridge_exact or paper_shift, got 'nope'",
+        ("mode = nope", "{cfg}: mode: mode must be bridge_exact or paper_shift, got 'nope'",
          SAMPLING_COMMANDS[:1]),
+        ("n_paths = 1e6", "{cfg}: n_paths: invalid literal for int() with base 10: '1e6'",
+         SAMPLING_COMMANDS),
     ])
     def test_sampling_keys_fail_only_the_commands_that_sample(self, tmp_path, capsys,
                                                              monkeypatch, key, error, refusing):
@@ -205,7 +224,7 @@ class TestConfigFile:
         for argv in refusing:
             assert main([*argv, "--config", str(cfg)]) == 1, argv
             out, err = capsys.readouterr()
-            assert out == "" and err.splitlines() == [f"error: {error}"], argv
+            assert out == "" and err.splitlines() == [f"error: {error.format(cfg=cfg)}"], argv
 
     @pytest.mark.parametrize("command", sorted(KEY_READERS))
     @pytest.mark.parametrize("key", sorted(READ_BY))
@@ -217,7 +236,7 @@ class TestConfigFile:
         status = main([*KEY_READERS[command], "--config", str(cfg), "--n-paths", "2000"])
         out, err = capsys.readouterr()
         if command in readers:
-            assert (status, out, err) == (1, "", f"error: {error}\n")
+            assert (status, out, err) == (1, "", f"error: {cfg}: {error}\n")
         else:
             assert status == 0 and out and err == "", err
 
@@ -260,6 +279,33 @@ class TestTables:
                            n_paths=50_000, seed=2)
         cells = run_table_point(config)
         assert all("mode_disagree" in c.flags for c in cells)
+
+    @pytest.mark.parametrize("kind", ["point", "indicator"])
+    def test_each_cell_is_the_hedge_with_its_settings(self, params, capsys, kind):
+        # a table keys its streams by (seed, stream tag) as hedge does, so one hedge
+        # command reproduces any of its cells
+        config = RunConfig(model=params, levels=(106.0, 110.0, 114.0),
+                           intervals=((109.0, 111.0), (106.0, 108.0)),
+                           epsilons=(0.01, 0.1, 0.25), n_paths=20_000, seed=3)
+        if kind == "point":
+            cells = run_table_point(config)
+            hedges = [(["--level", f"{level:g}", "--mode", mode], epsilon)
+                      for level in config.levels for epsilon in config.epsilons
+                      for mode in cli.MODE_NAMES]
+        else:
+            cells = run_table_indicator(config)
+            hedges = [(["--interval", f"{lo:g}:{hi:g}"], epsilon)
+                      for lo, hi in config.intervals for epsilon in config.epsilons]
+        assert len(cells) == len(hedges)
+        for cell, (signal, epsilon) in zip(cells, hedges):
+            assert main(["hedge", *signal, "--epsilon", str(epsilon),
+                         "--n-paths", "20000", "--seed", "3"]) == 0
+            printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+            assert (cell.epsilon, cell.mode) == (epsilon, printed["mode"])
+            for name, value in (("k", cell.k), ("alpha", cell.alpha),
+                                ("success_prob", cell.success_prob),
+                                ("mc_stderr_alpha", cell.alpha_stderr)):
+                assert printed[name] == f"{value:.6g}", (cell, name)
 
     def test_indicator_table(self, small_config):
         cells = run_table_indicator(small_config)
@@ -664,6 +710,19 @@ def test_overflowing_market_is_one_error_line(argv):
     assert status == 1 and out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and line.endswith("overflows the float range")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table-indicator", "--intervals", ","], "empty interval grid"),
+    (["hedge", "--interval", "100:105,106:108", "--epsilon", "0.1"],
+     "--interval takes one LO:HI, got '100:105,106:108'"),
+    (["hedge", "--interval", "100:inf", "--epsilon", "0.1"], "interval endpoints must be finite"),
+    (["hedge", "--level", "110", "--alpha", "1.5"], "alpha must be in [0,1], got 1.5"),
+    (["oracle", "--instances", "0"], "instance_count must be >= 1"),
+])
+def test_refusal_is_one_error_line(argv, message):
+    # in process, unlike test_bad_input_is_one_error_line, so coverage counts these refusals
+    assert run_main(argv) == (1, "", f"error: {message}\n")
 
 
 def log_uniform(lo: float, hi: float):

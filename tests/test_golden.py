@@ -29,26 +29,26 @@ from insider_hedge.cli import (
 )
 
 TABLE_DIGESTS = {
-    "point": "dacfc9740c8608392ce1c4722ea88f207f9ce7cfffbf40f5e073a76d811e4dc3",
-    "indicator": "28ddf954ab49771ffe2c90115235056a6aaa01c18611f752e9206059b923dee0",
+    "point": "3ab8c9722cd43b6263cbd4c13af65f5ac91b5fbd104bbc1fbd188b7d4eac30c4",
+    "indicator": "d2c46f9044f39e742913878e3859b17d8af450ffcd50364a8ba945de66a39193",
 }
 
 # n = 200000: more than three blocks of rng.BLOCK_SIZE draws
 MULTI_BLOCK_TABLE_DIGESTS = {
-    "point": "080d1e039b15ed1a21f9068ade045503f872e9dabdb36bd68545f4ae7819fbb0",
-    "indicator": "7d1e7e7e8a89ae05bd7dc4fa4fd976dea44512e918024e799d11afabdd085fd9",
+    "point": "1027e8e49304d861984e62c96602944a78eec4c39971b04b3aed2f547eb4c6d7",
+    "indicator": "a1fbb2a6b1148b4ed667087ea09b829d682aca4429470d49df48cb11785cacef",
 }
 
 # n = 10^6, the default sample size: (table, seed) -> digests of the CSV and the JSON
 FULL_SIZE_TABLE_DIGESTS = {
-    ("point", 0): ("a4fb26053334696795076817313e1568bccdb8a84c85f8531c72c654a830a067",
-                   "2f25fcfbbbbcb5249159e5ef2d1cd6bc8827456b68e2cec37de5fd517ad79922"),
-    ("point", 1): ("1c9ab79e39b0fd86e6786ff39766ca90a3fc5312af9d909cbb3286cce92c71c7",
-                   "1736929f0cbd34a2d72bc527edb395d1574cda68b16b0ff4097654534d98f81d"),
-    ("indicator", 0): ("84f367de7159a316aa7aa641641c939e0b83cfa9e2d7e5285b1dd6c737c85e25",
-                       "5be6f0334da37eba7cb1e2ccc1dc38b9a053dd0295235367b651f71585ecfa42"),
-    ("indicator", 1): ("e1487217ba3b36e9e6cbb5feb5c1d9db00255b62b86445072767d4c836076c36",
-                       "5754d95eb8bd5abf6ed401ccfe9591f97b2ca0707634482c3c98c76acc5786bb"),
+    ("point", 0): ("09c965893be5c2f9e4f69079dffa89deb50eebeb8da5a8efd674df8f76b1e5df",
+                   "85571b1c37a9f742c3fc786971beab76659edbf474c9f981534a753a5ccd58f4"),
+    ("point", 1): ("8dc8d3291624e38cfb78ec3afa90f3bb96fb111629737adfe795f9ea632e683b",
+                   "2ef3cc179f1f02a20d8198ca398aced16d88532981b8b9eab117a96f7c8e553f"),
+    ("indicator", 0): ("dcc1768af10de1dae5de1b49e08f95650033b84413a48a7992efbc5cdb35427f",
+                       "673f0847522b3aeb2638dab028a822ae6838f924956a4260f82ea78b86f681be"),
+    ("indicator", 1): ("d48128731333b2e6776d10d3922af0c53f10a56026842c08354450bd3803d867",
+                       "575c2b0bf6973d83a2fec5084b65f08f4f7db99781e4988d2ef3aec9213caba0"),
 }
 
 HEDGE_DIGESTS = {

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -180,6 +181,22 @@ class TestMarketInputs:
     ])
     def test_stray_key_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
+            TreeMarket(**{**REFERENCE_INPUTS, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("periods", 0, "periods must be >= 1"),
+        ("hedge_horizon", 0, "hedge_horizon must be in [1, 2]"),
+        ("hedge_horizon", 3, "hedge_horizon must be in [1, 2]"),
+        ("d", 1, "need 0 < d < 1 < u, got d=1, u=2"),
+        ("u", 1, "need 0 < d < 1 < u, got d=1/2, u=1"),
+        ("p_up", 0, "p_up must be in (0,1), got 0"),
+        ("p_up", 1, "p_up must be in (0,1), got 1"),
+        ("s0", 0, "s0 must be positive"),
+        ("payoff", {0: 0}, "payoff missing node with 1 ups at the horizon"),
+        ("payoff", {0: -1, 1: 1}, "payoff must be nonnegative, got -1 at 0 ups"),
+    ])
+    def test_bad_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             TreeMarket(**{**REFERENCE_INPUTS, field: value})
 
     def test_path_keyed_signal_rejected(self):
