@@ -148,10 +148,23 @@ def _normal_mass(lo, hi, observed: int):
     Both are built from lower-tail CDF values, so far-out intervals
     neither cancel to 0 nor round to 1: the inside mass is taken on
     whichever of [lo, hi] and its reflection [-hi, -lo] lies lower.
+    Float arrays lo and hi are overwritten, and the mass comes back in
+    lo's buffer; scalars give a 0-d array.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if observed == 0:
-        return ndtr(lo) + ndtr(-hi)
-    return ndtr(np.minimum(hi, -lo)) - ndtr(np.minimum(lo, -hi))
+        ndtr(lo, out=lo)
+        np.negative(hi, out=hi)
+        lo += ndtr(hi, out=hi)
+        return lo
+    # min(hi, -lo) and min(lo, -hi) = -max(hi, -lo)
+    np.negative(lo, out=lo)
+    top = np.maximum(hi, lo, out=np.empty_like(lo))
+    np.minimum(hi, lo, out=lo)
+    np.negative(top, out=top)
+    ndtr(lo, out=lo)
+    lo -= ndtr(top, out=top)
+    return lo
 
 
 def indicator_prob(spec: IntervalIndicator, p: ModelParams) -> float:
@@ -169,17 +182,25 @@ def indicator_prob(spec: IntervalIndicator, p: ModelParams) -> float:
     return mass
 
 
-def density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
+def density_indicator(w_t, spec: IntervalIndicator, p: ModelParams, mass: float | None = None,
+                      out=None):
     """p_T^G for the indicator signal: P(G = spec.observed | W_T = w_t) / P(G = spec.observed).
 
     Given W_T, W_{T+delta} is N(W_T, delta), so the remaining standard
     deviation is sqrt(delta) itself, positive for every delta > 0 even
-    where T + delta rounds to T.  The denominator is indicator_prob,
-    which refuses a signal of probability 0.
+    where T + delta rounds to T.  The denominator is `mass` when the
+    caller has it, else indicator_prob, which refuses a signal of
+    probability 0.  With `out`, a float array like w_t, the density is
+    computed there and the array w_t is overwritten.
     """
     rem_sd = math.sqrt(p.delta)
-    num = _normal_mass((spec.a_w - w_t) / rem_sd, (spec.b_w - w_t) / rem_sd, spec.observed)
-    return num / indicator_prob(spec, p)
+    lo = np.subtract(spec.a_w, w_t, out=out)
+    lo /= rem_sd
+    hi = np.subtract(spec.b_w, w_t, out=None if out is None else w_t)
+    hi /= rem_sd
+    num = _normal_mass(lo, hi, spec.observed)
+    num /= indicator_prob(spec, p) if mass is None else mass
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +226,7 @@ class SignalDraws(NamedTuple):
     draws, and None for interval draws.  The draws do not depend on the
     signal's value, so one set serves every level or interval of a
     table.  The arrays are read-only: the samplers map them to W_T in
-    new arrays.
+    new arrays, or in arrays their caller owns.
     """
 
     z: np.ndarray
@@ -268,8 +289,8 @@ def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, fl
     return g_w, math.sqrt(p.delta)
 
 
-def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
-                                 p: ModelParams) -> BrownianPair:
+def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws, p: ModelParams,
+                                 mass: float | None = None, out=None) -> BrownianPair:
     """Exact draws of (W_T, W_{T+delta}) given G = spec.observed, from draw_interval's draws.
 
     W_{T+delta} / sqrt(T+d) is the inverse CDF at draws.u of the standard
@@ -277,28 +298,35 @@ def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws,
     (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
     Each draw maps on its own, so any subset of draw_interval's draws,
     taken by index from both arrays alike, gives the same values on it.
-    Fails before any work on draw_point's draws, and through
-    indicator_prob when P(G = spec.observed) is 0.
+    `mass` is P(G = spec.observed) when the caller has it.  `out`, a
+    pair of float arrays as long as the draws, receives W_T and
+    W_{T+delta}; it may be (draws.z, draws.u) itself, which the draws
+    then give up.  Fails before any work on draw_point's draws, and
+    through indicator_prob when P(G = spec.observed) is 0.
     """
     if draws.u is None:
         raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
-    mass = indicator_prob(spec, p)
+    if mass is None:
+        mass = indicator_prob(spec, p)
     sd = math.sqrt(p.t_signal)
     lo, hi = spec.a_w / sd, spec.b_w / sd
-    u = draws.u * mass
+    w_t, w_td = (None, None) if out is None else out
+    w_td = np.multiply(draws.u, mass, out=w_td)
     if spec.observed == 1:
         # invert on the lower of [lo, hi] and its reflection, as in _normal_mass
-        u += ndtr(min(lo, -hi))
-        w_td = ndtri(u, out=u)
+        w_td += ndtr(min(lo, -hi))
+        ndtri(w_td, out=w_td)
         w_td *= -sd if lo + hi > 0 else sd
         # rounding at the endpoints may step outside [a, b], or reach inf at u = 1
         np.clip(w_td, spec.a_w, spec.b_w, out=w_td)
     else:
         # below the interval for u * mass <= Phi(lo), else above it
         below = ndtr(lo)
-        upper = u > below
-        u -= below * upper
-        w_td = ndtri(u, out=u)
+        upper = w_td > below
+        w_td -= below * upper
+        ndtri(w_td, out=w_td)
         w_td *= np.where(upper, -sd, sd)
     c, s = bridge_map(w_td, p)
-    return BrownianPair(c + s * draws.z, w_td)
+    w_t = np.multiply(draws.z, s, out=w_t)
+    w_t += c
+    return BrownianPair(w_t, w_td)

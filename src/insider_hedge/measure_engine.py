@@ -17,24 +17,28 @@ P_G(S_T <= K) that lies in every success set, which the sorted view
 counts instead of storing.  D is computed on the in-the-money draws
 only, and draws that cannot reach a window just below the strike are
 left out in draw space, by cuts that invert insider_signal's point_map
-and bridge_map.  build_batch walks the other draws in blocks of
-rng.BLOCK_SIZE and writes each block's D straight into one buffer,
-which the sorted view keeps when it comes out full and sorted.
+and bridge_map.  build_batch walks the other draws in blocks and writes
+each block's D straight into one buffer, which the sorted view keeps.
+A block works in buffers allocated once per batch.
 
 A point signal's W_T = c + s*z is affine in draw_point's ascending
 normals z, so S_T and dQ_G/dP are two exponents of z whose constants
-are folded once per signal: no W_T is formed, and a block takes two
-reused block buffers.  dQ_G/dP is one exp of Z_T / p_T^g's combined
-exponent, since Z_T alone overflows on well-posed inputs; a D beyond the
-float range comes out inf, which the sorted view refuses by name, and
-one that underflows comes out 0.  A point block whose exponent falls
-below the normal range (E_QG[H] near underflow) takes ln H - ln E_QG[H]
-into it before the exp, so that D keeps its bits.  The draws that can
-reach the strike are a suffix of the normals, as are the in-the-money
-draws of each block, so D is usually sorted already.  An interval draw
-is kept when the bridge from the largest W_{T+delta} its branch allows
-reaches the window; each block gathers its kept draws and then its
-in-the-money ones by index, and maps them to W_T.
+are folded once per signal: no W_T is formed, and a block of
+rng.BLOCK_SIZE normals takes two reused buffers.  dQ_G/dP is one exp of
+Z_T / p_T^g's combined exponent, since Z_T alone overflows on well-posed
+inputs; a D beyond the float range comes out inf, which the sorted view
+refuses by name, and one that underflows comes out 0.  A point block
+whose exponent falls below the normal range (E_QG[H] near underflow)
+takes ln H - ln E_QG[H] into it before the exp, so that D keeps its
+bits.  The draws that can reach the strike are a suffix of the normals,
+as are the in-the-money draws of each block, so D is usually sorted
+already.
+
+An interval draw is kept when the bridge from the largest W_{T+delta}
+its uniform allows reaches the window: one cut at b for G = 1, one cut
+per bin of the uniform for G = 0.  A chunk of interval draws gathers
+its kept draws once into three reused rows, where they are mapped to
+W_T, H and D; their D is sorted in its own buffer.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .insider_signal import (
     IntervalIndicator,
@@ -56,6 +60,7 @@ from .insider_signal import (
     sample_indicator_conditional,
 )
 from .model_core import (
+    BrownianPair,
     ModelParams,
     bs_call_price,
     brownian_from_price,
@@ -76,14 +81,6 @@ def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
     qg = rn_density(w_t, p)
     qg /= density_indicator(w_t, spec, p)
     return qg
-
-
-def _itm_payoff(w_t, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """H = S_T - K and W_T on the draws with H > 0, gathered by index."""
-    h = price_from_brownian(w_t, p.t_expiry, p)
-    h -= p.strike
-    itm = np.flatnonzero(h > 0.0)
-    return h[itm], w_t[itm]
 
 
 class _PointExponents(NamedTuple):
@@ -136,6 +133,11 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 # relative margin by which a draw-space cut is moved outward: far wider than the
 # rounding of the affine map it inverts and of the ndtri value it repeats
 _CUT_MARGIN = 1e-12
+# bins of the uniform for the G = 0 bound on W_T, a power of two so that u * _BINS is exact
+_BINS = 1 << 9
+# interval draws mapped per chunk: its three work rows, and the temporaries of its
+# sampler and density, stay well within the two blocks that a point block takes
+_CHUNK = 1 << 15
 
 
 def _strike_floor(p: ModelParams) -> float:
@@ -152,19 +154,22 @@ def _strike_floor(p: ModelParams) -> float:
     return float(brownian_from_price(level, p.t_expiry, p))
 
 
-def _z_cut(c: float, s: float, w_lo: float) -> float:
+def _z_cut(c, s: float, w_lo: float) -> np.ndarray:
     """The normal z at which c + s*z reaches w_lo, s >= 0, moved down by a margin.
 
-    Every z below the cut has c + s*z < w_lo in floating point; an
-    infinite c gives an infinite cut.  s is 0 where T*delta underflows,
-    and then every draw has W_T = c: the cut is -inf when c reaches
-    w_lo and +inf otherwise.
+    c is a float or an array, and the cut has its shape.  Every z below
+    the cut has c + s*z < w_lo in floating point; an infinite c, or a
+    quotient beyond the float range, gives an infinite cut, and a w_lo
+    of -inf the cut -inf.  s is 0 where T*delta underflows, and then
+    every draw has W_T = c: the cut is -inf when c reaches w_lo and
+    +inf otherwise.
     """
-    if s == 0.0:
-        return -math.inf if c >= w_lo else math.inf
-    z = (w_lo - c) / s
-    if math.isfinite(z):
-        z -= _CUT_MARGIN * (1.0 + (abs(w_lo) + abs(c)) / s)
+    if s == 0.0 or w_lo == -math.inf:
+        return np.where(np.greater_equal(c, w_lo), -math.inf, math.inf)
+    with np.errstate(over="ignore"):
+        z = np.asarray(np.subtract(w_lo, c) / s)
+        margin = _CUT_MARGIN * (1.0 + (abs(w_lo) + np.abs(c)) / s)
+        np.subtract(z, margin, out=z, where=np.isfinite(z))
     return z
 
 
@@ -182,94 +187,119 @@ def _point_start(signal: PointValue, draws: SignalDraws, p: ModelParams) -> int:
     return 0 if start and z[:start].max() >= cut else start
 
 
-def _interval_candidates(draws: SignalDraws, mass: float, z_cut: float,
-                         below: float | None) -> SignalDraws:
-    """The draws with z >= z_cut or, when below is set, u * mass > below, gathered by index."""
-    keep = draws.z >= z_cut
-    if below is not None:
-        keep |= draws.u * mass > below
-    idx = np.flatnonzero(keep)
-    return SignalDraws(draws.z[idx], draws.u[idx])
+def _interval_cuts(signal: IntervalIndicator, mass: float, p: ModelParams) -> np.ndarray:
+    """The normal below which an interval draw's W_T stays below the strike window.
 
-
-def _interval_blocks(signal: IntervalIndicator, draws: SignalDraws, p: ModelParams):
-    """The interval draws whose W_T can reach the strike window, one block at a time.
-
-    Each draw's W_T is at most the bridge from the largest W_{T+delta}
-    its branch allows: b for G = 1, where the sampler clips to [a, b];
-    sd * ndtri(Phi(lo)), about a, on the G = 0 branch below the
-    interval, where u * mass <= Phi(lo); the G = 0 branch above the
-    interval has no bound.  The bound repeats the sampler's own float
-    operations, so a draw is left out only if its W_T, as sampled,
-    stays below the window.  indicator_prob refuses a signal of
-    probability 0 before the first block.
+    W_T is at most the bridge from the largest W_{T+delta} the draw's
+    uniform u allows: b for G = 1, where the sampler clips to [a, b].
+    For G = 0 each of _BINS equal bins of u's range (0, 1] has its cut:
+    below and above the interval W_{T+delta} is monotone in u, so in a
+    bin it is largest at an edge.  sample_indicator_conditional maps the
+    edges, so the bound repeats its float operations.  The bin that holds
+    the switch between the two branches has no bound (cut -inf).
     """
-    z, u = draws.z, draws.u
-    # draws without uniforms go to the sampler whole, which refuses them
-    prune = p.strike > 0.0 and u is not None
-    if prune:
-        mass = indicator_prob(signal, p)
-        w_lo = _strike_floor(p)
-        if signal.observed == 1:
-            z_cut, below = _z_cut(*bridge_map(signal.b_w, p), w_lo), None
-        else:
-            sd = math.sqrt(p.t_signal)
-            below = ndtr(signal.a_w / sd)
-            z_cut = _z_cut(*bridge_map(float(ndtri(below) * sd), p), w_lo)
-    for i in range(0, z.size, BLOCK_SIZE):
-        block = SignalDraws(z[i:i + BLOCK_SIZE], None if u is None else u[i:i + BLOCK_SIZE])
-        yield _interval_candidates(block, mass, z_cut, below) if prune else block
+    w_lo = _strike_floor(p)
+    if signal.observed == 1 or w_lo == -math.inf:
+        return _z_cut(*bridge_map(signal.b_w, p), w_lo)
+    edges = np.arange(_BINS + 1) / _BINS
+    w_td = sample_indicator_conditional(
+        signal, SignalDraws(np.zeros(edges.size), edges), p, mass).w_tdelta
+    cuts = _z_cut(*bridge_map(np.maximum(w_td[:-1], w_td[1:]), p), w_lo)
+    # the sampler's own branch test: u * mass above Phi(lo) lies above the interval
+    upper = edges * mass > ndtr(signal.a_w / math.sqrt(p.t_signal))
+    cuts[upper[:-1] != upper[1:]] = -math.inf
+    return cuts
 
 
-def _write_d(signal: SignalSpec, block, p: ModelParams, e_qg_h: float, out: np.ndarray,
-             m: int, ex: _PointExponents | None, work: np.ndarray | None) -> int:
-    """Write D of one block's in-the-money draws into out[m:]; return the end written.
+def _kept(chunk: SignalDraws, cuts: np.ndarray, work: np.ndarray, flags: np.ndarray) -> SignalDraws:
+    """The draws of a chunk whose normal reaches the cut of their bin, gathered into work[1:].
 
-    The one definition of D: D = H * dQ_G/dP / E_QG[H] in that operation
-    order, elementwise, so each value equals the one the full-sample
-    formula gives; every other draw has D = 0 exactly.  For a point
-    signal the block is a slice of its normals, `ex` holds its exponents,
-    and H and dQ_G/dP are computed in the two rows of `work`, each at
-    least a block long.  Its in-the-money draws are read as a suffix, and
-    gathered by index when the positive H are not one (normals out of
-    order, or rounding).  A point block whose dQ_G/dP would leave the
-    normal range takes D = exp(exponent + ln H - ln E_QG[H]) instead.  For
-    an interval signal `ex` and `work` are None and the block holds
-    draw_interval's draws.
+    The bin of u is u * _BINS truncated, held in work[0] as indices, and
+    u = 1 falls in the last bin.  A cut of one number holds for every draw.
     """
-    if ex is not None:
-        h = _point_payoff(block, ex, p, work[0, :block.size])
-        itm = h > 0.0
-        first = h.size - int(np.count_nonzero(itm))
-        itm = slice(first, None) if itm[first:].all() else np.flatnonzero(itm)
-        h, z = h[itm], block[itm]
-    else:
-        h, w_t = _itm_payoff(sample_indicator_conditional(signal, block, p).w_t, p)
-    if not h.size:
-        return m
+    z, u = chunk.z, chunk.u
+    if cuts.ndim:
+        bins = np.multiply(u, _BINS, out=work[0, :u.size].view(np.intp), casting="unsafe")
+        cuts = np.take(cuts, bins, out=work[1, :u.size], mode="clip")
+    keep = np.flatnonzero(np.greater_equal(z, cuts, out=flags[:z.size]))
+    return SignalDraws(np.take(z, keep, out=work[1, :keep.size], mode="clip"),
+                       np.take(u, keep, out=work[2, :keep.size], mode="clip"))
+
+
+def _d_slot(out: np.ndarray, m: int, size: int, e_qg_h: float, p: ModelParams) -> np.ndarray:
+    """out[m:m + size], which takes the D of `size` draws in the money; E_QG[H] must be positive."""
     if not e_qg_h > 0.0:
         raise ValueError(f"the call price at strike {p.strike:g} is {e_qg_h:g}, so "
                          f"D = H / E_QG[H] is undefined on the draws in the money")
-    d = out[m:m + h.size]
+    return out[m:m + size]
+
+
+def _write_interval_d(signal: IntervalIndicator, kept: SignalDraws, p: ModelParams, mass: float,
+                      e_qg_h: float, out: np.ndarray, m: int, work: np.ndarray,
+                      flags: np.ndarray) -> int:
+    """Write D of the kept draws that finish in the money into out[m:]; return the end written.
+
+    The sampler maps the kept draws to W_T in place (work[1], see _kept),
+    H goes to work[0], and the in-the-money H go straight to `out`, which
+    becomes D = H * (Z_T / p_T^G) / E_QG[H] in the full-sample formula's
+    operation order, with Z_T and p_T^G in the rows that are free.
+    """
+    k = kept.z.size
+    w_t = sample_indicator_conditional(signal, kept, p, mass, out=BrownianPair(kept.z, kept.u)).w_t
+    h = price_from_brownian(w_t, p.t_expiry, p, out=work[0, :k])
+    h -= p.strike
+    itm = np.flatnonzero(np.greater(h, 0.0, out=flags[:k]))
+    if not itm.size:
+        return m
+    d = np.take(h, itm, out=_d_slot(out, m, itm.size, e_qg_h, p), mode="clip")
+    w_t = np.take(w_t, itm, out=work[2, :itm.size], mode="clip")
+    # a D beyond the float range comes out inf, which SortedD.from_sample refuses by name
+    with np.errstate(over="ignore"):
+        qg = rn_density(w_t, p, out=work[0, :itm.size])
+        qg /= density_indicator(w_t, signal, p, mass, out=work[1, :itm.size])
+        d *= qg
+        d /= e_qg_h
+    return m + itm.size
+
+
+def _write_point_d(block, ex: _PointExponents, p: ModelParams, e_qg_h: float, out: np.ndarray,
+                   m: int, work: np.ndarray) -> int:
+    """Write D of one point block's in-the-money draws into out[m:]; return the end written.
+
+    D = H * dQ_G/dP / E_QG[H] in that operation order, elementwise, so
+    each value equals the one the full-sample formula gives; every other
+    draw has D = 0 exactly.  The block is a slice of the signal's
+    normals, `ex` holds its exponents, and H and dQ_G/dP are computed in
+    the two rows of `work`, each at least a block long.  The
+    in-the-money draws are read as a suffix, and gathered by index when
+    the positive H are not one (normals out of order, or rounding).  A
+    block whose dQ_G/dP would leave the normal range takes
+    D = exp(exponent + ln H - ln E_QG[H]) instead.
+    """
+    h = _point_payoff(block, ex, p, work[0, :block.size])
+    itm = h > 0.0
+    first = h.size - int(np.count_nonzero(itm))
+    itm = slice(first, None) if itm[first:].all() else np.flatnonzero(itm)
+    h, z = h[itm], block[itm]
+    if not h.size:
+        return m
+    d = _d_slot(out, m, h.size, e_qg_h, p)
     # a D beyond the float range comes out inf, which SortedD.from_sample refuses by
     # name; one that underflows comes out 0 (far-out levels, where the exact D is tiny)
     with np.errstate(over="ignore"):
-        if ex is not None:
-            qg = np.multiply(z, ex.u, out=work[1, :h.size])
-            qg -= ex.v
-            qg *= qg
-            qg += ex.r
-            # the exponent is never below r, so only a signal whose r lies below the
-            # normal range can give a subnormal dQ_G/dP; such a block takes H and
-            # E_QG[H] into the exponent before the exp
-            if ex.r < _LOG_TINY and qg.min() < _LOG_TINY:
-                qg += np.log(h, out=h)
-                qg -= math.log(e_qg_h)
-                np.exp(qg, out=d)
-                return m + h.size
-            np.exp(qg, out=qg)
-        else:
-            qg = qg_density_indicator(w_t, signal, p)
+        qg = np.multiply(z, ex.u, out=work[1, :h.size])
+        qg -= ex.v
+        qg *= qg
+        qg += ex.r
+        # the exponent is never below r, so only a signal whose r lies below the
+        # normal range can give a subnormal dQ_G/dP; such a block takes H and
+        # E_QG[H] into the exponent before the exp
+        if ex.r < _LOG_TINY and qg.min() < _LOG_TINY:
+            qg += np.log(h, out=h)
+            qg -= math.log(e_qg_h)
+            np.exp(qg, out=d)
+            return m + h.size
+        np.exp(qg, out=qg)
         np.multiply(h, qg, out=d)
         d /= e_qg_h
     return m + h.size
@@ -286,39 +316,53 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     Point draws are sorted, so those draws are one suffix and a point
     signal's S_T is ascending: its in-the-money draws are read as a
     suffix, and its D usually needs no sort.  Interval draws are kept
-    by a bound on W_T from each draw's branch and gathered by index.
+    by a bound on W_T from each draw's uniform and gathered by index.
 
-    The draws are mapped in blocks of rng.BLOCK_SIZE, and each block
-    writes its D into one buffer, as long as the point suffix or, for an
-    interval signal, as the sample.  The view keeps that buffer when it
-    comes out full and sorted, the usual point case.  A call price
-    E_QG[H] that underflows to 0 while a draw finishes in the money
-    leaves D undefined and raises ValueError.
+    Each block writes its D into one buffer, as long as the point suffix
+    or, for an interval signal, as the sample.  A point view keeps that
+    buffer when it comes out full and sorted, the usual case; interval
+    D is sorted in the buffer, which then gives back its unused tail, so
+    the view keeps it too.  P(G = observed) = 0 raises ValueError before
+    any draw is mapped, and so does a call price E_QG[H] that underflows
+    to 0 while a draw finishes in the money, which leaves D undefined.
     """
     n = draws.z.size
+    e_qg_h = bs_call_price(p)
     if isinstance(signal, PointValue):
         lo = _point_start(signal, draws, p)
         ex = _point_exponents(signal, draws, p)
         # `for z in (draws.z,)` binds the normals in the generator, not in this frame
         blocks = (z[i:i + BLOCK_SIZE] for z in (draws.z,) for i in range(lo, n, BLOCK_SIZE))
     elif isinstance(signal, IntervalIndicator):
-        lo, ex = 0, None
-        blocks = _interval_blocks(signal, draws, p)
+        if draws.u is None:
+            raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
+        lo, mass = 0, indicator_prob(signal, p)
+        cuts = _interval_cuts(signal, mass, p)
+        blocks = (SignalDraws(z[i:i + _CHUNK], u[i:i + _CHUNK])
+                  for z, u in ((draws.z, draws.u),) for i in range(0, n, _CHUNK))
     else:
         raise TypeError(f"unsupported signal {signal!r}")
     # the blocks hold the only other reference, so a caller that kept none (the
     # one-signal case) frees the draws after the last block, before D is sorted
     del draws
-    e_qg_h = bs_call_price(p)
     d = np.empty(n - lo)
-    # H and dQ_G/dP of a point block, reused by every block; allocated after d,
-    # which the view keeps, so that freeing them leaves no hole below it in the heap
-    work = np.empty((2, min(BLOCK_SIZE, n - lo))) if ex is not None else None
     m = 0
-    for block in blocks:
-        m = _write_d(signal, block, p, e_qg_h, d, m, ex, work)
-        # gathered interval draws go before the next block is gathered and D is sorted
-        del block
-    # the point block buffers go before D is sorted
-    del work
-    return SortedD.from_sample(d if m == d.size else d[:m], e_qg_h, n)
+    if isinstance(signal, PointValue):
+        # H and dQ_G/dP of a block, reused by every block; allocated after d, which the
+        # view keeps, so that freeing them leaves no hole below it in the heap
+        work = np.empty((2, min(BLOCK_SIZE, n - lo)))
+        for block in blocks:
+            m = _write_point_d(block, ex, p, e_qg_h, d, m, work)
+        del work
+        return SortedD.from_sample(d if m == d.size else d[:m], e_qg_h, n)
+    # a chunk's kept draws, then its W_T, H, Z_T and p_T^G, in three rows
+    work = np.empty((3, min(_CHUNK, n)))
+    flags = np.empty(work.shape[1], dtype=bool)
+    for chunk in blocks:
+        m = _write_interval_d(signal, _kept(chunk, cuts, work, flags), p, mass, e_qg_h, d, m,
+                              work, flags)
+    del work, flags
+    # no other array refers to d, so it can give back its tail in place
+    d[:m].sort()
+    d.resize(m, refcheck=False)
+    return SortedD.from_sample(d, e_qg_h, n)

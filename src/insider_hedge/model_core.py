@@ -89,9 +89,9 @@ class BrownianPair(NamedTuple):
     w_tdelta: np.ndarray
 
 
-def price_from_brownian(w, t, p: ModelParams):
-    """Stock level at time t for Brownian value w, computed in one new array."""
-    s = np.multiply(w, p.sigma)
+def price_from_brownian(w, t, p: ModelParams, out=None):
+    """Stock level at time t for Brownian value w, computed in one new array or in `out`."""
+    s = np.multiply(w, p.sigma, out=out)
     s += (p.mu - 0.5 * p.sigma**2) * t
     # in place, except for a scalar w, whose numpy scalar has no buffer to write
     s = np.exp(s, out=s) if isinstance(s, np.ndarray) else np.exp(s)
@@ -100,18 +100,25 @@ def price_from_brownian(w, t, p: ModelParams):
 
 
 def brownian_from_price(s, t, p: ModelParams):
-    """Inverse of price_from_brownian: the Brownian value implying level s at time t."""
-    return (np.log(s / p.s0) - (p.mu - 0.5 * p.sigma**2) * t) / p.sigma
+    """Inverse of price_from_brownian: the Brownian value implying level s at time t.
+
+    A level whose ratio to s0 underflows to 0 gives -inf, which the
+    signal types refuse by name.
+    """
+    with np.errstate(divide="ignore"):
+        return (np.log(s / p.s0) - (p.mu - 0.5 * p.sigma**2) * t) / p.sigma
 
 
-def rn_density(w, p: ModelParams):
+def rn_density(w, p: ModelParams, out=None):
     """Density dQ_F/dP restricted to the horizon T, evaluated at W_T = w.
 
     Z_T = exp(-theta*w - theta^2 T/2), strictly positive for finite
-    inputs.
+    inputs, computed in a new array or in `out`.
     """
     th = p.theta
-    return np.exp(-th * w - 0.5 * th * th * p.t_expiry)
+    z = np.multiply(w, -th, out=out)
+    z -= 0.5 * th * th * p.t_expiry
+    return np.exp(z, out=z) if isinstance(z, np.ndarray) else np.exp(z)
 
 
 def bs_call_price(p: ModelParams) -> float:

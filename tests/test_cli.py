@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from insider_hedge import cli, insider_signal
+from insider_hedge import cli, insider_signal, measure_engine
 from insider_hedge.cli import (
     CSV_HEADER,
     CellResult,
@@ -380,10 +380,12 @@ class TestSharedDraws:
             monkeypatch.setattr(np, name, counted)
         assert len(run_table_point(RunConfig(model=params, n_paths=20_000, seed=3))) == 132
         assert calls == {"sort": 0, "flatnonzero": 0}
-        # interval W_T is not ordered: each of the five rows gathers the draws that can
-        # reach the strike, then gathers and sorts its D
+        # interval W_T is not ordered: each chunk of each of the five rows gathers the
+        # draws that can reach the strike, then those in the money; each row sorts its D
+        # in place, in its own buffer, which np.sort does not count
         run_table_indicator(RunConfig(model=params, n_paths=20_000, seed=3))
-        assert calls == {"sort": 5, "flatnonzero": 10}
+        chunks = -(-20_000 // measure_engine._CHUNK)
+        assert calls == {"sort": 0, "flatnonzero": 5 * 2 * chunks}
 
     def test_rows_do_not_depend_on_the_rest_of_the_grid(self, params):
         common = dict(model=params, n_paths=2000, seed=17)
@@ -723,6 +725,17 @@ def test_overflowing_market_is_one_error_line(argv):
 def test_refusal_is_one_error_line(argv, message):
     # in process, unlike test_bad_input_is_one_error_line, so coverage counts these refusals
     assert run_main(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hedge", "--level", "5e-324", "--epsilon", "0.1"], "g_w must be finite"),
+    (["hedge", "--interval", "5e-324:1", "--epsilon", "0.1"], "interval endpoints must be finite"),
+    (["table-point", "--levels", "5e-324"], "g_w must be finite"),
+])
+def test_level_whose_ratio_to_s0_underflows_is_one_error_line(argv, message):
+    # log(level / s0) of a ratio that underflows to 0 is -inf: refused by name, with
+    # no numpy divide-by-zero warning before the error line
+    assert run_main([*argv, "--n-paths", "2000"]) == (1, "", f"error: {message}\n")
 
 
 def log_uniform(lo: float, hi: float):

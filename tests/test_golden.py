@@ -8,7 +8,8 @@ alpha hedge, a G = 0 interval alpha hedge, a G = 1 epsilon hedge on the
 interval that lies furthest below the strike and a shift-mode epsilon
 hedge at a high level at n = 20000, of two hedges at n = 200000, a G = 0
 interval alpha hedge and a shift-mode epsilon hedge, whose draws span
-several random-stream blocks, and of the oracle suite's report lines
+several random-stream blocks, of two G = 0 interval hedges at the default
+n = 10^6, and of the oracle suite's report lines
 (seed 0, 100 instances, and seed 7, 30 instances) joined by newlines.  A
 refactor must leave them unchanged.  A change that moves sampled numbers
 on purpose updates them and says so in CHANGES.md.
@@ -71,6 +72,15 @@ MULTI_BLOCK_HEDGE_DIGESTS = {
         "b86a14c28fbbb32ebbecf36b7947226b5e51cc2eca5bbcfca07d5a36cf665d1c",
 }
 
+# n = 10^6: G = 0 hedges whose draws span 16 random-stream blocks and every bin of the
+# uniform that bounds their W_T
+FULL_SIZE_HEDGE_DIGESTS = {
+    ("--interval", "106:108", "--observed", "0", "--epsilon", "0.1"):
+        "1d260eedd282c6dc28a1ea6cfeafc202ecaac18985b7721c9528e1483e93329d",
+    ("--interval", "112:114", "--observed", "0", "--alpha", "0.2"):
+        "b012724173ead342eafb82c919e6a24689a0443d70b9ac616a67660ac32d8bf1",
+}
+
 ORACLE_DIGEST = "a49008d1d97419f87336016278fd21b0c83a892e5bd5dd1c314d36b271f7c7f5"
 
 # a second instance set: seeds 7..36
@@ -129,6 +139,11 @@ def test_hedge_stdout(args, capsys):
 @pytest.mark.parametrize("args", sorted(MULTI_BLOCK_HEDGE_DIGESTS))
 def test_hedge_stdout_multi_block(args, capsys):
     assert hedge_digest(args, 200_000, capsys) == MULTI_BLOCK_HEDGE_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(FULL_SIZE_HEDGE_DIGESTS))
+def test_hedge_stdout_full_size(args, capsys):
+    assert hedge_digest(args, 1_000_000, capsys) == FULL_SIZE_HEDGE_DIGESTS[args]
 
 
 def test_hedge_stdout_after_other_calls_in_process(capsys):

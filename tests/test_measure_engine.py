@@ -429,37 +429,47 @@ class TestIntervalPrune:
         assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
 
     @pytest.mark.parametrize("observed", [1, 0])
-    def test_far_strike_samples_no_draw_below_the_interval(self, params, monkeypatch, observed):
-        # no draw reaches S_T = 1e5: every draw is left out, bar the G = 0 draws above
-        # the interval, whose W_{T+delta} has no bound; the view is all zeros
+    def test_far_strike_samples_only_the_switch_bin(self, params, monkeypatch, observed):
+        # no draw reaches S_T = 1e5: every draw is left out, bar the G = 0 draws in the
+        # bin of u that holds the switch from below the interval to above it, which has
+        # no bound; a G = 0 signal first maps the bins' edges; the view is all zeros
         p = dataclasses.replace(params, strike=1e5)
         sig = interval_signal_from_prices(109.0, 111.0, p, observed=observed)
         draws = draw_interval(20_000, seed=31)
-        above = np.count_nonzero(
-            sample_indicator_conditional(sig, draws, p).w_tdelta > 0.5 * (sig.a_w + sig.b_w))
-        sampled = []
-
-        def counted(spec, d, q):
-            sampled.append(d.z.size)
-            return sample_indicator_conditional(spec, d, q)
-
-        monkeypatch.setattr(measure_engine, "sample_indicator_conditional", counted)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            view = build_batch(sig, draws, p)
+        bins = measure_engine._BINS
+        zero = dataclasses.replace(sig, observed=0)
+        switch = int(ndtr(sig.a_w / math.sqrt(p.t_signal)) / indicator_prob(zero, p) * bins)
+        in_switch_bin = np.count_nonzero(np.floor(draws.u * bins) == switch)
+        assert 0 < in_switch_bin < 20_000 / 100
+        view, sampled = counted_build(sig, draws, p, monkeypatch)
         assert view.n == 20_000 and view.d.size == 0
-        assert sampled == [0 if observed else above]
+        edges = [] if observed else [bins + 1]
+        assert sampled[:len(edges)] == edges
+        assert sum(sampled[len(edges):]) == (0 if observed else in_switch_bin)
+
+    def test_g0_maps_few_more_draws_than_finish_in_the_money(self, params, monkeypatch):
+        # the per-bin bound: the bins' edges, the switch bin and the bins' slack beyond the
+        # draws in the money (a bound per branch mapped about twice as many)
+        sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
+        n = 2**18
+        view, sampled = counted_build(sig, draw_interval(n, seed=0), params, monkeypatch)
+        assert 0 < view.d.size < sum(sampled) <= 1.1 * view.d.size + n / 64
 
     @settings(max_examples=100, deadline=None)
     # P(G = observed) is 0 in float for these two
-    @example(0.001, 0.001, 110.0, 0, 1)
-    @example(1e-9, 1e9, 110.0, 0, 0)
+    @example(0.001, 0.001, 110.0, 0, 1, 0.08, 0.25, 100.0, 0.25, 0.02)
+    @example(1e-9, 1e9, 110.0, 0, 0, 0.08, 0.25, 100.0, 0.25, 0.02)
     @given(st.floats(min_value=1.0, max_value=2000.0), st.floats(min_value=0.001, max_value=300.0),
            st.one_of(st.sampled_from([0.0, 1e-300, 1e5]),
                      st.floats(min_value=60.0, max_value=160.0)),
-           st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 1]))
-    def test_random_intervals_strikes_and_seeds(self, lo, width, strike, seed, observed):
-        p = ModelParams(mu=0.08, sigma=0.25, s0=100.0, strike=strike, t_expiry=0.25, delta=0.02)
+           st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 1]),
+           st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=0.05, max_value=1.0),
+           st.floats(min_value=50.0, max_value=200.0), st.floats(min_value=0.01, max_value=2.0),
+           st.one_of(st.sampled_from([5e-324, 1e-12]), st.floats(min_value=1e-4, max_value=0.5)))
+    def test_random_intervals_strikes_and_seeds(self, lo, width, strike, seed, observed, mu,
+                                                sigma, s0, t_expiry, delta):
+        p = ModelParams(mu=mu, sigma=sigma, s0=s0, strike=strike, t_expiry=t_expiry,
+                        delta=delta)
         sig = interval_signal_from_prices(lo, lo + width, p, observed=observed)
         draws = draw_interval(500, seed)
         sd = math.sqrt(p.t_signal)
@@ -472,30 +482,42 @@ class TestIntervalPrune:
     @pytest.mark.parametrize("observed, prices", [(1, (106.0, 108.0)), (1, (100.0, 104.0)),
                                                   (0, (106.0, 108.0)), (0, (100.0, 104.0))])
     def test_hand_made_draws_at_the_bound(self, params, observed, prices):
-        # uniforms that give the largest W_{T+delta} the bound allows: the ends of (0, 1]
-        # for G = 1, the uniforms about Phi(lo) / mass, last below the interval, for G = 0;
-        # normals then put W_T on the strike's Brownian level from there
+        # uniforms on every edge of the bins of u and one ulp either side, the smallest
+        # uniform, and uniforms about Phi(lo) / mass, where G = 0 switches from below the
+        # interval to above it; for each, normals about the one that puts W_T on the
+        # strike's Brownian level from its W_{T+delta}
         sig = interval_signal_from_prices(*prices, params, observed=observed)
-        if observed == 1:
-            u = np.array([2.0**-53, 0.5, 1.0])
-        else:
-            sd = math.sqrt(params.t_signal)
-            u = float(ndtr(sig.a_w / sd) / indicator_prob(sig, params))
-            u = u + np.arange(-4, 5) * np.spacing(u)
+        edges = np.arange(1, measure_engine._BINS + 1) / measure_engine._BINS
+        switch = float(ndtr(sig.a_w / math.sqrt(params.t_signal)) / indicator_prob(sig, params))
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], 1.0),
+                            [2.0**-53], switch + np.arange(-4, 5) * np.spacing(switch)])
         w_td = sample_indicator_conditional(sig, SignalDraws(np.zeros(u.size), u), params).w_tdelta
-        below_b = w_td <= sig.b_w
-        assert below_b.any() and (observed or not below_b.all())
-        top = int(np.argmax(np.where(below_b, w_td, -np.inf)))
         td = params.t_signal
         w_k = brownian_from_price(params.strike, params.t_expiry, params)
-        z_k = (w_k - w_td[top] * params.t_expiry / td) / math.sqrt(
-            params.t_expiry * params.delta / td)
-        z = strike_fan(z_k)
-        # each normal with the top uniform, and with every other uniform of the fan
-        draws = SignalDraws(np.repeat(z, u.size), np.tile(u, z.size))
+        z_k = (w_k - w_td * params.t_expiry / td) / math.sqrt(params.t_expiry * params.delta / td)
+        fans = [strike_fan(z) for z in z_k]
+        draws = SignalDraws(np.concatenate(fans), np.repeat(u, [f.size for f in fans]))
         view = build_batch(sig, draws, params)
         assert 0 < view.d.size < view.n
         assert_sorted_view_of(view, independent_d(sig, draws, params))
+
+
+def counted_build(sig, draws, p, monkeypatch):
+    """build_batch's view, and the number of draws of each sample_indicator_conditional call."""
+    sampled = []
+
+    def counted(*args, **kwargs):
+        pair = sample(*args, **kwargs)
+        sampled.append(pair.w_t.size)
+        return pair
+
+    sample = measure_engine.sample_indicator_conditional
+    monkeypatch.setattr(measure_engine, "sample_indicator_conditional", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        view = build_batch(sig, draws, p)
+    monkeypatch.undo()
+    return view, sampled
 
 
 BLOCK_EDGE_SIZES = [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 7]
@@ -581,12 +603,7 @@ class TestBlockMemory:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        view_bytes = view.d.nbytes + view.marks.nbytes
-        if kind in (0, 1):
-            # an interval block holds up to seven blocks of temporaries, more than the
-            # allowance, so interval batches keep the bound of a view of 24 bytes per value
-            view_bytes = 3 * view.d.nbytes
-        assert peak <= view_bytes + 8 * n + self.ALLOWANCE
+        assert peak <= view.d.nbytes + view.marks.nbytes + 8 * n + self.ALLOWANCE
 
 
 class TestBuildBatchIndicator:
