@@ -447,6 +447,22 @@ class TestIntervalPrune:
         assert sampled[:len(edges)] == edges
         assert sum(sampled[len(edges):]) == (0 if observed else in_switch_bin)
 
+    @pytest.mark.parametrize("observed", [1, 0])
+    def test_signal_probability_once_per_batch(self, params, monkeypatch, observed):
+        # the sampler and the density of every block take P(G = observed) from build_batch
+        calls = []
+
+        def counted(spec, p):
+            calls.append(spec)
+            return prob(spec, p)
+
+        prob = insider_signal.indicator_prob
+        for module in (insider_signal, measure_engine):
+            monkeypatch.setattr(module, "indicator_prob", counted)
+        sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
+        view = build_batch(sig, draw_interval(3 * BLOCK_SIZE + 7, seed=3), params)
+        assert view.d.size and calls == [sig]
+
     def test_g0_maps_few_more_draws_than_finish_in_the_money(self, params, monkeypatch):
         # the per-bin bound: the bins' edges, the switch bin and the bins' slack beyond the
         # draws in the money (a bound per branch mapped about twice as many)
