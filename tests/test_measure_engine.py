@@ -499,14 +499,16 @@ class TestIntervalPrune:
                                                   (0, (106.0, 108.0)), (0, (100.0, 104.0))])
     def test_hand_made_draws_at_the_bound(self, params, observed, prices):
         # uniforms on every edge of the bins of u and one ulp either side, the smallest
-        # uniform, and uniforms about Phi(lo) / mass, where G = 0 switches from below the
-        # interval to above it; for each, normals about the one that puts W_T on the
-        # strike's Brownian level from its W_{T+delta}
+        # uniform and, for G = 0, uniforms about Phi(lo) / mass, where G = 0 switches from
+        # below the interval to above it; for each, normals about the one that puts W_T on
+        # the strike's Brownian level from its W_{T+delta}
         sig = interval_signal_from_prices(*prices, params, observed=observed)
         edges = np.arange(1, measure_engine._BINS + 1) / measure_engine._BINS
-        switch = float(ndtr(sig.a_w / math.sqrt(params.t_signal)) / indicator_prob(sig, params))
-        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], 1.0),
-                            [2.0**-53], switch + np.arange(-4, 5) * np.spacing(switch)])
+        u = [edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], 1.0), [2.0**-53]]
+        if observed == 0:
+            switch = float(ndtr(sig.a_w / math.sqrt(params.t_signal)) / indicator_prob(sig, params))
+            u.append(switch + np.arange(-4, 5) * np.spacing(switch))
+        u = np.concatenate(u)
         w_td = sample_indicator_conditional(sig, SignalDraws(np.zeros(u.size), u), params).w_tdelta
         td = params.t_signal
         w_k = brownian_from_price(params.strike, params.t_expiry, params)
