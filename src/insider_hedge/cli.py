@@ -20,7 +20,9 @@ output files: all sampling uses block-deterministic streams and cells
 are assembled in grid order.  --workers is accepted and has no effect.
 
 The numeric modules are imported inside the code that samples or
-prices, so `oracle` and `version` load neither numpy nor scipy.
+prices, so `oracle` and `version` load neither numpy nor scipy, and
+tree_oracle inside run_oracle_suite, so the Monte Carlo commands do not
+compile the oracle.
 """
 from __future__ import annotations
 
@@ -34,11 +36,11 @@ from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .tree_oracle import run_oracle_suite
 
 if TYPE_CHECKING:
     from .model_core import ModelParams
     from .np_solver import HedgePlan
+    from .tree_oracle import OracleReport
 
 __all__ = [
     "RunConfig",
@@ -125,6 +127,12 @@ class CellResult:
 # the table columns, one per CellResult field in its order, and whether each is a float
 _COLUMNS = tuple((f.name, f.type == "float") for f in fields(CellResult))
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
+def run_oracle_suite(seed: int, instance_count: int) -> OracleReport:
+    """tree_oracle.run_oracle_suite, imported here so no other command compiles the oracle."""
+    from .tree_oracle import run_oracle_suite as run
+    return run(seed, instance_count)
 
 
 def _plan_row(view, epsilons) -> list[HedgePlan]:

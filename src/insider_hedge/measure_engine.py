@@ -22,17 +22,18 @@ each block's D straight into one buffer, which the sorted view keeps.
 A block works in buffers allocated once per batch.
 
 A point signal's W_T = c + s*z is affine in draw_point's ascending
-normals z, so S_T and dQ_G/dP are two exponents of z whose constants
-are folded once per signal: no W_T is formed, and a block of
+normals z, so S_T and dQ_G/dP / E_QG[H] are two exponents of z whose
+constants are folded once per signal, ln s0 into the first and
+-ln E_QG[H] into the second: no W_T is formed, and a block of
 rng.BLOCK_SIZE normals takes two reused buffers.  dQ_G/dP is one exp of
-Z_T / p_T^g's combined exponent, since Z_T alone overflows on well-posed
-inputs; a D beyond the float range comes out inf, which the sorted view
-refuses by name, and one that underflows comes out 0.  A point block
-whose exponent falls below the normal range (E_QG[H] near underflow)
-takes ln H - ln E_QG[H] into it before the exp, so that D keeps its
-bits.  The draws that can reach the strike are a suffix of the normals,
-as are the in-the-money draws of each block, so D is usually sorted
-already.
+Z_T / p_T^g's combined exponent, since Z_T alone overflows on
+well-posed inputs; a D beyond the float range comes out inf, which the
+sorted view refuses by name, and one that underflows comes out 0.  A
+point block whose second exponent leaves the normal float range (below
+it only where the folded constant does, above it where exp overflows)
+takes ln H into it before the exp, so that D keeps its bits.  The draws
+that can reach the strike are a suffix of the normals, as are the
+in-the-money draws of each block, so D is usually sorted already.
 
 An interval draw is kept when the bridge from the largest W_{T+delta}
 its uniform allows reaches the window: one cut at b for G = 1, one cut
@@ -84,7 +85,7 @@ def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
 
 
 class _PointExponents(NamedTuple):
-    """S_T = s0 * exp(a*z + b) and dQ_G/dP = exp((u*z - v)^2 + r) on a point signal's normals z."""
+    """S_T = exp(a*z + b) and dQ_G/dP / E_QG[H] = exp((u*z - v)^2 + r) on a point signal's z."""
 
     a: float
     b: float
@@ -93,33 +94,35 @@ class _PointExponents(NamedTuple):
     r: float
 
 
-def _point_exponents(signal: PointValue, draws: SignalDraws, p: ModelParams) -> _PointExponents:
+def _point_exponents(signal: PointValue, draws: SignalDraws, p: ModelParams,
+                     e_qg_h: float) -> _PointExponents:
     """The constants of a point signal's two exponents of draws.z.
 
     W_T = c + s*z (point_map) gives a = sigma*s and b = sigma*c +
-    (mu - sigma^2/2) T.  dQ_G/dP = Z_T / p_T^g, with the paper's
+    (mu - sigma^2/2) T + ln s0.  dQ_G/dP = Z_T / p_T^g, with the paper's
     p_T^g = sqrt((T+d)/d) exp(-(g - W_T)^2/(2d) + g^2/(2(T+d))), has the
-    exponent Q*(z - z0)^2 + r with its square completed: Q = s^2/(2d),
-    z0 = (g + theta*d - c)/s and r = -theta*g - theta^2 (T+d)/2 -
-    g^2/(2(T+d)) + ln sqrt(d/(T+d)).  The square is held as (u*z - v)^2,
-    u = sqrt(Q) and v = u*z0, so that no constant divides by s, which is
-    0 where T*d underflows.
+    exponent Q*(z - z0)^2 + r0 with its square completed: Q = s^2/(2d),
+    z0 = (g + theta*d - c)/s and r0 = -theta*g - theta^2 (T+d)/2 -
+    g^2/(2(T+d)) + ln sqrt(d/(T+d)), and r = r0 - ln E_QG[H].  The square
+    is held as (u*z - v)^2, u = sqrt(Q) and v = u*z0, so that no constant
+    divides by s, which is 0 where T*d underflows.  r is +inf where
+    E_QG[H] is 0, which no draw in the money reaches (_d_slot refuses it).
     """
     c, s = point_map(signal.g_w, draws, p)
     g, th, d, td = signal.g_w, p.theta, p.delta, p.t_signal
     root = math.sqrt(2.0 * d)
+    r = -th * g - 0.5 * th * th * td - g * g / (2.0 * td) + 0.5 * (math.log(d) - math.log(td))
     return _PointExponents(
-        p.sigma * s, p.sigma * c + (p.mu - 0.5 * p.sigma**2) * p.t_expiry,
+        p.sigma * s, p.sigma * c + (p.mu - 0.5 * p.sigma**2) * p.t_expiry + math.log(p.s0),
         s / root, (g + th * d - c) / root,
-        -th * g - 0.5 * th * th * td - g * g / (2.0 * td) + 0.5 * (math.log(d) - math.log(td)))
+        r - math.log(e_qg_h) if e_qg_h > 0.0 else math.inf)
 
 
 def _point_payoff(z, ex: _PointExponents, p: ModelParams, out) -> np.ndarray:
-    """H = S_T - K = s0 * exp(a*z + b) - K for the normals z, computed in `out`."""
+    """H = S_T - K = exp(a*z + b) - K for the normals z, computed in `out`."""
     h = np.multiply(z, ex.a, out=out)
     h += ex.b
     h = np.exp(h, out=h)
-    h *= p.s0
     h -= p.strike
     return h
 
@@ -262,46 +265,55 @@ def _write_interval_d(signal: IntervalIndicator, kept: SignalDraws, p: ModelPara
     return m + itm.size
 
 
-def _write_point_d(block, ex: _PointExponents, p: ModelParams, e_qg_h: float, out: np.ndarray,
+def _exp_fits(x: np.ndarray, out: np.ndarray) -> bool:
+    """exp(x) into `out`; False when some value overflows, which leaves `out` to be rewritten."""
+    try:
+        with np.errstate(over="raise"):
+            np.exp(x, out=out)
+    except FloatingPointError:
+        return False
+    return True
+
+
+def _write_point_d(z, ex: _PointExponents, p: ModelParams, e_qg_h: float, out: np.ndarray,
                    m: int, work: np.ndarray) -> int:
     """Write D of one point block's in-the-money draws into out[m:]; return the end written.
 
-    D = H * dQ_G/dP / E_QG[H] in that operation order, elementwise, so
-    each value equals the one the full-sample formula gives; every other
-    draw has D = 0 exactly.  The block is a slice of the signal's
-    normals, `ex` holds its exponents, and H and dQ_G/dP are computed in
-    the two rows of `work`, each at least a block long.  The
-    in-the-money draws are read as a suffix, and gathered by index when
-    the positive H are not one (normals out of order, or rounding).  A
-    block whose dQ_G/dP would leave the normal range takes
-    D = exp(exponent + ln H - ln E_QG[H]) instead.
+    D = H * exp((u*z - v)^2 + r), elementwise, where the constants of
+    `ex` hold s0 and 1/E_QG[H] (see _point_exponents); every other draw
+    has D = 0 exactly.  The block z is a slice of the signal's normals,
+    and H and the exponent are computed in the two rows of `work`, each
+    at least a block long.  A block whose least H is positive is in the
+    money whole, the usual case; any other block's in-the-money draws are
+    read as a suffix, and gathered by index when the positive H are not
+    one (normals out of order, or rounding).  A block whose exponent
+    leaves the normal range, below it (r under the range) or above it
+    (exp overflows: H < 1 can still give a finite D), takes
+    D = exp(exponent + ln H) instead.
     """
-    h = _point_payoff(block, ex, p, work[0, :block.size])
-    itm = h > 0.0
-    first = h.size - int(np.count_nonzero(itm))
-    itm = slice(first, None) if itm[first:].all() else np.flatnonzero(itm)
-    h, z = h[itm], block[itm]
-    if not h.size:
-        return m
+    h = _point_payoff(z, ex, p, work[0, :z.size])
+    if not h.min() > 0.0:
+        itm = h > 0.0
+        first = h.size - int(np.count_nonzero(itm))
+        itm = slice(first, None) if itm[first:].all() else np.flatnonzero(itm)
+        h, z = h[itm], z[itm]
+        if not h.size:
+            return m
     d = _d_slot(out, m, h.size, e_qg_h, p)
     # a D beyond the float range comes out inf, which SortedD.from_sample refuses by
     # name; one that underflows comes out 0 (far-out levels, where the exact D is tiny)
     with np.errstate(over="ignore"):
-        qg = np.multiply(z, ex.u, out=work[1, :h.size])
-        qg -= ex.v
-        qg *= qg
-        qg += ex.r
+        x = np.multiply(z, ex.u, out=work[1, :h.size])
+        x -= ex.v
+        x *= x
+        x += ex.r
         # the exponent is never below r, so only a signal whose r lies below the
-        # normal range can give a subnormal dQ_G/dP; such a block takes H and
-        # E_QG[H] into the exponent before the exp
-        if ex.r < _LOG_TINY and qg.min() < _LOG_TINY:
-            qg += np.log(h, out=h)
-            qg -= math.log(e_qg_h)
-            np.exp(qg, out=d)
-            return m + h.size
-        np.exp(qg, out=qg)
-        np.multiply(h, qg, out=d)
-        d /= e_qg_h
+        # normal range can give a subnormal exp
+        if not (ex.r < _LOG_TINY and x.min() < _LOG_TINY) and _exp_fits(x, d):
+            d *= h
+        else:
+            x += np.log(h, out=h)
+            np.exp(x, out=d)
     return m + h.size
 
 
@@ -330,7 +342,7 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     e_qg_h = bs_call_price(p)
     if isinstance(signal, PointValue):
         lo = _point_start(signal, draws, p)
-        ex = _point_exponents(signal, draws, p)
+        ex = _point_exponents(signal, draws, p, e_qg_h)
         # `for z in (draws.z,)` binds the normals in the generator, not in this frame
         blocks = (z[i:i + BLOCK_SIZE] for z in (draws.z,) for i in range(lo, n, BLOCK_SIZE))
     elif isinstance(signal, IntervalIndicator):

@@ -387,6 +387,20 @@ class TestSharedDraws:
         chunks = -(-20_000 // measure_engine._CHUNK)
         assert calls == {"sort": 0, "flatnonzero": 5 * 2 * chunks}
 
+    def test_point_table_tests_the_money_by_one_reduction(self, params, monkeypatch):
+        # every point block of the default table is in the money whole, which its least H
+        # shows: no block counts or gathers its draws in the money
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return count(*args, **kwargs)
+
+        count = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", counted)
+        assert len(run_table_point(RunConfig(model=params, n_paths=20_000, seed=3))) == 132
+        assert calls == []
+
     def test_rows_do_not_depend_on_the_rest_of_the_grid(self, params):
         common = dict(model=params, n_paths=2000, seed=17)
         alone = run_table_point(RunConfig(levels=(110.0,), **common))

@@ -1,5 +1,6 @@
-"""Every exported name exists, the package root binds no public name, and the
-package root, cli, `version` and `oracle` load neither numpy nor scipy."""
+"""Every exported name exists, the package root binds no public name, the
+package root, cli, `version` and `oracle` load neither numpy nor scipy, and cli
+leaves the tree oracle unloaded."""
 import importlib
 import pkgutil
 import subprocess
@@ -38,3 +39,12 @@ def test_loads_neither_numpy_nor_scipy(code):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_leaves_the_oracle_unloaded():
+    # the Monte Carlo commands do not compile tree_oracle; run_oracle_suite imports it
+    probe = ("import sys\nimport insider_hedge.cli\n"
+             "print('insider_hedge.tree_oracle' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

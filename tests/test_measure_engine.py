@@ -87,25 +87,25 @@ def composed_point_d(signal, draws, p) -> np.ndarray:
 
 def independent_d(signal, draws, p) -> np.ndarray:
     """D of every draw, zeros included, in draw order: H * dQ_G/dP / E_QG[H] where
-    H > 0, else 0.  For a point signal H and dQ_G/dP are the two exponents of the
-    normals whose constants measure_engine folds, evaluated on the whole sample at
-    once; for an interval signal dQ_G/dP is Z_T / p_T^G from the public model and
-    signal functions."""
+    H > 0, else 0.  For a point signal S_T and dQ_G/dP / E_QG[H] are the two exponents
+    of the normals whose constants measure_engine folds (s0 and 1/E_QG[H] included),
+    evaluated on the whole sample at once; for an interval signal dQ_G/dP is
+    Z_T / p_T^G from the public model and signal functions."""
     if isinstance(signal, IntervalIndicator):
         w_t = sample_indicator_conditional(signal, draws, p).w_t
         p_g = density_indicator(w_t, signal, p)
         h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
     else:
-        ex = measure_engine._point_exponents(signal, draws, p)
-        h = np.maximum(p.s0 * np.exp(draws.z * ex.a + ex.b) - p.strike, 0.0)
+        # the folded constant is +inf, not ln 0, where E_QG[H] is 0
+        ex = measure_engine._point_exponents(signal, draws, p, bs_call_price(p))
+        h = np.maximum(np.exp(draws.z * ex.a + ex.b) - p.strike, 0.0)
     # out of the money, D = 0 without dividing: E_QG[H] itself is 0 for a far strike
     itm = h > 0.0
-    if isinstance(signal, IntervalIndicator):
-        qg = rn_density(w_t[itm], p) / p_g[itm]
-    else:
-        qg = np.exp((draws.z[itm] * ex.u - ex.v) ** 2 + ex.r)
     d = np.zeros(h.size)
-    d[itm] = h[itm] * qg / bs_call_price(p)
+    if isinstance(signal, IntervalIndicator):
+        d[itm] = h[itm] * (rn_density(w_t[itm], p) / p_g[itm]) / bs_call_price(p)
+    else:
+        d[itm] = h[itm] * np.exp((draws.z[itm] * ex.u - ex.v) ** 2 + ex.r)
     return d
 
 
@@ -195,6 +195,65 @@ class TestQgDensityIndicator:
         assert np.all(vals > 0.0) and np.all(np.isfinite(vals))
 
 
+def rounding_bound(sig, draws, p):
+    """S_T of the composition and of the folded form, each draw's bound on
+    |D_fused - D_old| / D_old, and the bound on S_T's relative rounding.
+
+    Each form rounds the exponent of S_T and of dQ_G/dP to a few ulps of the terms
+    summed in it, and exp turns an absolute error in an exponent into the same
+    relative error.  Bound the terms of S_T's exponent by s_terms and those of
+    dQ_G/dP's by q_terms, whose square term carries the rounding of W_T - g - theta*d
+    (or of g + theta*d - c) divided by d; 2^-44 leaves a factor of 64 over 16 ulps.
+    H = S_T - K multiplies S_T's relative error by S_T/H: the cancellation of a
+    draw just in the money, alike in both forms."""
+    g, z = sig.g_w, draws.z
+    c, s = insider_signal.point_map(g, draws, p)
+    old_s = price_from_brownian(sample_point_conditional(g, draws, p), p.t_expiry, p)
+    ex = measure_engine._point_exponents(sig, draws, p, bs_call_price(p))
+    new_s = np.exp(z * ex.a + ex.b)
+    span = abs(c) + s * np.abs(z)
+    s_terms = 1.0 + p.sigma * span + abs(p.mu - 0.5 * p.sigma**2) * p.t_expiry
+    q_terms = (1.0 + (span + abs(g) + abs(p.theta) * p.delta) ** 2 / p.delta
+               + abs(p.theta * g) + p.theta**2 * p.t_signal + g * g / p.t_signal
+               + abs(math.log(p.delta / p.t_signal)))
+    rel = 2.0**-44 * (old_s / (old_s - p.strike) * s_terms + q_terms)
+    return old_s, new_s, rel, 2.0**-44 * s_terms
+
+
+LOG_MAX = math.log(np.finfo(float).max)
+
+
+def hand_made_point_draws(sig, mode, p, peak: bool, fan: bool) -> SignalDraws:
+    """Ascending normals: with `peak` 61 evenly within 3 of the normal where dQ_G/dP
+    peaks, and with `fan` the 20 either side of the strike's, 5e-9 apart, whose S_T are
+    further from K than the rounding of either form."""
+    z = []
+    if peak:
+        ex = measure_engine._point_exponents(sig, SignalDraws(np.zeros(1), mode=mode), p, 1.0)
+        z.append(ex.v / ex.u + np.linspace(-3.0, 3.0, 61))
+    if fan:
+        z.append(strike_normal(sig, mode, p) + 5e-9 * np.r_[-20:0, 1:21])
+    return SignalDraws(np.sort(np.concatenate(z)), mode=mode)
+
+
+def assert_near_the_composition(sig, draws, p) -> None:
+    """build_batch solves the draws, in order and shuffled alike, and each D is within
+    rounding_bound of composed_point_d; the positive D lie far enough apart that both
+    forms sort them alike."""
+    view = build_batch(sig, draws, p)
+    shuffled = np.random.default_rng(5).permutation(draws.z)
+    assert_same_view(build_batch(sig, draws._replace(z=shuffled), p), view)
+    old = composed_point_d(sig, draws, p)
+    rel = rounding_bound(sig, draws, p)[2]
+    pos = old > 0.0
+    order = np.argsort(old[pos])
+    old, rel = old[pos][order], rel[pos][order]
+    assert np.all(np.diff(old) > 1e-9 * old[1:])
+    assert view.n == draws.z.size and view.d.size == old.size
+    assert np.all(np.isfinite(view.d))
+    assert np.all(np.abs(view.d - old) <= rel * old)
+
+
 class TestFusedPointD:
     """The package's point D, two exponents of the normals, against the composition it
     replaced: the sampler's W_T, price_from_brownian and the reference qg_density_point."""
@@ -205,36 +264,59 @@ class TestFusedPointD:
     ])
     @pytest.mark.parametrize("mode", list(ConditioningMode))
     def test_within_the_rounding_of_both_forms(self, params, mode, market, level):
-        # Each form rounds the exponent of S_T and of dQ_G/dP to a few ulps of the terms
-        # summed in it, and exp turns an absolute error in an exponent into the same
-        # relative error.  Bound the terms of S_T's exponent by s_terms and those of
-        # dQ_G/dP's by q_terms, whose square term carries the rounding of W_T - g - theta*d
-        # (or of g + theta*d - c) divided by d; 2^-44 leaves a factor of 64 over 16 ulps.
-        # H = S_T - K multiplies S_T's relative error by S_T/H: the cancellation of a
-        # draw just in the money, alike in both forms.
         p = dataclasses.replace(params, **market)
         sig = point_signal_from_price(level, p)
         draws = draw_point(mode, 200_000, seed=3)
-        g, z = sig.g_w, draws.z
-        c, s = insider_signal.point_map(g, draws, p)
-        old_s = price_from_brownian(sample_point_conditional(g, draws, p), p.t_expiry, p)
-        ex = measure_engine._point_exponents(sig, draws, p)
-        new_s = p.s0 * np.exp(z * ex.a + ex.b)
-        span = abs(c) + s * np.abs(z)
-        s_terms = 1.0 + p.sigma * span + abs(p.mu - 0.5 * p.sigma**2) * p.t_expiry
-        q_terms = (1.0 + (span + abs(g) + abs(p.theta) * p.delta) ** 2 / p.delta
-                   + abs(p.theta * g) + p.theta**2 * p.t_signal + g * g / p.t_signal
-                   + abs(math.log(p.delta / p.t_signal)))
+        old_s, new_s, rel, s_rel = rounding_bound(sig, draws, p)
         old, new = composed_point_d(sig, draws, p), independent_d(sig, draws, p)
         both = (old_s > p.strike) & (new_s > p.strike)
-        rel = 2.0**-44 * (old_s / (old_s - p.strike) * s_terms + q_terms)
         assert both.sum() > 10_000
         assert np.all(np.abs(new - old)[both] <= rel[both] * old[both])
         # a draw that only one form puts in the money has S_T within its rounding of K
         one = (old_s > p.strike) != (new_s > p.strike)
-        assert np.all(np.abs(old_s - p.strike)[one] <= 2.0**-44 * (s_terms * old_s)[one])
+        assert np.all(np.abs(old_s - p.strike)[one] <= (s_rel * old_s)[one])
         assert np.all((old == 0.0) & (new == 0.0) | both | one)
         assert_sorted_view_of(build_batch(sig, draws, p), new)
+
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_exponent_above_the_float_range(self, params, mode):
+        # s0 = 0.01, strike 1e-150 (E_QG[H] = 0.01) and a level tuned so that just in the
+        # money the folded exponent of dQ_G/dP / E_QG[H] is ln(max float) + 1: exp
+        # overflows there, while H < 1e-158 keeps D, and D^2, in the float range; the
+        # exponent without -ln E_QG[H] stays below ln(max float)
+        p = dataclasses.replace(params, s0=0.01, strike=1e-150)
+        sig = point_signal_from_price(4.6353373e-119, p)
+        draws = hand_made_point_draws(sig, mode, p, peak=False, fan=True)
+        ex = measure_engine._point_exponents(sig, draws, p, bs_call_price(p))
+        h = np.exp(draws.z * ex.a + ex.b) - p.strike
+        x = (draws.z * ex.u - ex.v) ** 2 + ex.r
+        itm = h > 0.0
+        assert itm.sum() == 20 and np.all(x[itm] > LOG_MAX) and np.all(h[itm] < 1e-158)
+        assert np.all(x[itm] + math.log(bs_call_price(p)) < LOG_MAX)
+        assert_near_the_composition(sig, draws, p)
+
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_call_price_near_underflow(self, params, mode):
+        # strike 10700, E_QG[H] = 1.3e-305: the fold adds -ln E_QG[H] = 702 to r, which
+        # takes the exponent of these draws from about -680, near the bottom of the normal
+        # range, to about 20
+        p = dataclasses.replace(params, strike=10700.0)
+        assert 0.0 < bs_call_price(p) < 1e-300
+        sig = point_signal_from_price(1.2e4, p)
+        draws = hand_made_point_draws(sig, mode, p, peak=True, fan=True)
+        assert_near_the_composition(sig, draws, p)
+
+    @pytest.mark.parametrize("mode", list(ConditioningMode))
+    def test_folded_constant_below_the_float_range(self, params, mode):
+        # s0 = strike = 1e20, E_QG[H] = 5.0e18, level 1.3e22: the fold takes
+        # ln E_QG[H] = 43 from r and puts it below the normal range, where it was not, so
+        # exp of the exponent alone would keep one bit of D or none
+        p = dataclasses.replace(params, s0=1e20, strike=1e20)
+        sig = point_signal_from_price(1.3e22, p)
+        draws = hand_made_point_draws(sig, mode, p, peak=True, fan=False)
+        r = measure_engine._point_exponents(sig, draws, p, bs_call_price(p)).r
+        assert r < measure_engine._LOG_TINY < r + math.log(bs_call_price(p))
+        assert_near_the_composition(sig, draws, p)
 
 
 def mpmath_point_d(signal, draws, p) -> list:
