@@ -141,17 +141,15 @@ def _plan_row(view, epsilons) -> list[HedgePlan]:
     return [make_hedge_plan(view, epsilon=epsilon) for epsilon in epsilons]
 
 
-def _cell(descriptor: str, epsilon: float, plan: HedgePlan, n_paths: int, mode: str,
-          mode_disagree: bool = False) -> CellResult:
+def _cell(descriptor: str, epsilon: float, plan: HedgePlan, n_paths: int, mode: str) -> CellResult:
     """One table cell, and the one place its flags are set.
 
-    In this order: atom_gap when the plan names an atom gap,
-    below_se_floor when alpha is below twice its standard error, and
-    mode_disagree as run_table_point found it.
+    In this order: atom_gap when the plan names an atom gap, and
+    below_se_floor when alpha is below twice its standard error.
     """
     flags = [flag for flag, on in (("atom_gap", plan.atom_gap),
-                                   ("below_se_floor", plan.alpha < 2.0 * plan.mc_stderr_alpha),
-                                   ("mode_disagree", mode_disagree)) if on]
+                                   ("below_se_floor", plan.alpha < 2.0 * plan.mc_stderr_alpha))
+             if on]
     return CellResult(signal=descriptor, epsilon=epsilon, alpha=plan.alpha,
                       alpha_stderr=plan.mc_stderr_alpha, success_prob=plan.success_prob,
                       k=plan.k, n_paths=n_paths, mode=mode, flags="|".join(flags))
@@ -161,33 +159,25 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     """Point-signal table: one row per (level, epsilon, conditioning mode).
 
     Levels are stock prices of the post-expiry price, converted to
-    Brownian space internally.  Each conditioning mode draws one stream
-    of n_paths normals, keyed by (seed, its stream tag) as in hedge, and
-    maps it to every level (common random numbers): each cell equals
-    the hedge command with its settings, while the errors of one mode's
-    rows are correlated across levels.  The tags differ, so the modes
-    stay independent and their disagreement is visible in the output:
-    cells where the two modes differ by more than 3 combined standard
-    errors carry the mode_disagree flag.
+    Brownian space internally.  The table draws and sorts one stream of
+    n_paths normals, keyed by the seed as in hedge, and maps the same
+    normals to every level in both conditioning modes (common random
+    numbers): each cell equals the hedge command with its settings,
+    while the errors of all rows, of either mode, are correlated.
     """
     from .insider_signal import ConditioningMode, draw_point, point_signal_from_price
     from .measure_engine import build_batch
     modes = (ConditioningMode.BRIDGE_EXACT, ConditioningMode.PAPER_SHIFT)
     signals = [point_signal_from_price(level, config.model) for level in config.levels]
-    rows = []
-    for mode in modes:
-        draws = draw_point(mode, config.n_paths, config.seed)
-        # each view of D is released once its row is planned: one is alive at a time
-        rows.append([_plan_row(build_batch(signal, draws, config.model), config.epsilons)
-                     for signal in signals])
+    draws = draw_point(modes[0], config.n_paths, config.seed)
     cells: list[CellResult] = []
-    for level, bridge_row, shift_row in zip(config.levels, *rows):
-        for epsilon, b_plan, s_plan in zip(config.epsilons, bridge_row, shift_row):
-            band = 3.0 * math.hypot(b_plan.mc_stderr_alpha, s_plan.mc_stderr_alpha)
-            disagree = abs(b_plan.alpha - s_plan.alpha) > band
-            for mode, plan in zip(modes, (b_plan, s_plan)):
-                cells.append(_cell(f"S={level:g}", epsilon, plan, config.n_paths,
-                                   mode.value, disagree))
+    for level, signal in zip(config.levels, signals):
+        # each view of D is released once its row is planned: one is alive at a time
+        rows = [_plan_row(build_batch(signal, draws._replace(mode=mode), config.model),
+                          config.epsilons) for mode in modes]
+        for epsilon, *plans in zip(config.epsilons, *rows):
+            for mode, plan in zip(modes, plans):
+                cells.append(_cell(f"S={level:g}", epsilon, plan, config.n_paths, mode.value))
     return cells
 
 

@@ -19,18 +19,19 @@ conditioning
 
     W_T | W_{T+delta} = g  ~  N(g T/(T+delta), T delta/(T+delta))
 
-and a shift recipe that draws W_T = g - N(0, delta).  The shift recipe
-is NOT the exact conditional law; it is kept as a selectable mode so
-the two can be compared cell by cell (see the CLI report).  Interval
-conditioning uses an exact interval sampler: W_{T+delta} by inverse CDF
-from its normal law restricted to [a, b] (or to the complement), then
-W_T from the same Gaussian bridge.
+and a shift recipe that draws W_T = g - N(0, delta), in law
+g + sqrt(delta) z.  The shift recipe is NOT the exact conditional law;
+it is kept as a selectable mode so the two can be compared cell by cell
+(see the CLI report).  Interval conditioning uses an exact interval
+sampler: W_{T+delta} by inverse CDF from its normal law restricted to
+[a, b] (or to the complement), then W_T from the same Gaussian bridge.
 
 Sampling is split in two steps: draw_point / draw_interval fill the
 random streams, and point_map / sample_indicator_conditional map those
 draws to W_T for one signal.
-Point draws carry their conditioning mode.  A table draws once and maps
-the same draws for each of its signals.  Given the signal, W_T = c + s*z
+Point draws carry their conditioning mode, and both modes draw the same
+normals.  A table draws once and maps the same draws for each of its
+signals, and for both point modes.  Given the signal, W_T = c + s*z
 with s >= 0 for one normal z in either point mode and in the bridge;
 point_map and bridge_map give (c, s), and measure_engine inverts the
 same map; for a point signal it computes D from the normals and (c, s)
@@ -51,8 +52,7 @@ from .model_core import BrownianPair, ModelParams, brownian_from_price
 from .rng import (
     STREAM_INTERVAL_BRIDGE,
     STREAM_INTERVAL_SIGNAL,
-    STREAM_POINT_BRIDGE,
-    STREAM_POINT_SHIFT,
+    STREAM_POINT,
     standard_normal_stream,
     uniform_stream,
 )
@@ -219,14 +219,15 @@ class SignalDraws(NamedTuple):
 
     z holds standard normals: the bridge or shift noise of W_T.  Point
     draws hold them in ascending order, so that a point signal's W_T
-    comes out ascending (shift draws hold the negated stream normals);
-    interval draws hold them in stream order, aligned with u.  u holds
-    uniforms on (0, 1] that place W_{T+delta} for interval signals, and
-    is None for point signals; mode is the conditioning mode of point
-    draws, and None for interval draws.  The draws do not depend on the
-    signal's value, so one set serves every level or interval of a
-    table.  The arrays are read-only: the samplers map them to W_T in
-    new arrays, or in arrays their caller owns.
+    comes out ascending in either mode; interval draws hold them in
+    stream order, aligned with u.  u holds uniforms on (0, 1] that place
+    W_{T+delta} for interval signals, and is None for point signals;
+    mode is the conditioning mode of point draws, and None for interval
+    draws.  The draws do not depend on the signal's value, and point
+    draws not on their mode, so one set serves every level or interval
+    of a table, and draws._replace(mode=...) relabels point draws for
+    the other mode.  The arrays are read-only: the samplers map them to
+    W_T in new arrays, or in arrays their caller owns.
     """
 
     z: np.ndarray
@@ -245,20 +246,17 @@ def _read_only(draws: SignalDraws) -> SignalDraws:
 def draw_point(mode: ConditioningMode, n: int, seed: int) -> SignalDraws:
     """n standard normals for the point sampler of `mode`, sorted ascending.
 
-    Each mode draws from its own stream tag, so the two modes' estimates
-    stay independent even under one seed.  Shift draws hold the stream's
-    normals negated, so that W_T = g - sqrt(delta) * normal is increasing
-    in the stored z (see point_map).  The normals are sorted once here,
-    so that every signal's W_T, S_T and D come out sorted too; the draws
-    are iid, so their order carries no information.
+    Both modes draw the point stream (seed, rng.STREAM_POINT), so under
+    one seed they hold the same normals and only the label differs: the
+    two modes' estimates are correlated, not independent.  The normals
+    are sorted once here, so that every signal's W_T, S_T and D come out
+    sorted too, in either mode (see point_map); the draws are iid, so
+    their order carries no information.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     mode = ConditioningMode(mode)
-    tag = STREAM_POINT_BRIDGE if mode is ConditioningMode.BRIDGE_EXACT else STREAM_POINT_SHIFT
-    z = standard_normal_stream((seed, tag), n)
-    if mode is ConditioningMode.PAPER_SHIFT:
-        np.negative(z, out=z)
+    z = standard_normal_stream((seed, STREAM_POINT), n)
     z.sort()
     return _read_only(SignalDraws(z, mode=mode))
 
@@ -278,9 +276,9 @@ def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, fl
     """(c, s), s >= 0, with W_T = c + s*z for draws.z given W_{T+delta} = g_w.
 
     bridge_exact is the exact conditional law N(g T/(T+d), T d/(T+d))
-    (bridge_map); paper_shift is g - N(0, delta), that is (g, sqrt(delta))
-    on draw_point's negated normals.  Draws without a mode
-    (draw_interval's) raise ValueError.
+    (bridge_map); paper_shift is g - N(0, delta), which has the law of
+    g + sqrt(delta) z, so it is (g, sqrt(delta)) on the same normals.
+    Draws without a mode (draw_interval's) raise ValueError.
     """
     if draws.mode is None:
         raise ValueError("a point signal needs draw_point draws, which carry a mode")

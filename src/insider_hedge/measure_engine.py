@@ -71,17 +71,7 @@ from .model_core import (
 from .np_solver import SortedD
 from .rng import BLOCK_SIZE
 
-__all__ = [
-    "qg_density_indicator",
-    "build_batch",
-]
-
-
-def qg_density_indicator(w_t, spec: IntervalIndicator, p: ModelParams):
-    """dQ_G/dP at the horizon for the indicator signal: Z_T / p_T^G, divided in place."""
-    qg = rn_density(w_t, p)
-    qg /= density_indicator(w_t, spec, p)
-    return qg
+__all__ = ["build_batch"]
 
 
 class _PointExponents(NamedTuple):

@@ -10,6 +10,7 @@ only on its key.  A stream is one flat array of standard normals or of
 uniforms.  Every command keys its streams by (seed, stream tag): the
 tags below are distinct, so they alone keep the streams of one seed
 apart, and a table and a hedge with the same seed draw the same numbers.
+Both point conditioning modes draw the one point stream.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ __all__ = ["BLOCK_SIZE", "block_generator", "standard_normal_stream", "uniform_s
 BLOCK_SIZE = 1 << 16
 
 # stream tags keep the samplers of different quantities decorrelated
-STREAM_POINT_BRIDGE = 2
-STREAM_POINT_SHIFT = 3
+STREAM_POINT = 2
 STREAM_INTERVAL_SIGNAL = 4
 STREAM_INTERVAL_BRIDGE = 5
 

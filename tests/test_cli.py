@@ -273,12 +273,15 @@ class TestTables:
                 col = [c.alpha for c in cells if c.mode == mode and c.signal == level]
                 assert col == sorted(col, reverse=True)
 
-    def test_modes_disagree_flag_present(self, params):
-        # at n = 50k the two conditioning modes are far apart at eps = 0.01
+    def test_no_cell_carries_a_mode_disagree_flag(self, params):
+        # the modes share one stream, so their cells are compared by their alpha columns;
+        # at n = 50k they are far apart at eps = 0.01, and no flag names that
         config = RunConfig(model=params, levels=(110.0,), epsilons=(0.01,),
                            n_paths=50_000, seed=2)
-        cells = run_table_point(config)
-        assert all("mode_disagree" in c.flags for c in cells)
+        bridge, shift = run_table_point(config)
+        assert (bridge.mode, shift.mode) == cli.MODE_NAMES
+        assert shift.alpha - bridge.alpha > 0.1
+        assert not any("mode_disagree" in c.flags for c in (bridge, shift))
 
     @pytest.mark.parametrize("kind", ["point", "indicator"])
     def test_each_cell_is_the_hedge_with_its_settings(self, params, capsys, kind):
@@ -352,12 +355,12 @@ class TestSharedDraws:
             monkeypatch.setattr(insider_signal, name, counted)
         return counts
 
-    def test_point_table_fills_one_stream_per_mode(self, params, monkeypatch):
+    def test_point_table_fills_one_stream_for_both_modes(self, params, monkeypatch):
         counts = self.count_fills(monkeypatch)
         config = RunConfig(model=params, levels=(105.0, 110.0, 115.0), epsilons=(0.1, 0.25),
                            n_paths=2000, seed=3)
         assert len(run_table_point(config)) == 12
-        assert counts == {"normal": 2, "uniform": 0}
+        assert counts == {"normal": 1, "uniform": 0}
 
     @pytest.mark.parametrize("middle", [(108.0, 112.0), (500.0, 501.0)])
     def test_indicator_table_fills_each_stream_once(self, params, monkeypatch, middle):

@@ -20,13 +20,11 @@ from insider_hedge.insider_signal import (
     point_signal_from_price,
     sample_indicator_conditional,
 )
-from insider_hedge.measure_engine import qg_density_indicator
-from insider_hedge.model_core import ModelParams
+from insider_hedge.model_core import ModelParams, rn_density
 from insider_hedge.rng import (
     STREAM_INTERVAL_BRIDGE,
     STREAM_INTERVAL_SIGNAL,
-    STREAM_POINT_BRIDGE,
-    STREAM_POINT_SHIFT,
+    STREAM_POINT,
     standard_normal_stream,
     uniform_stream,
 )
@@ -69,6 +67,13 @@ def density_indicator_at(w_t, t, spec, p):
     rem_sd = math.sqrt(p.delta + (p.t_expiry - t))
     num = _normal_mass((spec.a_w - w_t) / rem_sd, (spec.b_w - w_t) / rem_sd, spec.observed)
     return num / indicator_prob(spec, p)
+
+
+def qg_density_indicator(w_t, spec, p):
+    """dQ_G/dP = Z_T / p_T^G at the horizon for the indicator signal, a reference for
+    the interval D of build_batch, composed from the package's rn_density and
+    density_indicator."""
+    return rn_density(w_t, p) / density_indicator(w_t, spec, p)
 
 
 class TestSignalSpecs:
@@ -262,18 +267,18 @@ class TestPointSampler:
 
     @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 7])
     @pytest.mark.parametrize("strike", [0.0, 110.0, 1e5])
-    def test_shift_is_g_minus_reversed_sorted_normals(self, params, strike, n):
-        # negated storage gives, bit for bit, g - sqrt(delta) * the sorted stream read backwards
+    def test_shift_is_g_plus_sorted_normals(self, params, strike, n):
+        # g - N(0, delta) in law, taken bit for bit as g + sqrt(delta) * the sorted stream
         p = dataclasses.replace(params, strike=strike)
         g_w, seed = G_110, 17
         w = sample_point_conditional(g_w, draw_point(ConditioningMode.PAPER_SHIFT, n, seed), p)
-        stream = np.sort(standard_normal_stream((seed, STREAM_POINT_SHIFT), n))
-        assert np.array_equal(w, g_w - math.sqrt(p.delta) * stream[::-1])
+        stream = np.sort(standard_normal_stream((seed, STREAM_POINT), n))
+        assert np.array_equal(w, g_w + math.sqrt(p.delta) * stream)
 
-    def test_modes_use_distinct_streams(self, params):
+    def test_modes_share_the_stream(self, params):
         a = draw_point(ConditioningMode.BRIDGE_EXACT, 1000, seed=8)
         b = draw_point(ConditioningMode.PAPER_SHIFT, 1000, seed=8)
-        assert not np.array_equal(a.z, b.z)
+        assert np.array_equal(a.z, b.z) and (a.mode, b.mode) == tuple(ConditioningMode)
 
 
 class TestIndicatorSampler:
@@ -352,12 +357,12 @@ class TestIndicatorSampler:
 class TestDraws:
     def test_stream_keys(self):
         # a seeded hedge draws the same streams as before sampling was split; point
-        # draws hold them sorted (shift draws negated), interval draws in stream order
+        # draws of either mode hold the point stream sorted, interval draws hold theirs
+        # in stream order
         n, seed = 70_000, 13
-        assert np.array_equal(draw_point(ConditioningMode.BRIDGE_EXACT, n, seed).z,
-                              np.sort(standard_normal_stream((seed, STREAM_POINT_BRIDGE), n)))
-        assert np.array_equal(draw_point(ConditioningMode.PAPER_SHIFT, n, seed).z,
-                              np.sort(-standard_normal_stream((seed, STREAM_POINT_SHIFT), n)))
+        for mode in ConditioningMode:
+            assert np.array_equal(draw_point(mode, n, seed).z,
+                                  np.sort(standard_normal_stream((seed, STREAM_POINT), n)))
         draws = draw_interval(n, seed)
         assert np.array_equal(draws.u, 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n))
         assert np.array_equal(draws.z, standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n))

@@ -19,9 +19,14 @@ level lies between two terminal nodes, and P(G | j) interpolates their
 M-step binomial probabilities linearly in log price.  Everything is
 computed in log space: P(G | j) vanishes on most nodes, where D in
 floats would overflow.
+
+closed_form_alpha is the limit itself for the bridge cells, as scalar
+functions of the market: the exact Black-Scholes capital fraction, with
+math.erfc for the normal CDF.
 """
 import math
 from functools import cache
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -35,10 +40,48 @@ CLOSED_FORM = {
     110.0: (0.26814, 0.14078, 0.08388, 0.05208, 0.03146, 0.01752),
     115.0: (0.50983, 0.37488, 0.30121, 0.25229, 0.21448, 0.18318),
 }
+# S = 106 at six significant digits: from eps = 0.15 on, the zero atom alone fills 1 - eps
+CLOSED_FORM_106 = (0.0891348, 0.0148823, 3.70015e-4, 0.0, 0.0, 0.0)
 # bounds fixed before the first run: the lattice against the closed form at N = 20000,
 # and two step counts against each other (S = 106 converges slower and is left out)
 CLOSED_FORM_TOL = 2e-4
 STEP_COUNT_TOL = 5e-4
+
+
+def norm_cdf(x: float) -> float:
+    """Phi(x) through math.erfc, accurate in the lower tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def closed_form_alpha(level: float, epsilon: float) -> float:
+    """The capital fraction of the bridge cell (level, epsilon), exact in Black-Scholes.
+
+    Given the signal S_{T+delta} = level, W_T ~ N(g T/(T+d), T d/(T+d)), and D is
+    increasing in W_T at the default levels, so the success set is {W_T <= w*} with
+    w* the conditional 1 - epsilon quantile.  D f_cond = H z phi_T / C, where z phi_T
+    is the N(-theta T, T) density, so alpha over [w_K, w*] of W_T is
+
+        (s0 [Phi(q_b - sigma sqrt(T)) - Phi(q_a - sigma sqrt(T))]
+         - K [Phi(q_b) - Phi(q_a)]) / C,   q = (w + theta T)/sqrt(T),
+
+    with C the Black-Scholes call price.  A cell whose w* lies at or below the
+    strike's w_K is filled by the zero atom alone and costs 0.
+    """
+    drift = MU - 0.5 * SIGMA**2
+    t_signal, root_t = T_EXPIRY + DELTA, math.sqrt(T_EXPIRY)
+    g = (math.log(level / S0) - drift * t_signal) / SIGMA
+    mean, sd = g * T_EXPIRY / t_signal, math.sqrt(T_EXPIRY * DELTA / t_signal)
+    w_star = mean + sd * NormalDist().inv_cdf(1.0 - epsilon)
+    w_k = (math.log(STRIKE / S0) - drift * T_EXPIRY) / SIGMA
+    if w_star <= w_k:
+        return 0.0
+    theta, vol = MU / SIGMA, SIGMA * root_t
+    q_a, q_b = ((w + theta * T_EXPIRY) / root_t for w in (w_k, w_star))
+    d1 = math.log(S0 / STRIKE) / vol + 0.5 * vol
+    call = S0 * norm_cdf(d1) - STRIKE * norm_cdf(d1 - vol)
+    stock = S0 * (norm_cdf(q_b - vol) - norm_cdf(q_a - vol))
+    cash = STRIKE * (norm_cdf(q_b) - norm_cdf(q_a))
+    return (stock - cash) / call
 
 
 def log_binomial(n: int, k: np.ndarray, log_p: float, log_1mp: float) -> np.ndarray:
@@ -116,3 +159,13 @@ def test_step_counts_agree(level):
 def test_capital_fraction_falls_with_epsilon(level):
     alphas = lattice_alphas(level, 20_000)
     assert all(0.0 < b < a < 1.0 for a, b in zip(alphas, alphas[1:]))
+
+
+@pytest.mark.parametrize("level", sorted(CLOSED_FORM))
+def test_closed_form_gives_its_digits(level):
+    assert tuple(round(closed_form_alpha(level, e), 5) for e in EPSILONS) == CLOSED_FORM[level]
+
+
+def test_closed_form_at_106():
+    alphas = [closed_form_alpha(106.0, e) for e in EPSILONS]
+    assert [float(f"{a:.6g}") for a in alphas] == list(CLOSED_FORM_106)

@@ -22,7 +22,7 @@ from insider_hedge.insider_signal import (
     point_signal_from_price,
     sample_indicator_conditional,
 )
-from insider_hedge.measure_engine import build_batch, qg_density_indicator
+from insider_hedge.measure_engine import build_batch
 from insider_hedge.model_core import (
     ModelParams,
     brownian_from_price,
@@ -32,7 +32,7 @@ from insider_hedge.model_core import (
 )
 from insider_hedge.np_solver import _STRIDE
 from insider_hedge.rng import BLOCK_SIZE
-from test_insider_signal import density_point_at, sample_point_conditional
+from test_insider_signal import density_point_at, qg_density_indicator, sample_point_conditional
 
 G_110 = 0.328590719217
 
