@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import cache
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -59,6 +59,8 @@ DEFAULT_INTERVALS = ((109.0, 111.0), (108.0, 112.0), (107.0, 113.0), (112.0, 114
 DEFAULT_EPSILONS = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25)
 # the values of insider_signal.ConditioningMode, spelled out so the parser needs no numpy
 MODE_NAMES = ("bridge_exact", "paper_shift")
+# the mode of interval cells and hedges: an old label, kept for output-format compatibility
+INTERVAL_MODE = "rejection"
 # the market of the published tables: ModelParams' fields, each with its flag and config key
 MARKET_DEFAULTS = {"mu": 0.08, "sigma": 0.25, "s0": 100.0, "strike": 110.0,
                    "t_expiry": 0.25, "delta": 0.02}
@@ -165,19 +167,21 @@ def run_table_point(config: RunConfig) -> list[CellResult]:
     numbers): each cell equals the hedge command with its settings,
     while the errors of all rows, of either mode, are correlated.
     """
-    from .insider_signal import ConditioningMode, draw_point, point_signal_from_price
+    from .insider_signal import draw_point, point_signal_from_price
     from .measure_engine import build_batch
-    modes = (ConditioningMode.BRIDGE_EXACT, ConditioningMode.PAPER_SHIFT)
-    signals = [point_signal_from_price(level, config.model) for level in config.levels]
-    draws = draw_point(modes[0], config.n_paths, config.seed)
+    # every signal is built first, so that a bad level is refused before any draw
+    signals = [[point_signal_from_price(level, config.model, mode) for mode in MODE_NAMES]
+               for level in config.levels]
+    draws = draw_point(config.n_paths, config.seed)
     cells: list[CellResult] = []
-    for level, signal in zip(config.levels, signals):
+    for level, pair in zip(config.levels, signals):
         # each view of D is released once its row is planned: one is alive at a time
-        rows = [_plan_row(build_batch(signal, draws._replace(mode=mode), config.model),
-                          config.epsilons) for mode in modes]
+        rows = [_plan_row(build_batch(signal, draws, config.model), config.epsilons)
+                for signal in pair]
         for epsilon, *plans in zip(config.epsilons, *rows):
-            for mode, plan in zip(modes, plans):
-                cells.append(_cell(f"S={level:g}", epsilon, plan, config.n_paths, mode.value))
+            for signal, plan in zip(pair, plans):
+                cells.append(_cell(f"S={level:g}", epsilon, plan, config.n_paths,
+                                   signal.mode.value))
     return cells
 
 
@@ -190,7 +194,7 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
     interval (common random numbers, as in run_table_point).  An
     interval whose conditioning event has probability 0 raises
     ValueError before anything is drawn, which ends the run.  The mode
-    column keeps the label "rejection" for output-format compatibility.
+    column reads INTERVAL_MODE.
     """
     from .insider_signal import draw_interval, indicator_prob, interval_signal_from_prices
     from .measure_engine import build_batch
@@ -206,7 +210,7 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
         # as in run_table_point, the view of D is released once its row is planned
         row = _plan_row(build_batch(signal, draws, config.model), config.epsilons)
         for epsilon, plan in zip(config.epsilons, row):
-            cells.append(_cell(descriptor, epsilon, plan, config.n_paths, "rejection"))
+            cells.append(_cell(descriptor, epsilon, plan, config.n_paths, INTERVAL_MODE))
     return cells
 
 
@@ -452,7 +456,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     from .insider_signal import (
-        ConditioningMode,
         draw_interval,
         draw_point,
         indicator_prob,
@@ -476,9 +479,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.level is not None and args.observed is not None:
             parser.error("--observed applies to --interval only")
         if args.level is not None:
-            signal = point_signal_from_price(args.level, config.model)
-            mode = ConditioningMode(pick("mode", "bridge_exact"))
-            draw = partial(draw_point, mode)
+            signal = point_signal_from_price(args.level, config.model, pick("mode", MODE_NAMES[0]))
+            mode, draw = signal.mode.value, draw_point
         else:
             intervals = _parse_intervals(args.interval)
             if len(intervals) != 1:
@@ -488,8 +490,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             signal = interval_signal_from_prices(lo, hi, config.model, observed=observed)
             # a signal of probability 0 is refused before its 2n draws are filled
             indicator_prob(signal, config.model)
-            mode = None
-            draw = draw_interval
+            mode, draw = INTERVAL_MODE, draw_interval
         # no reference to the draws is kept here, so build_batch can free them early
         view = build_batch(signal, draw(config.n_paths, config.seed), config.model)
         plan = make_hedge_plan(view, epsilon=args.epsilon, alpha=args.alpha)
@@ -500,7 +501,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             print(f"{name} = {_fmt_num(getattr(plan, name))}")
         print(f"knockout_payoff = {plan.knockout_payoff}")
         print(f"signal = {signal.describe()}")
-        print(f"mode = {mode.value if mode else 'rejection'}")
+        print(f"mode = {mode}")
         return 0
 
     config = build_config(args)

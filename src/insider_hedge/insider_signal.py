@@ -28,15 +28,15 @@ sampler: W_{T+delta} by inverse CDF from its normal law restricted to
 
 Sampling is split in two steps: draw_point / draw_interval fill the
 random streams, and point_map / sample_indicator_conditional map those
-draws to W_T for one signal.
-Point draws carry their conditioning mode, and both modes draw the same
-normals.  A table draws once and maps the same draws for each of its
-signals, and for both point modes.  Given the signal, W_T = c + s*z
-with s >= 0 for one normal z in either point mode and in the bridge;
-point_map and bridge_map give (c, s), and measure_engine inverts the
-same map; for a point signal it computes D from the normals and (c, s)
-without forming W_T.  Point draws are sorted ascending, so every point
-sample of W_T comes out in ascending order.
+draws to W_T for one signal.  The draws carry only random numbers: a
+point signal carries its conditioning mode, so a table draws once and
+maps the same draws for each of its signals, of either mode.  Given the
+signal, W_T = c + s*z with s >= 0 for one normal z in either point mode
+and in the bridge; point_map and bridge_map give (c, s), and
+measure_engine inverts the same map; for a point signal it computes D
+from the normals and (c, s) without forming W_T.  Point draws are
+sorted ascending, so every point sample of W_T comes out in ascending
+order.
 """
 from __future__ import annotations
 
@@ -84,13 +84,17 @@ class ConditioningMode(str, Enum):
 
 @dataclass(frozen=True)
 class PointValue:
-    """Signal G = W_{T+delta} with realized value g_w (sqrt-year units)."""
+    """Signal G = W_{T+delta} with realized value g_w (sqrt-year units), and the
+    conditioning mode that gives W_T its law given G (see point_map)."""
 
     g_w: float
+    mode: ConditioningMode = ConditioningMode.BRIDGE_EXACT
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.g_w):
             raise ValueError("g_w must be finite")
+        # a mode's value names it too; an unknown one raises ValueError naming it
+        object.__setattr__(self, "mode", ConditioningMode(self.mode))
 
     def describe(self) -> str:
         return f"point:g_w={self.g_w:.6g}"
@@ -119,11 +123,12 @@ class IntervalIndicator:
 SignalSpec = Union[PointValue, IntervalIndicator]
 
 
-def point_signal_from_price(level: float, p: ModelParams) -> PointValue:
+def point_signal_from_price(level: float, p: ModelParams,
+                            mode: ConditioningMode = ConditioningMode.BRIDGE_EXACT) -> PointValue:
     """Point signal from a stock level of S_{T+delta} (table convention)."""
     if level <= 0:
         raise ValueError("stock level must be positive")
-    return PointValue(float(brownian_from_price(level, p.t_signal, p)))
+    return PointValue(float(brownian_from_price(level, p.t_signal, p)), mode)
 
 
 def interval_signal_from_prices(lo: float, hi: float, p: ModelParams,
@@ -182,16 +187,15 @@ def indicator_prob(spec: IntervalIndicator, p: ModelParams) -> float:
     return mass
 
 
-def density_indicator(w_t, spec: IntervalIndicator, p: ModelParams, mass: float | None = None,
-                      out=None):
+def density_indicator(w_t, spec: IntervalIndicator, p: ModelParams, mass: float, out=None):
     """p_T^G for the indicator signal: P(G = spec.observed | W_T = w_t) / P(G = spec.observed).
 
     Given W_T, W_{T+delta} is N(W_T, delta), so the remaining standard
     deviation is sqrt(delta) itself, positive for every delta > 0 even
-    where T + delta rounds to T.  The denominator is `mass` when the
-    caller has it, else indicator_prob, which refuses a signal of
-    probability 0.  With `out`, a float array like w_t, the density is
-    computed there and the array w_t is overwritten.
+    where T + delta rounds to T.  The denominator `mass` is
+    P(G = spec.observed), from indicator_prob.  With `out`, a float
+    array like w_t, the density is computed there and the array w_t is
+    overwritten.
     """
     rem_sd = math.sqrt(p.delta)
     lo = np.subtract(spec.a_w, w_t, out=out)
@@ -199,7 +203,7 @@ def density_indicator(w_t, spec: IntervalIndicator, p: ModelParams, mass: float 
     hi = np.subtract(spec.b_w, w_t, out=None if out is None else w_t)
     hi /= rem_sd
     num = _normal_mass(lo, hi, spec.observed)
-    num /= indicator_prob(spec, p) if mass is None else mass
+    num /= mass
     return num
 
 
@@ -221,18 +225,15 @@ class SignalDraws(NamedTuple):
     draws hold them in ascending order, so that a point signal's W_T
     comes out ascending in either mode; interval draws hold them in
     stream order, aligned with u.  u holds uniforms on (0, 1] that place
-    W_{T+delta} for interval signals, and is None for point signals;
-    mode is the conditioning mode of point draws, and None for interval
-    draws.  The draws do not depend on the signal's value, and point
-    draws not on their mode, so one set serves every level or interval
-    of a table, and draws._replace(mode=...) relabels point draws for
-    the other mode.  The arrays are read-only: the samplers map them to
-    W_T in new arrays, or in arrays their caller owns.
+    W_{T+delta} for interval signals, and is None for point signals.
+    The draws depend on neither the signal's value nor its mode, so one
+    set serves every level, mode or interval of a table.  The arrays are
+    read-only: the samplers map them to W_T in new arrays, or in arrays
+    their caller owns.
     """
 
     z: np.ndarray
     u: np.ndarray | None = None
-    mode: ConditioningMode | None = None
 
 
 def _read_only(draws: SignalDraws) -> SignalDraws:
@@ -243,22 +244,20 @@ def _read_only(draws: SignalDraws) -> SignalDraws:
     return draws
 
 
-def draw_point(mode: ConditioningMode, n: int, seed: int) -> SignalDraws:
-    """n standard normals for the point sampler of `mode`, sorted ascending.
+def draw_point(n: int, seed: int) -> SignalDraws:
+    """n standard normals of the point stream (seed, rng.STREAM_POINT), sorted ascending.
 
-    Both modes draw the point stream (seed, rng.STREAM_POINT), so under
-    one seed they hold the same normals and only the label differs: the
-    two modes' estimates are correlated, not independent.  The normals
-    are sorted once here, so that every signal's W_T, S_T and D come out
+    Both conditioning modes map these normals, so under one seed the two
+    modes' estimates are correlated, not independent.  The normals are
+    sorted once here, so that every signal's W_T, S_T and D come out
     sorted too, in either mode (see point_map); the draws are iid, so
     their order carries no information.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    mode = ConditioningMode(mode)
     z = standard_normal_stream((seed, STREAM_POINT), n)
     z.sort()
-    return _read_only(SignalDraws(z, mode=mode))
+    return _read_only(SignalDraws(z))
 
 
 def draw_interval(n: int, seed: int) -> SignalDraws:
@@ -272,23 +271,20 @@ def draw_interval(n: int, seed: int) -> SignalDraws:
     return _read_only(SignalDraws(z, u))
 
 
-def point_map(g_w: float, draws: SignalDraws, p: ModelParams) -> tuple[float, float]:
-    """(c, s), s >= 0, with W_T = c + s*z for draws.z given W_{T+delta} = g_w.
+def point_map(signal: PointValue, p: ModelParams) -> tuple[float, float]:
+    """(c, s), s >= 0, with W_T = c + s*z for a standard normal z given W_{T+delta} = g_w.
 
     bridge_exact is the exact conditional law N(g T/(T+d), T d/(T+d))
     (bridge_map); paper_shift is g - N(0, delta), which has the law of
     g + sqrt(delta) z, so it is (g, sqrt(delta)) on the same normals.
-    Draws without a mode (draw_interval's) raise ValueError.
     """
-    if draws.mode is None:
-        raise ValueError("a point signal needs draw_point draws, which carry a mode")
-    if ConditioningMode(draws.mode) is ConditioningMode.BRIDGE_EXACT:
-        return bridge_map(g_w, p)
-    return g_w, math.sqrt(p.delta)
+    if signal.mode is ConditioningMode.BRIDGE_EXACT:
+        return bridge_map(signal.g_w, p)
+    return signal.g_w, math.sqrt(p.delta)
 
 
 def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws, p: ModelParams,
-                                 mass: float | None = None, out=None) -> BrownianPair:
+                                 mass: float, out=None) -> BrownianPair:
     """Exact draws of (W_T, W_{T+delta}) given G = spec.observed, from draw_interval's draws.
 
     W_{T+delta} / sqrt(T+d) is the inverse CDF at draws.u of the standard
@@ -296,16 +292,13 @@ def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws, p:
     (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
     Each draw maps on its own, so any subset of draw_interval's draws,
     taken by index from both arrays alike, gives the same values on it.
-    `mass` is P(G = spec.observed) when the caller has it.  `out`, a
-    pair of float arrays as long as the draws, receives W_T and
-    W_{T+delta}; it may be (draws.z, draws.u) itself, which the draws
-    then give up.  Fails before any work on draw_point's draws, and
-    through indicator_prob when P(G = spec.observed) is 0.
+    `mass` is P(G = spec.observed), from indicator_prob.  `out`, a pair
+    of float arrays as long as the draws, receives W_T and W_{T+delta};
+    it may be (draws.z, draws.u) itself, which the draws then give up.
+    Fails before any work on draw_point's draws.
     """
     if draws.u is None:
         raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
-    if mass is None:
-        mass = indicator_prob(spec, p)
     sd = math.sqrt(p.t_signal)
     lo, hi = spec.a_w / sd, spec.b_w / sd
     w_t, w_td = (None, None) if out is None else out

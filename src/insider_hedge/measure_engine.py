@@ -36,8 +36,8 @@ that can reach the strike are a suffix of the normals, as are the
 in-the-money draws of each block, so D is usually sorted already.
 
 An interval draw is kept when the bridge from the largest W_{T+delta}
-its uniform allows reaches the window: one cut at b for G = 1, one cut
-per bin of the uniform for G = 0.  A chunk of interval draws gathers
+its uniform allows reaches the window, by one cut per bin of the
+uniform for either observed value.  A chunk of interval draws gathers
 its kept draws once into three reused rows, where they are mapped to
 W_T, H and D; their D is sorted in its own buffer.
 """
@@ -84,9 +84,8 @@ class _PointExponents(NamedTuple):
     r: float
 
 
-def _point_exponents(signal: PointValue, draws: SignalDraws, p: ModelParams,
-                     e_qg_h: float) -> _PointExponents:
-    """The constants of a point signal's two exponents of draws.z.
+def _point_exponents(signal: PointValue, p: ModelParams, e_qg_h: float) -> _PointExponents:
+    """The constants of a point signal's two exponents of its normals z.
 
     W_T = c + s*z (point_map) gives a = sigma*s and b = sigma*c +
     (mu - sigma^2/2) T + ln s0.  dQ_G/dP = Z_T / p_T^g, with the paper's
@@ -98,7 +97,7 @@ def _point_exponents(signal: PointValue, draws: SignalDraws, p: ModelParams,
     divides by s, which is 0 where T*d underflows.  r is +inf where
     E_QG[H] is 0, which no draw in the money reaches (_d_slot refuses it).
     """
-    c, s = point_map(signal.g_w, draws, p)
+    c, s = point_map(signal, p)
     g, th, d, td = signal.g_w, p.theta, p.delta, p.t_signal
     root = math.sqrt(2.0 * d)
     r = -th * g - 0.5 * th * th * td - g * g / (2.0 * td) + 0.5 * (math.log(d) - math.log(td))
@@ -126,7 +125,7 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 # relative margin by which a draw-space cut is moved outward: far wider than the
 # rounding of the affine map it inverts and of the ndtri value it repeats
 _CUT_MARGIN = 1e-12
-# bins of the uniform for the G = 0 bound on W_T, a power of two so that u * _BINS is exact
+# bins of the uniform for the bound on W_T, a power of two so that u * _BINS is exact
 _BINS = 1 << 9
 # interval draws mapped per chunk: its three work rows, and the temporaries of its
 # sampler and density, stay well within the two blocks that a point block takes
@@ -175,32 +174,29 @@ def _point_start(signal: PointValue, draws: SignalDraws, p: ModelParams) -> int:
     not sorted) give the whole of draws.z.
     """
     z = draws.z
-    cut = _z_cut(*point_map(signal.g_w, draws, p), _strike_floor(p))
+    cut = _z_cut(*point_map(signal, p), _strike_floor(p))
     start = int(np.searchsorted(z, cut))
     return 0 if start and z[:start].max() >= cut else start
 
 
 def _interval_cuts(signal: IntervalIndicator, mass: float, p: ModelParams) -> np.ndarray:
-    """The normal below which an interval draw's W_T stays below the strike window.
+    """Per bin of u, the normal below which an interval draw's W_T stays below the strike window.
 
     W_T is at most the bridge from the largest W_{T+delta} the draw's
-    uniform u allows: b for G = 1, where the sampler clips to [a, b].
-    For G = 0 each of _BINS equal bins of u's range (0, 1] has its cut:
-    below and above the interval W_{T+delta} is monotone in u, so in a
-    bin it is largest at an edge.  sample_indicator_conditional maps the
-    edges, so the bound repeats its float operations.  The bin that holds
-    the switch between the two branches has no bound (cut -inf).
+    uniform u allows.  u's range (0, 1] has _BINS equal bins: W_{T+delta}
+    is monotone in u for G = 1, and below and above the interval for
+    G = 0, so in a bin it is largest at an edge.  The sampler maps the
+    edges, so the bound repeats its float operations, its clip included.
+    The G = 0 bin that holds the switch between the branches has cut -inf.
     """
-    w_lo = _strike_floor(p)
-    if signal.observed == 1 or w_lo == -math.inf:
-        return _z_cut(*bridge_map(signal.b_w, p), w_lo)
     edges = np.arange(_BINS + 1) / _BINS
     w_td = sample_indicator_conditional(
         signal, SignalDraws(np.zeros(edges.size), edges), p, mass).w_tdelta
-    cuts = _z_cut(*bridge_map(np.maximum(w_td[:-1], w_td[1:]), p), w_lo)
-    # the sampler's own branch test: u * mass above Phi(lo) lies above the interval
-    upper = edges * mass > ndtr(signal.a_w / math.sqrt(p.t_signal))
-    cuts[upper[:-1] != upper[1:]] = -math.inf
+    cuts = _z_cut(*bridge_map(np.maximum(w_td[:-1], w_td[1:]), p), _strike_floor(p))
+    if signal.observed == 0:
+        # the sampler's own branch test: u * mass above Phi(lo) lies above the interval
+        upper = edges * mass > ndtr(signal.a_w / math.sqrt(p.t_signal))
+        cuts[upper[:-1] != upper[1:]] = -math.inf
     return cuts
 
 
@@ -208,12 +204,11 @@ def _kept(chunk: SignalDraws, cuts: np.ndarray, work: np.ndarray, flags: np.ndar
     """The draws of a chunk whose normal reaches the cut of their bin, gathered into work[1:].
 
     The bin of u is u * _BINS truncated, held in work[0] as indices, and
-    u = 1 falls in the last bin.  A cut of one number holds for every draw.
+    u = 1 falls in the last bin.
     """
     z, u = chunk.z, chunk.u
-    if cuts.ndim:
-        bins = np.multiply(u, _BINS, out=work[0, :u.size].view(np.intp), casting="unsafe")
-        cuts = np.take(cuts, bins, out=work[1, :u.size], mode="clip")
+    bins = np.multiply(u, _BINS, out=work[0, :u.size].view(np.intp), casting="unsafe")
+    cuts = np.take(cuts, bins, out=work[1, :u.size], mode="clip")
     keep = np.flatnonzero(np.greater_equal(z, cuts, out=flags[:z.size]))
     return SignalDraws(np.take(z, keep, out=work[1, :keep.size], mode="clip"),
                        np.take(u, keep, out=work[2, :keep.size], mode="clip"))
@@ -310,15 +305,16 @@ def _write_point_d(z, ex: _PointExponents, p: ModelParams, e_qg_h: float, out: n
 def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> SortedD:
     """Map the draws to conditional samples for the signal and sort their densities D.
 
-    `draws` come from draw_point for a PointValue signal, whose mode
-    they carry, and from draw_interval for an IntervalIndicator; draws
-    of the other kind raise ValueError.  The draws are only read, so one
-    set can serve many signals.  Only the draws that can reach the
+    `draws` come from draw_point for a PointValue signal, which carries
+    its conditioning mode, and from draw_interval for an
+    IntervalIndicator; draws of the other kind raise ValueError before
+    any work.  The draws are only read, so one set can serve many
+    signals, of either point mode.  Only the draws that can reach the
     strike window are sampled; the others count towards D's zero atom.
     Point draws are sorted, so those draws are one suffix and a point
     signal's S_T is ascending: its in-the-money draws are read as a
     suffix, and its D usually needs no sort.  Interval draws are kept
-    by a bound on W_T from each draw's uniform and gathered by index.
+    by a bound on W_T from each bin of the uniform and gathered by index.
 
     Each block writes its D into one buffer, as long as the point suffix
     or, for an interval signal, as the sample.  A point view keeps that
@@ -328,28 +324,31 @@ def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> Sorte
     any draw is mapped, and so does a call price E_QG[H] that underflows
     to 0 while a draw finishes in the money, which leaves D undefined.
     """
+    point = isinstance(signal, PointValue)
+    if not (point or isinstance(signal, IntervalIndicator)):
+        raise TypeError(f"unsupported signal {signal!r}")
+    if point and draws.u is not None:
+        raise ValueError("a point signal needs draw_point draws, which carry no uniforms")
+    if not point and draws.u is None:
+        raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
     n = draws.z.size
     e_qg_h = bs_call_price(p)
-    if isinstance(signal, PointValue):
+    if point:
         lo = _point_start(signal, draws, p)
-        ex = _point_exponents(signal, draws, p, e_qg_h)
+        ex = _point_exponents(signal, p, e_qg_h)
         # `for z in (draws.z,)` binds the normals in the generator, not in this frame
         blocks = (z[i:i + BLOCK_SIZE] for z in (draws.z,) for i in range(lo, n, BLOCK_SIZE))
-    elif isinstance(signal, IntervalIndicator):
-        if draws.u is None:
-            raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
+    else:
         lo, mass = 0, indicator_prob(signal, p)
         cuts = _interval_cuts(signal, mass, p)
         blocks = (SignalDraws(z[i:i + _CHUNK], u[i:i + _CHUNK])
                   for z, u in ((draws.z, draws.u),) for i in range(0, n, _CHUNK))
-    else:
-        raise TypeError(f"unsupported signal {signal!r}")
     # the blocks hold the only other reference, so a caller that kept none (the
     # one-signal case) frees the draws after the last block, before D is sorted
     del draws
     d = np.empty(n - lo)
     m = 0
-    if isinstance(signal, PointValue):
+    if point:
         # H and dQ_G/dP of a block, reused by every block; allocated after d, which the
         # view keeps, so that freeing them leaves no hole below it in the heap
         work = np.empty((2, min(BLOCK_SIZE, n - lo)))

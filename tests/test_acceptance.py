@@ -21,7 +21,6 @@ from scipy.special import ndtr
 
 from insider_hedge.cli import RunConfig, run_oracle_suite, run_table_indicator, run_table_point
 from insider_hedge.insider_signal import (
-    ConditioningMode,
     SignalDraws,
     interval_signal_from_prices,
     point_signal_from_price,
@@ -250,7 +249,7 @@ def test_criterion_4_unit_mass(params):
         grid = m + math.sqrt(v) * z
         f_cond = np.exp(-((grid - m) ** 2) / (2 * v)) / math.sqrt(2 * math.pi * v)
         # the package's point D, computed from the bridge normals that give the grid
-        draws = SignalDraws(z, mode=ConditioningMode.BRIDGE_EXACT)
+        draws = SignalDraws(z)
         lhs = independent_d(sig, draws, params) * f_cond
         rhs = np.array([h_z_phi(w) for w in grid]) / call
         if not np.allclose(lhs, rhs, rtol=1e-9, atol=1e-300):
@@ -276,8 +275,8 @@ def test_criterion_4_unit_mass(params):
 
     # (ii) capped means against frozen quadrature targets, n = 10^6
     for (mode, level), target in CAPPED_TARGETS_POINT.items():
-        sig = point_signal_from_price(level, params)
-        d = full_sample(seeded_batch(sig, mode, N_PATHS, params, seed=41))
+        sig = point_signal_from_price(level, params, mode)
+        d = full_sample(seeded_batch(sig, N_PATHS, params, seed=41))
         capped = np.minimum(d, 10.0)
         se = capped.std(ddof=1) / math.sqrt(N_PATHS)
         gap = abs(capped.mean() - target)
@@ -288,7 +287,7 @@ def test_criterion_4_unit_mass(params):
             failures.append(f"capped mean off for point {level} {mode}: {gap:.6f}")
     for ((lo, hi), observed), target in CAPPED_TARGETS_INTERVAL.items():
         sig = interval_signal_from_prices(lo, hi, params, observed=observed)
-        d = full_sample(seeded_batch(sig, None, N_PATHS, params, seed=42))
+        d = full_sample(seeded_batch(sig, N_PATHS, params, seed=42))
         capped = np.minimum(d, 10.0)
         se = capped.std(ddof=1) / math.sqrt(N_PATHS)
         gap = abs(capped.mean() - target)

@@ -362,6 +362,30 @@ class TestSharedDraws:
         assert len(run_table_point(config)) == 12
         assert counts == {"normal": 1, "uniform": 0}
 
+    def test_point_table_draws_once_for_signals_that_own_their_mode(self, params, monkeypatch):
+        # the conditioning mode lives on the signal, not on the draws: one draw_point call
+        # serves both modes, an unknown mode is refused by name, and a bad level is
+        # refused before any draw, wherever it stands in the grid; a mode's value names it
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        draw = insider_signal.draw_point
+        monkeypatch.setattr(insider_signal, "draw_point", counted)
+        config = RunConfig(model=params, levels=(105.0, 110.0, 115.0), epsilons=(0.1,),
+                           n_paths=2000, seed=3)
+        assert len(run_table_point(config)) == 6
+        assert calls == [(2000, 3)]
+        for mode in insider_signal.ConditioningMode:
+            assert insider_signal.PointValue(0.3, mode.value).mode is mode
+        with pytest.raises(ValueError, match="'bogus' is not a valid ConditioningMode"):
+            insider_signal.PointValue(0.3, "bogus")
+        monkeypatch.setattr(insider_signal, "draw_point", _no_draw)
+        with pytest.raises(ValueError, match="stock level must be positive"):
+            run_table_point(dataclasses.replace(config, levels=(110.0, -1.0)))
+
     @pytest.mark.parametrize("middle", [(108.0, 112.0), (500.0, 501.0)])
     def test_indicator_table_fills_each_stream_once(self, params, monkeypatch, middle):
         # a rare interval ([500..501], P(G = 1) far below 1e-4) maps the same draws

@@ -48,13 +48,13 @@ def density_point_at(g, w_t, t, p):
     return np.sqrt(td / rem) * np.exp(-((g - w_t) ** 2) / (2.0 * rem) + g * g / (2.0 * td))
 
 
-def sample_point_conditional(g_w, draws, p):
-    """W_T given W_{T+delta} = g_w under draws.mode, one per normal in draws.z: the
-    reference for the point blocks of build_batch, which never form W_T.
+def sample_point_conditional(signal, draws, p):
+    """W_T given W_{T+delta} = signal.g_w under signal.mode, one per normal in draws.z:
+    the reference for the point blocks of build_batch, which never form W_T.
 
     W_T = c + s*z with point_map's (c, s).  s >= 0 and rounding is monotone, so
     draw_point's ascending normals give W_T in nondecreasing order in either mode."""
-    c, s = point_map(g_w, draws, p)
+    c, s = point_map(signal, p)
     w_t = draws.z * s
     w_t += c
     return w_t
@@ -73,7 +73,7 @@ def qg_density_indicator(w_t, spec, p):
     """dQ_G/dP = Z_T / p_T^G at the horizon for the indicator signal, a reference for
     the interval D of build_batch, composed from the package's rn_density and
     density_indicator."""
-    return rn_density(w_t, p) / density_indicator(w_t, spec, p)
+    return rn_density(w_t, p) / density_indicator(w_t, spec, p, indicator_prob(spec, p))
 
 
 class TestSignalSpecs:
@@ -154,8 +154,9 @@ class TestDensityIndicator:
                      + (1.0 - p1) * density_indicator_at(w, t, zero, params))
             assert abs(total - 1.0) <= 1e-12
         for w in np.linspace(-1.0, 1.0, 21):
-            total = (p1 * density_indicator(w, sig, params)
-                     + (1.0 - p1) * density_indicator(w, zero, params))
+            total = (p1 * density_indicator(w, sig, params, p1)
+                     + (1.0 - p1) * density_indicator(w, zero, params,
+                                                      indicator_prob(zero, params)))
             assert abs(total - 1.0) <= 1e-12
 
     def test_reference_at_horizon_is_the_package_density(self, params):
@@ -164,13 +165,15 @@ class TestDensityIndicator:
         for lo, hi in ((109.0, 111.0), (112.0, 114.0)):
             for observed in (1, 0):
                 sig = interval_signal_from_prices(lo, hi, params, observed=observed)
-                assert np.array_equal(density_indicator(w, sig, params),
+                assert np.array_equal(density_indicator(w, sig, params,
+                                                        indicator_prob(sig, params)),
                                       density_indicator_at(w, params.t_expiry, sig, params))
 
     def test_frozen_values_at_horizon(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
-        got1 = density_indicator(0.0, sig, params)
-        got0 = density_indicator(0.0, dataclasses.replace(sig, observed=0), params)
+        zero = dataclasses.replace(sig, observed=0)
+        got1 = density_indicator(0.0, sig, params, indicator_prob(sig, params))
+        got0 = density_indicator(0.0, zero, params, indicator_prob(zero, params))
         assert got1 > 0.0
         assert got1 == pytest.approx(P1_AT_ZERO, abs=1e-6)
         assert got0 == pytest.approx(P0_AT_ZERO, abs=1e-6)
@@ -179,7 +182,8 @@ class TestDensityIndicator:
         sig = IntervalIndicator(-50.0, 50.0, observed=1)
         for w in (-0.5, 0.0, 1.0):
             assert density_indicator_at(w, 0.2, sig, params) == pytest.approx(1.0, abs=1e-12)
-            assert density_indicator(w, sig, params) == pytest.approx(1.0, abs=1e-12)
+            got = density_indicator(w, sig, params, indicator_prob(sig, params))
+            assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_masses_against_high_precision(self, params):
         # far-out normal masses where 1 - Phi or Phi(b) - Phi(a) would cancel in
@@ -212,11 +216,11 @@ class TestDensityIndicator:
         with mpmath.workdps(200):
             cases = [
                 (indicator_prob(narrow, params), prob(narrow, params)),
-                (density_indicator(-3.0, table_sig, params),
+                (density_indicator(-3.0, table_sig, params, indicator_prob(table_sig, params)),
                  density(mpf(-3.0), params.t_expiry, table_sig, params)),
                 (density_indicator_at(0.0, 0.2, wide_zero, params),
                  density(mpf(0.0), 0.2, wide_zero, params)),
-                (density_indicator(near_edge, tiny_sig, tiny),
+                (density_indicator(near_edge, tiny_sig, tiny, indicator_prob(tiny_sig, tiny)),
                  density(mpf(near_edge), tiny.t_expiry, tiny_sig, tiny)),
             ]
             errors = [float(abs(got - want) / want) for got, want in cases]
@@ -228,16 +232,16 @@ class TestDensityIndicator:
 class TestPointSampler:
     def test_bridge_moments(self, params):
         n = 400_000
-        mode = ConditioningMode.BRIDGE_EXACT
-        w = sample_point_conditional(G_110, draw_point(mode, n, seed=4), params)
+        sig = PointValue(G_110, ConditioningMode.BRIDGE_EXACT)
+        w = sample_point_conditional(sig, draw_point(n, seed=4), params)
         mean, var = 0.304250665942, 0.0185185185185
         assert abs(w.mean() - mean) <= 4.0 * math.sqrt(var / n)
         assert abs(w.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / n)
 
     def test_shift_moments(self, params):
         n = 400_000
-        mode = ConditioningMode.PAPER_SHIFT
-        w = sample_point_conditional(G_110, draw_point(mode, n, seed=4), params)
+        sig = PointValue(G_110, ConditioningMode.PAPER_SHIFT)
+        w = sample_point_conditional(sig, draw_point(n, seed=4), params)
         assert abs(w.mean() - G_110) <= 4.0 * math.sqrt(params.delta / n)
         assert abs(w.var(ddof=1) - params.delta) <= 4.0 * params.delta * math.sqrt(2.0 / n)
 
@@ -245,13 +249,14 @@ class TestPointSampler:
         p = ModelParams(mu=0.08, sigma=0.25, s0=100.0, strike=110.0,
                         t_expiry=0.25, delta=1e-12)
         for mode in ConditioningMode:
-            w = sample_point_conditional(0.7, draw_point(mode, 5_000, seed=1), p)
+            w = sample_point_conditional(PointValue(0.7, mode), draw_point(5_000, seed=1), p)
             assert np.max(np.abs(w - 0.7)) <= 1e-4
 
     def test_deterministic_across_reruns(self, params):
         for mode in ConditioningMode:
-            a = sample_point_conditional(G_110, draw_point(mode, 150_000, seed=8), params)
-            b = sample_point_conditional(G_110, draw_point(mode, 150_000, seed=8), params)
+            sig = PointValue(G_110, mode)
+            a = sample_point_conditional(sig, draw_point(150_000, seed=8), params)
+            b = sample_point_conditional(sig, draw_point(150_000, seed=8), params)
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 5000])
@@ -260,9 +265,9 @@ class TestPointSampler:
     def test_w_t_is_ascending(self, params, level, strike, n):
         # sorted normals: both modes map them by an increasing affine map
         p = dataclasses.replace(params, strike=strike)
-        g_w = point_signal_from_price(level, p).g_w
         for mode in ConditioningMode:
-            w = sample_point_conditional(g_w, draw_point(mode, n, seed=6), p)
+            sig = point_signal_from_price(level, p, mode)
+            w = sample_point_conditional(sig, draw_point(n, seed=6), p)
             assert w.size == n and np.all(w[1:] >= w[:-1])
 
     @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 7])
@@ -271,14 +276,10 @@ class TestPointSampler:
         # g - N(0, delta) in law, taken bit for bit as g + sqrt(delta) * the sorted stream
         p = dataclasses.replace(params, strike=strike)
         g_w, seed = G_110, 17
-        w = sample_point_conditional(g_w, draw_point(ConditioningMode.PAPER_SHIFT, n, seed), p)
+        sig = PointValue(g_w, ConditioningMode.PAPER_SHIFT)
+        w = sample_point_conditional(sig, draw_point(n, seed), p)
         stream = np.sort(standard_normal_stream((seed, STREAM_POINT), n))
         assert np.array_equal(w, g_w + math.sqrt(p.delta) * stream)
-
-    def test_modes_share_the_stream(self, params):
-        a = draw_point(ConditioningMode.BRIDGE_EXACT, 1000, seed=8)
-        b = draw_point(ConditioningMode.PAPER_SHIFT, 1000, seed=8)
-        assert np.array_equal(a.z, b.z) and (a.mode, b.mode) == tuple(ConditioningMode)
 
 
 class TestIndicatorSampler:
@@ -312,7 +313,7 @@ class TestIndicatorSampler:
                     above = np.maximum(stats.norm.sf(hi) - stats.norm.sf(x), 0.0)
                     return (below + above) / prob
 
-            pair = sample_indicator_conditional(sig, draw_interval(n, seed), params)
+            pair = sample_indicator_conditional(sig, draw_interval(n, seed), params, prob)
             assert len(pair.w_t) == n
             inside = (pair.w_tdelta >= sig.a_w) & (pair.w_tdelta <= sig.b_w)
             assert np.all(inside) if sig.observed == 1 else not np.any(inside)
@@ -323,33 +324,35 @@ class TestIndicatorSampler:
 
     def test_observed_zero_keeps_complement(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
-        pair = sample_indicator_conditional(sig, draw_interval(50_000, seed=2), params)
+        pair = sample_indicator_conditional(sig, draw_interval(50_000, seed=2), params,
+                                            indicator_prob(sig, params))
         assert np.all((pair.w_tdelta < sig.a_w) | (pair.w_tdelta > sig.b_w))
 
     def test_sure_event_recovers_unconditional_law(self, params):
         sig = IntervalIndicator(-60.0, 60.0, observed=1)
         n = 300_000
-        pair = sample_indicator_conditional(sig, draw_interval(n, seed=12), params)
+        pair = sample_indicator_conditional(sig, draw_interval(n, seed=12), params,
+                                            indicator_prob(sig, params))
         td = params.t_signal
         assert abs(pair.w_tdelta.var(ddof=1) - td) <= 4.0 * td * math.sqrt(2.0 / n)
 
     def test_rare_event_sampled_and_null_event_refused(self, params):
         # any P(G = observed) > 0 is sampled, however small; a mass of 0 is refused
         rare = IntervalIndicator(5.0, 5.01, observed=1)
-        assert 0.0 < indicator_prob(rare, params) < 1e-4
-        pair = sample_indicator_conditional(rare, draw_interval(100, seed=1), params)
+        mass = indicator_prob(rare, params)
+        assert 0.0 < mass < 1e-4
+        pair = sample_indicator_conditional(rare, draw_interval(100, seed=1), params, mass)
         assert np.all(np.isfinite(pair.w_t))
         assert np.all((pair.w_tdelta >= rare.a_w) & (pair.w_tdelta <= rare.b_w))
         for null in (IntervalIndicator(50.0, 51.0), IntervalIndicator(-50.0, 50.0, observed=0)):
             with pytest.raises(ValueError, match=r"P\(G=\d\) = 0 .* probability 0"):
                 indicator_prob(null, params)
-            with pytest.raises(ValueError, match="probability 0"):
-                sample_indicator_conditional(null, draw_interval(100, seed=1), params)
 
     def test_deterministic_across_reruns(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
-        a = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params)
-        b = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params)
+        mass = indicator_prob(sig, params)
+        a = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params, mass)
+        b = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params, mass)
         assert np.array_equal(a.w_t, b.w_t)
         assert np.array_equal(a.w_tdelta, b.w_tdelta)
 
@@ -357,37 +360,30 @@ class TestIndicatorSampler:
 class TestDraws:
     def test_stream_keys(self):
         # a seeded hedge draws the same streams as before sampling was split; point
-        # draws of either mode hold the point stream sorted, interval draws hold theirs
-        # in stream order
+        # draws hold the point stream sorted, interval draws hold theirs in stream order
         n, seed = 70_000, 13
-        for mode in ConditioningMode:
-            assert np.array_equal(draw_point(mode, n, seed).z,
-                                  np.sort(standard_normal_stream((seed, STREAM_POINT), n)))
+        assert np.array_equal(draw_point(n, seed).z,
+                              np.sort(standard_normal_stream((seed, STREAM_POINT), n)))
         draws = draw_interval(n, seed)
         assert np.array_equal(draws.u, 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n))
         assert np.array_equal(draws.z, standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n))
 
     def test_samplers_leave_shared_draws_unchanged(self, params):
-        point = draw_point(ConditioningMode.BRIDGE_EXACT, 5_000, seed=3)
+        point = draw_point(5_000, seed=3)
         interval = draw_interval(5_000, seed=3)
         before = [a.copy() for a in (point.z, interval.z, interval.u)]
         for mode in ConditioningMode:
-            sample_point_conditional(G_110, point._replace(mode=mode), params)
+            sample_point_conditional(PointValue(G_110, mode), point, params)
         for observed in (1, 0):
             sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
-            sample_indicator_conditional(sig, interval, params)
+            sample_indicator_conditional(sig, interval, params, indicator_prob(sig, params))
         after = (point.z, interval.z, interval.u)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert not any(a.flags.writeable for a in after)
 
-    def test_point_draws_carry_their_mode(self):
-        for mode in ConditioningMode:
-            assert draw_point(mode.value, 10, seed=1).mode is mode
-        assert draw_interval(10, seed=1).mode is None
-
     def test_mismatched_draws_fail_by_name(self, params):
+        # build_batch refuses interval draws for a point signal (test_measure_engine)
         sig = interval_signal_from_prices(109.0, 111.0, params)
         with pytest.raises(ValueError, match="needs draw_interval draws"):
-            sample_indicator_conditional(sig, draw_point("bridge_exact", 100, seed=1), params)
-        with pytest.raises(ValueError, match="needs draw_point draws"):
-            sample_point_conditional(G_110, draw_interval(100, seed=1), params)
+            sample_indicator_conditional(sig, draw_point(100, seed=1), params,
+                                         indicator_prob(sig, params))

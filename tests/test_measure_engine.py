@@ -48,16 +48,16 @@ CAPPED_TARGETS = {
 }
 
 
-def seeded_draws(signal, mode, n, seed):
-    """The draws the hedge command makes for the signal; `mode` picks the point stream."""
+def seeded_draws(signal, n, seed):
+    """The draws the hedge command makes for the signal."""
     if isinstance(signal, IntervalIndicator):
         return draw_interval(n, seed)
-    return draw_point(mode or ConditioningMode.BRIDGE_EXACT, n, seed)
+    return draw_point(n, seed)
 
 
-def seeded_batch(signal, mode, n, p, seed):
+def seeded_batch(signal, n, p, seed):
     """build_batch on draws from `seed`, made as the hedge command makes them."""
-    return build_batch(signal, seeded_draws(signal, mode, n, seed), p)
+    return build_batch(signal, seeded_draws(signal, n, seed), p)
 
 
 def qg_density_point(w_t, g_w, p):
@@ -77,7 +77,7 @@ def qg_density_point(w_t, g_w, p):
 def composed_point_d(signal, draws, p) -> np.ndarray:
     """Point D of every draw, zeros included, in draw order, composed from W_T: the
     sampler's W_T, price_from_brownian's S_T and the reference qg_density_point."""
-    w_t = sample_point_conditional(signal.g_w, draws, p)
+    w_t = sample_point_conditional(signal, draws, p)
     h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
     itm = h > 0.0
     d = np.zeros(h.size)
@@ -92,12 +92,13 @@ def independent_d(signal, draws, p) -> np.ndarray:
     evaluated on the whole sample at once; for an interval signal dQ_G/dP is
     Z_T / p_T^G from the public model and signal functions."""
     if isinstance(signal, IntervalIndicator):
-        w_t = sample_indicator_conditional(signal, draws, p).w_t
-        p_g = density_indicator(w_t, signal, p)
+        mass = indicator_prob(signal, p)
+        w_t = sample_indicator_conditional(signal, draws, p, mass).w_t
+        p_g = density_indicator(w_t, signal, p, mass)
         h = np.maximum(price_from_brownian(w_t, p.t_expiry, p) - p.strike, 0.0)
     else:
         # the folded constant is +inf, not ln 0, where E_QG[H] is 0
-        ex = measure_engine._point_exponents(signal, draws, p, bs_call_price(p))
+        ex = measure_engine._point_exponents(signal, p, bs_call_price(p))
         h = np.maximum(np.exp(draws.z * ex.a + ex.b) - p.strike, 0.0)
     # out of the money, D = 0 without dividing: E_QG[H] itself is 0 for a far strike
     itm = h > 0.0
@@ -207,9 +208,9 @@ def rounding_bound(sig, draws, p):
     H = S_T - K multiplies S_T's relative error by S_T/H: the cancellation of a
     draw just in the money, alike in both forms."""
     g, z = sig.g_w, draws.z
-    c, s = insider_signal.point_map(g, draws, p)
-    old_s = price_from_brownian(sample_point_conditional(g, draws, p), p.t_expiry, p)
-    ex = measure_engine._point_exponents(sig, draws, p, bs_call_price(p))
+    c, s = insider_signal.point_map(sig, p)
+    old_s = price_from_brownian(sample_point_conditional(sig, draws, p), p.t_expiry, p)
+    ex = measure_engine._point_exponents(sig, p, bs_call_price(p))
     new_s = np.exp(z * ex.a + ex.b)
     span = abs(c) + s * np.abs(z)
     s_terms = 1.0 + p.sigma * span + abs(p.mu - 0.5 * p.sigma**2) * p.t_expiry
@@ -223,17 +224,17 @@ def rounding_bound(sig, draws, p):
 LOG_MAX = math.log(np.finfo(float).max)
 
 
-def hand_made_point_draws(sig, mode, p, peak: bool, fan: bool) -> SignalDraws:
+def hand_made_point_draws(sig, p, peak: bool, fan: bool) -> SignalDraws:
     """Ascending normals: with `peak` 61 evenly within 3 of the normal where dQ_G/dP
     peaks, and with `fan` the 20 either side of the strike's, 5e-9 apart, whose S_T are
     further from K than the rounding of either form."""
     z = []
     if peak:
-        ex = measure_engine._point_exponents(sig, SignalDraws(np.zeros(1), mode=mode), p, 1.0)
+        ex = measure_engine._point_exponents(sig, p, 1.0)
         z.append(ex.v / ex.u + np.linspace(-3.0, 3.0, 61))
     if fan:
-        z.append(strike_normal(sig, mode, p) + 5e-9 * np.r_[-20:0, 1:21])
-    return SignalDraws(np.sort(np.concatenate(z)), mode=mode)
+        z.append(strike_normal(sig, p) + 5e-9 * np.r_[-20:0, 1:21])
+    return SignalDraws(np.sort(np.concatenate(z)))
 
 
 def assert_near_the_composition(sig, draws, p) -> None:
@@ -265,8 +266,8 @@ class TestFusedPointD:
     @pytest.mark.parametrize("mode", list(ConditioningMode))
     def test_within_the_rounding_of_both_forms(self, params, mode, market, level):
         p = dataclasses.replace(params, **market)
-        sig = point_signal_from_price(level, p)
-        draws = draw_point(mode, 200_000, seed=3)
+        sig = point_signal_from_price(level, p, mode)
+        draws = draw_point(200_000, seed=3)
         old_s, new_s, rel, s_rel = rounding_bound(sig, draws, p)
         old, new = composed_point_d(sig, draws, p), independent_d(sig, draws, p)
         both = (old_s > p.strike) & (new_s > p.strike)
@@ -285,9 +286,9 @@ class TestFusedPointD:
         # overflows there, while H < 1e-158 keeps D, and D^2, in the float range; the
         # exponent without -ln E_QG[H] stays below ln(max float)
         p = dataclasses.replace(params, s0=0.01, strike=1e-150)
-        sig = point_signal_from_price(4.6353373e-119, p)
-        draws = hand_made_point_draws(sig, mode, p, peak=False, fan=True)
-        ex = measure_engine._point_exponents(sig, draws, p, bs_call_price(p))
+        sig = point_signal_from_price(4.6353373e-119, p, mode)
+        draws = hand_made_point_draws(sig, p, peak=False, fan=True)
+        ex = measure_engine._point_exponents(sig, p, bs_call_price(p))
         h = np.exp(draws.z * ex.a + ex.b) - p.strike
         x = (draws.z * ex.u - ex.v) ** 2 + ex.r
         itm = h > 0.0
@@ -302,8 +303,8 @@ class TestFusedPointD:
         # range, to about 20
         p = dataclasses.replace(params, strike=10700.0)
         assert 0.0 < bs_call_price(p) < 1e-300
-        sig = point_signal_from_price(1.2e4, p)
-        draws = hand_made_point_draws(sig, mode, p, peak=True, fan=True)
+        sig = point_signal_from_price(1.2e4, p, mode)
+        draws = hand_made_point_draws(sig, p, peak=True, fan=True)
         assert_near_the_composition(sig, draws, p)
 
     @pytest.mark.parametrize("mode", list(ConditioningMode))
@@ -312,9 +313,9 @@ class TestFusedPointD:
         # ln E_QG[H] = 43 from r and puts it below the normal range, where it was not, so
         # exp of the exponent alone would keep one bit of D or none
         p = dataclasses.replace(params, s0=1e20, strike=1e20)
-        sig = point_signal_from_price(1.3e22, p)
-        draws = hand_made_point_draws(sig, mode, p, peak=True, fan=False)
-        r = measure_engine._point_exponents(sig, draws, p, bs_call_price(p)).r
+        sig = point_signal_from_price(1.3e22, p, mode)
+        draws = hand_made_point_draws(sig, p, peak=True, fan=False)
+        r = measure_engine._point_exponents(sig, p, bs_call_price(p)).r
         assert r < measure_engine._LOG_TINY < r + math.log(bs_call_price(p))
         assert_near_the_composition(sig, draws, p)
 
@@ -327,7 +328,7 @@ def mpmath_point_d(signal, draws, p) -> list:
     with mpmath.workdps(50):
         mu, sig, s0, k = (mpmath.mpf(x) for x in (p.mu, p.sigma, p.s0, p.strike))
         t, d, g = mpmath.mpf(p.t_expiry), mpmath.mpf(p.delta), mpmath.mpf(signal.g_w)
-        th, c, s = mu / sig, *(mpmath.mpf(x) for x in insider_signal.point_map(g, draws, p))
+        th, c, s = mu / sig, *(mpmath.mpf(x) for x in insider_signal.point_map(signal, p))
         d1 = (mpmath.log(s0 / k) + sig * sig * t / 2) / (sig * mpmath.sqrt(t))
         e_qg_h = s0 * mpmath.ncdf(d1) - k * mpmath.ncdf(d1 - sig * mpmath.sqrt(t))
         out = []
@@ -348,8 +349,8 @@ class TestPointDNearCallPriceUnderflow:
         from insider_hedge.np_solver import make_hedge_plan
 
         p = dataclasses.replace(params, strike=1e4)
-        sig = point_signal_from_price(1.5e4, p)
-        draws = draw_point(ConditioningMode.PAPER_SHIFT, 2000, 0)
+        sig = point_signal_from_price(1.5e4, p, ConditioningMode.PAPER_SHIFT)
+        draws = draw_point(2000, 0)
         view = build_batch(sig, draws, p)
         ref = np.sort(np.array(mpmath_point_d(sig, draws, p), dtype=float))
         assert ref.min() > 1e-26 and view.d.size == 2000
@@ -364,15 +365,19 @@ class TestBuildBatchPoint:
         return ConditioningMode(request.param)
 
     @pytest.fixture()
-    def draws(self, mode):
-        return draw_point(mode, 200_000, seed=42)
+    def signal(self, mode, params):
+        return point_signal_from_price(110.0, params, mode)
 
     @pytest.fixture()
-    def batch(self, draws, params):
-        return build_batch(point_signal_from_price(110.0, params), draws, params)
+    def draws(self):
+        return draw_point(200_000, seed=42)
 
-    def test_per_sample_identities(self, batch, draws, params):
-        d = independent_d(point_signal_from_price(110.0, params), draws, params)
+    @pytest.fixture()
+    def batch(self, signal, draws, params):
+        return build_batch(signal, draws, params)
+
+    def test_per_sample_identities(self, batch, signal, draws, params):
+        d = independent_d(signal, draws, params)
         assert np.all(d >= 0.0)
         assert_sorted_view_of(batch, d)
 
@@ -385,24 +390,23 @@ class TestBuildBatchPoint:
         got = np.minimum(d, 10.0).mean()
         assert abs(got - target) <= 4.0 * capped_se(d) + 1e-6
 
-    def test_zero_atom_matches_conditional_otm_probability(self, batch, draws, mode, params):
-        sig = point_signal_from_price(110.0, params)
+    def test_zero_atom_matches_conditional_otm_probability(self, batch, signal, draws, params):
         frac = (batch.n - batch.d.size) / batch.n
-        s_t = price_from_brownian(sample_point_conditional(sig.g_w, draws, params),
+        s_t = price_from_brownian(sample_point_conditional(signal, draws, params),
                                   params.t_expiry, params)
         assert frac == np.mean(s_t <= params.strike)
         # independent draw of the same conditional law, different seed
-        other = seeded_batch(sig, mode, 200_000, params, seed=43)
+        other = seeded_batch(signal, 200_000, params, seed=43)
         other_frac = (other.n - other.d.size) / other.n
         se = 2.0 * math.sqrt(0.25 / 200_000)
         assert abs(frac - other_frac) <= 4.0 * se
 
     def test_single_sample_deterministic(self, params):
         sig = point_signal_from_price(110.0, params)
-        one = seeded_batch(sig, "bridge_exact", 1, params, seed=11)
-        two = seeded_batch(sig, "bridge_exact", 1, params, seed=11)
+        one = seeded_batch(sig, 1, params, seed=11)
+        two = seeded_batch(sig, 1, params, seed=11)
         assert_same_view(one, two)
-        assert_sorted_view_of(one, independent_d(sig, draw_point("bridge_exact", 1, 11), params))
+        assert_sorted_view_of(one, independent_d(sig, draw_point(1, 11), params))
 
 
 class TestSortedPointDraws:
@@ -414,14 +418,14 @@ class TestSortedPointDraws:
     @pytest.mark.parametrize("mode", list(ConditioningMode))
     def test_view_matches_independent_d(self, params, mode, level, strike, n):
         p = dataclasses.replace(params, strike=strike)
-        sig = point_signal_from_price(level, p)
-        draws = draw_point(mode, n, seed=29)
+        sig = point_signal_from_price(level, p, mode)
+        draws = draw_point(n, seed=29)
         assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
 
     def test_unsorted_hand_made_draws_give_the_same_view(self, params):
         # W_T out of order: the draws below the strike's window are checked, then gathered
         sig = point_signal_from_price(110.0, params)
-        sorted_draws = draw_point("bridge_exact", 5000, seed=29)
+        sorted_draws = draw_point(5000, seed=29)
         shuffled = np.random.default_rng(3).permutation(sorted_draws.z)
         for z in (shuffled, sorted_draws.z[::-1]):
             view = build_batch(sig, sorted_draws._replace(z=z), params)
@@ -432,7 +436,7 @@ class TestSortedPointDraws:
         # should rounding ever break the payoff's order, the in-the-money draws are gathered:
         # here a payoff knocked out on a set of normals leaves holes in the suffix
         sig = point_signal_from_price(110.0, params)
-        draws = draw_point("bridge_exact", 5000, seed=29)
+        draws = draw_point(5000, seed=29)
 
         def knocked_out(z):
             return np.floor(z * 1e6) % 7 == 0
@@ -450,17 +454,17 @@ class TestSortedPointDraws:
 
     def test_far_out_level_overflows_quietly_to_zero_d(self, params):
         # the exact D at S = 1e6 is below 1e-300: every D underflows to 0 and no warning escapes
-        sig = point_signal_from_price(1e6, params)
         for mode in ConditioningMode:
-            view = build_batch(sig, draw_point(mode, 2000, seed=1), params)
+            sig = point_signal_from_price(1e6, params, mode)
+            view = build_batch(sig, draw_point(2000, seed=1), params)
             assert view.n == 2000 and view.d.size == 0
 
 
-def strike_normal(sig, mode, p) -> float:
-    """The normal that puts a point signal's W_T on the strike's Brownian level in `mode`."""
+def strike_normal(sig, p) -> float:
+    """The normal that puts a point signal's W_T on the strike's Brownian level in its mode."""
     w_k = brownian_from_price(p.strike, p.t_expiry, p)
     td = p.t_signal
-    if mode is ConditioningMode.BRIDGE_EXACT:
+    if sig.mode is ConditioningMode.BRIDGE_EXACT:
         return (w_k - sig.g_w * p.t_expiry / td) / math.sqrt(p.t_expiry * p.delta / td)
     return (w_k - sig.g_w) / math.sqrt(p.delta)
 
@@ -479,8 +483,8 @@ class TestPointPrune:
     @pytest.mark.parametrize("mode", list(ConditioningMode))
     def test_hand_made_draws_at_the_strike(self, params, mode):
         # the normals that put W_T on the strike's Brownian level, as the sampler maps them
-        sig = point_signal_from_price(110.0, params)
-        draws = SignalDraws(strike_fan(strike_normal(sig, mode, params)), mode=mode)
+        sig = point_signal_from_price(110.0, params, mode)
+        draws = SignalDraws(strike_fan(strike_normal(sig, params)))
         view = build_batch(sig, draws, params)
         assert 0 < view.d.size < view.n
         assert_sorted_view_of(view, independent_d(sig, draws, params))
@@ -488,8 +492,8 @@ class TestPointPrune:
     @pytest.mark.parametrize("mode", list(ConditioningMode))
     def test_unsorted_hand_made_draws_in_each_mode(self, params, mode):
         # normals out of order: the slice left out is checked, then every draw is gathered
-        sig = point_signal_from_price(110.0, params)
-        sorted_draws = draw_point(mode, 5000, seed=29)
+        sig = point_signal_from_price(110.0, params, mode)
+        sorted_draws = draw_point(5000, seed=29)
         shuffled = np.random.default_rng(4).permutation(sorted_draws.z)
         for z in (shuffled, sorted_draws.z[::-1]):
             draws = sorted_draws._replace(z=z)
@@ -514,7 +518,7 @@ class TestIntervalPrune:
     def test_far_strike_samples_only_the_switch_bin(self, params, monkeypatch, observed):
         # no draw reaches S_T = 1e5: every draw is left out, bar the G = 0 draws in the
         # bin of u that holds the switch from below the interval to above it, which has
-        # no bound; a G = 0 signal first maps the bins' edges; the view is all zeros
+        # no bound; either signal first maps the bins' edges; the view is all zeros
         p = dataclasses.replace(params, strike=1e5)
         sig = interval_signal_from_prices(109.0, 111.0, p, observed=observed)
         draws = draw_interval(20_000, seed=31)
@@ -525,9 +529,8 @@ class TestIntervalPrune:
         assert 0 < in_switch_bin < 20_000 / 100
         view, sampled = counted_build(sig, draws, p, monkeypatch)
         assert view.n == 20_000 and view.d.size == 0
-        edges = [] if observed else [bins + 1]
-        assert sampled[:len(edges)] == edges
-        assert sum(sampled[len(edges):]) == (0 if observed else in_switch_bin)
+        assert sampled[0] == bins + 1
+        assert sum(sampled[1:]) == (0 if observed else in_switch_bin)
 
     @pytest.mark.parametrize("observed", [1, 0])
     def test_signal_probability_once_per_batch(self, params, monkeypatch, observed):
@@ -545,10 +548,12 @@ class TestIntervalPrune:
         view = build_batch(sig, draw_interval(3 * BLOCK_SIZE + 7, seed=3), params)
         assert view.d.size and calls == [sig]
 
-    def test_g0_maps_few_more_draws_than_finish_in_the_money(self, params, monkeypatch):
-        # the per-bin bound: the bins' edges, the switch bin and the bins' slack beyond the
-        # draws in the money (a bound per branch mapped about twice as many)
-        sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
+    @pytest.mark.parametrize("observed", [1, 0])
+    def test_maps_few_more_draws_than_finish_in_the_money(self, params, monkeypatch, observed):
+        # the per-bin bound: the bins' edges, the G = 0 switch bin and the bins' slack
+        # beyond the draws in the money (a bound per branch mapped about twice as many
+        # for G = 0, and one cut at b about 1.24 times as many for G = 1)
+        sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
         n = 2**18
         view, sampled = counted_build(sig, draw_interval(n, seed=0), params, monkeypatch)
         assert 0 < view.d.size < sum(sampled) <= 1.1 * view.d.size + n / 64
@@ -591,7 +596,8 @@ class TestIntervalPrune:
             switch = float(ndtr(sig.a_w / math.sqrt(params.t_signal)) / indicator_prob(sig, params))
             u.append(switch + np.arange(-4, 5) * np.spacing(switch))
         u = np.concatenate(u)
-        w_td = sample_indicator_conditional(sig, SignalDraws(np.zeros(u.size), u), params).w_tdelta
+        w_td = sample_indicator_conditional(sig, SignalDraws(np.zeros(u.size), u), params,
+                                            indicator_prob(sig, params)).w_tdelta
         td = params.t_signal
         w_k = brownian_from_price(params.strike, params.t_expiry, params)
         z_k = (w_k - w_td * params.t_expiry / td) / math.sqrt(params.t_expiry * params.delta / td)
@@ -632,8 +638,8 @@ class TestBlocks:
     def test_point_view_matches_independent_d(self, params, mode, strike, n):
         # at strike 0 every draw is mapped, at 110 the slice that can reach the strike
         p = dataclasses.replace(params, strike=strike)
-        sig = point_signal_from_price(112.0, p)
-        draws = draw_point(mode, n, seed=37)
+        sig = point_signal_from_price(112.0, p, mode)
+        draws = draw_point(n, seed=37)
         assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
 
     @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
@@ -653,12 +659,12 @@ class TestBlocks:
     ])
     def test_point_slice_on_a_block_edge(self, params, monkeypatch, mode, far, blocks):
         # sorted hand-made normals: `far` of them well out of the money, the rest in it
-        sig = point_signal_from_price(110.0, params)
-        z_k = strike_normal(sig, mode, params)
+        sig = point_signal_from_price(110.0, params, mode)
+        z_k = strike_normal(sig, params)
         rng = np.random.default_rng(8)
         z = np.concatenate([z_k - (1.0 + rng.random(far)),
                             z_k + (1e-6 + rng.random(3 * BLOCK_SIZE + 7 - far))])
-        draws = SignalDraws(np.sort(z), mode=mode)
+        draws = SignalDraws(np.sort(z))
         sampled = []
 
         def counted(z, ex, p, out):
@@ -689,8 +695,8 @@ class TestBlockMemory:
             sig = interval_signal_from_prices(112.0, 114.0, p, observed=kind)
             draws = draw_interval(n, seed=5)
         else:
-            sig = point_signal_from_price(110.0, p)
-            draws = draw_point(kind, n, seed=5)
+            sig = point_signal_from_price(110.0, p, kind)
+            draws = draw_point(n, seed=5)
         # a first call leaves whatever numpy and scipy allocate once out of the count
         build_batch(sig, draws, p)
         tracing = tracemalloc.is_tracing()
@@ -733,35 +739,36 @@ class TestBatchValidation:
     def test_rejects_bad_n(self, params):
         sig = point_signal_from_price(110.0, params)
         with pytest.raises(ValueError):
-            draw_point("bridge_exact", 0, seed=1)
+            draw_point(0, seed=1)
         with pytest.raises(ValueError):
             draw_interval(0, seed=1)
         with pytest.raises(ValueError):
-            build_batch(sig, SignalDraws(np.empty(0), mode=ConditioningMode.BRIDGE_EXACT), params)
+            build_batch(sig, SignalDraws(np.empty(0)), params)
 
     def test_rejects_unknown_signal(self, params):
         with pytest.raises(TypeError):
-            seeded_batch("not a signal", None, 10, params, seed=1)
+            seeded_batch("not a signal", 10, params, seed=1)
 
     def test_rejects_a_zero_call_price_with_draws_in_the_money(self, params):
         # at strike 1e5 the call price underflows to 0, and the level 1e6 puts every
         # draw in the money: D = H / E_QG[H] has no value, and no numpy warning escapes
         p = dataclasses.replace(params, strike=1e5)
         assert bs_call_price(p) == 0.0
-        sig = point_signal_from_price(1e6, p)
         for mode in ConditioningMode:
+            sig = point_signal_from_price(1e6, p, mode)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="call price at strike 100000 is 0"):
-                    build_batch(sig, draw_point(mode, 2000, seed=1), p)
+                    build_batch(sig, draw_point(2000, seed=1), p)
 
     def test_rejects_mismatched_draws(self, params):
         point = point_signal_from_price(110.0, params)
         interval = interval_signal_from_prices(109.0, 111.0, params)
-        with pytest.raises(ValueError, match="needs draw_interval draws"):
-            build_batch(interval, draw_point("bridge_exact", 100, seed=1), params)
-        # at strike 0 no draw-space cut runs, so the sampler itself refuses the draws
+        # build_batch tells the draws' kind by their uniforms before any work, so the
+        # refusal does not depend on the strike, which sets the draw-space cuts
         for strike in (110.0, 0.0):
             p = dataclasses.replace(params, strike=strike)
+            with pytest.raises(ValueError, match="needs draw_interval draws"):
+                build_batch(interval, draw_point(100, seed=1), p)
             with pytest.raises(ValueError, match="needs draw_point draws"):
                 build_batch(point, draw_interval(100, seed=1), p)

@@ -272,7 +272,7 @@ class TestBatchState:
             sig = point_signal_from_price(110.0, params)
         else:
             sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
-        return seeded_batch(sig, None, 10**5, params, seed=5)
+        return seeded_batch(sig, 10**5, params, seed=5)
 
     def test_planning_does_not_mutate_the_batch(self, batch):
         before = dict(vars(batch))
@@ -608,10 +608,10 @@ class TestZeroAtomEquivalence:
     def test_edge_batches(self, params, strike, zeros, n):
         p = dataclasses.replace(params, strike=strike)
         sig = point_signal_from_price(110.0, p)
-        batch = seeded_batch(sig, None, n, p, seed=3)
+        batch = seeded_batch(sig, n, p, seed=3)
         assert batch.n == n
         assert batch.d.size == (0 if zeros == "all" else n)
-        d = independent_d(sig, seeded_draws(sig, None, n, seed=3), p)
+        d = independent_d(sig, seeded_draws(sig, n, seed=3), p)
         full = SortedD.from_sample(d, batch.e_qg_h)
         targets = [0.0, 0.01, 0.1, 0.5, 1.0]
         assert _solutions(batch, targets) == _solutions(full, targets)
