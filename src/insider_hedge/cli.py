@@ -17,7 +17,9 @@ environment variable supplies a default config path.  Each command
 reads only the keys it uses, so a bad value of another key cannot
 refuse it.  Reruns with the same config and seed write byte-identical
 output files: all sampling uses block-deterministic streams and cells
-are assembled in grid order.  --workers is accepted and has no effect.
+are assembled in grid order.  An interval hedge or table never holds
+its draws whole: each block is mapped to every interval before the
+next is drawn.  --workers is accepted and has no effect.
 
 The numeric modules are imported inside the code that samples or
 prices, so `oracle` and `version` load neither numpy nor scipy, and
@@ -190,26 +192,24 @@ def run_table_indicator(config: RunConfig) -> list[CellResult]:
 
     Intervals are stock-price ranges for the post-expiry price.  The
     table draws n_paths uniforms and bridge normals once, from the seed
-    as hedge does, and the exact interval sampler maps them to each
-    interval (common random numbers, as in run_table_point).  An
-    interval whose conditioning event has probability 0 raises
-    ValueError before anything is drawn, which ends the run.  The mode
-    column reads INTERVAL_MODE.
+    as hedge does, block by block, and the exact interval sampler maps
+    each block to every interval before the next is drawn (common random
+    numbers, as in run_table_point): each cell equals the hedge command
+    with its settings, and every row's view of D is built before the
+    first row is planned.  An interval whose conditioning event has
+    probability 0 raises ValueError before anything is drawn, which ends
+    the run.  The mode column reads INTERVAL_MODE.
     """
-    from .insider_signal import draw_interval, indicator_prob, interval_signal_from_prices
-    from .measure_engine import build_batch
+    from .insider_signal import draw_interval, interval_signal_from_prices
+    from .measure_engine import build_interval_batches
     signals = [interval_signal_from_prices(lo, hi, config.model, observed=1)
                for lo, hi in config.intervals]
-    # as in hedge, a signal of probability 0 is refused before the 2n draws are filled
-    for signal in signals:
-        indicator_prob(signal, config.model)
-    draws = draw_interval(config.n_paths, config.seed)
+    views = build_interval_batches(signals, draw_interval(config.n_paths, config.seed),
+                                   config.n_paths, config.model)
     cells: list[CellResult] = []
-    for (lo, hi), signal in zip(config.intervals, signals):
+    for (lo, hi), view in zip(config.intervals, views):
         descriptor = f"S=[{lo:g}..{hi:g}]"
-        # as in run_table_point, the view of D is released once its row is planned
-        row = _plan_row(build_batch(signal, draws, config.model), config.epsilons)
-        for epsilon, plan in zip(config.epsilons, row):
+        for epsilon, plan in zip(config.epsilons, _plan_row(view, config.epsilons)):
             cells.append(_cell(descriptor, epsilon, plan, config.n_paths, INTERVAL_MODE))
     return cells
 
@@ -458,11 +458,10 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from .insider_signal import (
         draw_interval,
         draw_point,
-        indicator_prob,
         interval_signal_from_prices,
         point_signal_from_price,
     )
-    from .measure_engine import build_batch
+    from .measure_engine import build_batch, build_interval_batches
     from .model_core import bs_call_price
     from .np_solver import make_hedge_plan
 
@@ -478,9 +477,12 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("--mode applies to --level only")
         if args.level is not None and args.observed is not None:
             parser.error("--observed applies to --interval only")
+        n, seed = config.n_paths, config.seed
         if args.level is not None:
             signal = point_signal_from_price(args.level, config.model, pick("mode", MODE_NAMES[0]))
-            mode, draw = signal.mode.value, draw_point
+            mode = signal.mode.value
+            # no reference to the draws is kept here, so build_batch can free them early
+            view = build_batch(signal, draw_point(n, seed), config.model)
         else:
             intervals = _parse_intervals(args.interval)
             if len(intervals) != 1:
@@ -488,11 +490,9 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             (lo, hi), = intervals
             observed = 1 if args.observed is None else args.observed
             signal = interval_signal_from_prices(lo, hi, config.model, observed=observed)
-            # a signal of probability 0 is refused before its 2n draws are filled
-            indicator_prob(signal, config.model)
-            mode, draw = INTERVAL_MODE, draw_interval
-        # no reference to the draws is kept here, so build_batch can free them early
-        view = build_batch(signal, draw(config.n_paths, config.seed), config.model)
+            mode = INTERVAL_MODE
+            # a signal of probability 0 is refused before the first block is drawn
+            [view] = build_interval_batches([signal], draw_interval(n, seed), n, config.model)
         plan = make_hedge_plan(view, epsilon=args.epsilon, alpha=args.alpha)
         if plan.atom_gap:
             print(f"warning: {plan.atom_gap}", file=sys.stderr)

@@ -30,7 +30,10 @@ Sampling is split in two steps: draw_point / draw_interval fill the
 random streams, and point_map / sample_indicator_conditional map those
 draws to W_T for one signal.  The draws carry only random numbers: a
 point signal carries its conditioning mode, so a table draws once and
-maps the same draws for each of its signals, of either mode.  Given the
+maps the same draws for each of its signals, of either mode.  Point
+draws come whole; interval draws come one block of rng.BLOCK_SIZE at a
+time, in two reused buffers, so a caller maps each block to all of its
+interval signals before it asks for the next.  Given the
 signal, W_T = c + s*z with s >= 0 for one normal z in either point mode
 and in the bridge; point_map and bridge_map give (c, s), and
 measure_engine inverts the same map; for a point signal it computes D
@@ -41,6 +44,7 @@ order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
@@ -54,7 +58,7 @@ from .rng import (
     STREAM_INTERVAL_SIGNAL,
     STREAM_POINT,
     standard_normal_stream,
-    uniform_stream,
+    stream_blocks,
 )
 
 __all__ = [
@@ -227,9 +231,9 @@ class SignalDraws(NamedTuple):
     stream order, aligned with u.  u holds uniforms on (0, 1] that place
     W_{T+delta} for interval signals, and is None for point signals.
     The draws depend on neither the signal's value nor its mode, so one
-    set serves every level, mode or interval of a table.  The arrays are
-    read-only: the samplers map them to W_T in new arrays, or in arrays
-    their caller owns.
+    set, or one block of interval draws, serves every level, mode or
+    interval of a table.  The arrays are read-only: the samplers map
+    them to W_T in new arrays, or in arrays their caller owns.
     """
 
     z: np.ndarray
@@ -260,14 +264,27 @@ def draw_point(n: int, seed: int) -> SignalDraws:
     return _read_only(SignalDraws(z))
 
 
-def draw_interval(n: int, seed: int) -> SignalDraws:
-    """n uniforms on (0, 1] and n bridge normals for the interval sampler."""
+def draw_interval(n: int, seed: int) -> Iterator[SignalDraws]:
+    """n uniforms on (0, 1] and n bridge normals for the interval sampler, block by block.
+
+    Block b holds block b of the uniform stream (seed,
+    rng.STREAM_INTERVAL_SIGNAL), as 1 - u, and of the normal stream
+    (seed, rng.STREAM_INTERVAL_BRIDGE).  Both are filled when the block
+    is asked for, into two buffers of rng.BLOCK_SIZE that every block
+    reuses, so a block's read-only arrays hold until the next block is
+    asked for.  A bad n raises ValueError here, before any draw.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n)
+    u_blocks = stream_blocks((seed, STREAM_INTERVAL_SIGNAL), n, np.random.Generator.random)
+    z_blocks = stream_blocks((seed, STREAM_INTERVAL_BRIDGE), n,
+                             np.random.Generator.standard_normal)
+    return (_interval_block(u, z) for u, z in zip(u_blocks, z_blocks))
+
+
+def _interval_block(u: np.ndarray, z: np.ndarray) -> SignalDraws:
     # on (0, 1]: a zero would map to an infinite quantile
     np.subtract(1.0, u, out=u)
-    z = standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n)
     return _read_only(SignalDraws(z, u))
 
 
@@ -285,13 +302,14 @@ def point_map(signal: PointValue, p: ModelParams) -> tuple[float, float]:
 
 def sample_indicator_conditional(spec: IntervalIndicator, draws: SignalDraws, p: ModelParams,
                                  mass: float, out=None) -> BrownianPair:
-    """Exact draws of (W_T, W_{T+delta}) given G = spec.observed, from draw_interval's draws.
+    """Exact draws of (W_T, W_{T+delta}) given G = spec.observed, from interval draws.
 
     W_{T+delta} / sqrt(T+d) is the inverse CDF at draws.u of the standard
     normal restricted to [a, b] / sqrt(T+d) (G = 1) or to its complement
     (G = 0); W_T then follows the Gaussian bridge with noise draws.z.
-    Each draw maps on its own, so any subset of draw_interval's draws,
-    taken by index from both arrays alike, gives the same values on it.
+    Each draw maps on its own, so a block of draw_interval's draws, or
+    any subset of it taken by index from both arrays alike, gives the
+    same values on it.
     `mass` is P(G = spec.observed), from indicator_prob.  `out`, a pair
     of float arrays as long as the draws, receives W_T and W_{T+delta};
     it may be (draws.z, draws.u) itself, which the draws then give up.

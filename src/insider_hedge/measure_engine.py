@@ -9,17 +9,18 @@ measure density dQ_G/dP = Z_T / p_T^G:
 E_QG[H] equals the plain Black-Scholes price (the insider measure agrees
 with the risk-neutral one on F_T), so the normalizer is closed form and
 adds no Monte Carlo noise.  D is the single quantity the threshold
-solvers consume, so build_batch returns only the solvers' sorted view
-of D (np_solver.SortedD), which carries the normalizer.
+solvers consume, so build_batch (a point signal) and
+build_interval_batches (interval signals) return only the solvers'
+sorted view of D (np_solver.SortedD), which carries the normalizer.
 
 Every out-of-the-money draw (H = 0) has D = 0, an atom of mass
 P_G(S_T <= K) that lies in every success set, which the sorted view
 counts instead of storing.  D is computed on the in-the-money draws
 only, and draws that cannot reach a window just below the strike are
 left out in draw space, by cuts that invert insider_signal's point_map
-and bridge_map.  build_batch walks the other draws in blocks and writes
-each block's D straight into one buffer, which the sorted view keeps.
-A block works in buffers allocated once per batch.
+and bridge_map.  The other draws are walked in blocks, and each block's
+D goes straight into one buffer per signal, which the sorted view
+keeps.  A block works in buffers allocated once per call.
 
 A point signal's W_T = c + s*z is affine in draw_point's ascending
 normals z, so S_T and dQ_G/dP / E_QG[H] are two exponents of z whose
@@ -37,9 +38,13 @@ in-the-money draws of each block, so D is usually sorted already.
 
 An interval draw is kept when the bridge from the largest W_{T+delta}
 its uniform allows reaches the window, by one cut per bin of the
-uniform for either observed value.  A chunk of interval draws gathers
-its kept draws once into three reused rows, where they are mapped to
-W_T, H and D; their D is sorted in its own buffer.
+uniform for either observed value.  Interval draws arrive block by
+block (insider_signal.draw_interval), and each block is mapped to every
+interval signal of the call before the next is drawn, so no more than
+one block of draws is alive.  A block is walked in chunks: a chunk's
+bins of u are found once for all its signals, and for each signal the
+chunk gathers its kept draws once into three reused rows, where they
+are mapped to W_T, H and D; each signal's D is sorted in its own buffer.
 """
 from __future__ import annotations
 
@@ -53,7 +58,6 @@ from .insider_signal import (
     IntervalIndicator,
     PointValue,
     SignalDraws,
-    SignalSpec,
     bridge_map,
     density_indicator,
     indicator_prob,
@@ -71,7 +75,7 @@ from .model_core import (
 from .np_solver import SortedD
 from .rng import BLOCK_SIZE
 
-__all__ = ["build_batch"]
+__all__ = ["build_batch", "build_interval_batches"]
 
 
 class _PointExponents(NamedTuple):
@@ -200,14 +204,14 @@ def _interval_cuts(signal: IntervalIndicator, mass: float, p: ModelParams) -> np
     return cuts
 
 
-def _kept(chunk: SignalDraws, cuts: np.ndarray, work: np.ndarray, flags: np.ndarray) -> SignalDraws:
+def _kept(chunk: SignalDraws, bins: np.ndarray, cuts: np.ndarray, work: np.ndarray,
+          flags: np.ndarray) -> SignalDraws:
     """The draws of a chunk whose normal reaches the cut of their bin, gathered into work[1:].
 
-    The bin of u is u * _BINS truncated, held in work[0] as indices, and
+    `bins` holds the bin of each draw's u, u * _BINS truncated, and
     u = 1 falls in the last bin.
     """
     z, u = chunk.z, chunk.u
-    bins = np.multiply(u, _BINS, out=work[0, :u.size].view(np.intp), casting="unsafe")
     cuts = np.take(cuts, bins, out=work[1, :u.size], mode="clip")
     keep = np.flatnonzero(np.greater_equal(z, cuts, out=flags[:z.size]))
     return SignalDraws(np.take(z, keep, out=work[1, :keep.size], mode="clip"),
@@ -302,68 +306,100 @@ def _write_point_d(z, ex: _PointExponents, p: ModelParams, e_qg_h: float, out: n
     return m + h.size
 
 
-def build_batch(signal: SignalSpec, draws: SignalDraws, p: ModelParams) -> SortedD:
-    """Map the draws to conditional samples for the signal and sort their densities D.
+def build_batch(signal: PointValue, draws: SignalDraws, p: ModelParams) -> SortedD:
+    """Map draw_point's draws to conditional samples for a point signal and sort their D.
 
-    `draws` come from draw_point for a PointValue signal, which carries
-    its conditioning mode, and from draw_interval for an
-    IntervalIndicator; draws of the other kind raise ValueError before
-    any work.  The draws are only read, so one set can serve many
-    signals, of either point mode.  Only the draws that can reach the
-    strike window are sampled; the others count towards D's zero atom.
-    Point draws are sorted, so those draws are one suffix and a point
-    signal's S_T is ascending: its in-the-money draws are read as a
-    suffix, and its D usually needs no sort.  Interval draws are kept
-    by a bound on W_T from each bin of the uniform and gathered by index.
-
-    Each block writes its D into one buffer, as long as the point suffix
-    or, for an interval signal, as the sample.  A point view keeps that
-    buffer when it comes out full and sorted, the usual case; interval
-    D is sorted in the buffer, which then gives back its unused tail, so
-    the view keeps it too.  P(G = observed) = 0 raises ValueError before
-    any draw is mapped, and so does a call price E_QG[H] that underflows
-    to 0 while a draw finishes in the money, which leaves D undefined.
+    The signal carries its conditioning mode.  The draws are only read,
+    so one set can serve many signals, of either point mode; draws that
+    carry uniforms raise ValueError before any work, and an interval
+    signal, which build_interval_batches takes, raises TypeError.  Only
+    the draws that can reach the strike window are sampled, and the
+    others count towards D's zero atom.  Point draws are sorted, so
+    those draws are one suffix and the signal's S_T is ascending: its
+    in-the-money draws are read as a suffix, and its D usually needs no
+    sort.  Each block writes its D into one buffer, as long as the
+    suffix, which the view keeps when it comes out full and sorted, the
+    usual case.  A call price E_QG[H] that underflows to 0 while a draw
+    finishes in the money leaves D undefined and raises ValueError.
     """
-    point = isinstance(signal, PointValue)
-    if not (point or isinstance(signal, IntervalIndicator)):
-        raise TypeError(f"unsupported signal {signal!r}")
-    if point and draws.u is not None:
+    if not isinstance(signal, PointValue):
+        raise TypeError(f"build_batch takes a point signal, got {signal!r}; "
+                        "interval signals go to build_interval_batches")
+    if draws.u is not None:
         raise ValueError("a point signal needs draw_point draws, which carry no uniforms")
-    if not point and draws.u is None:
-        raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
     n = draws.z.size
     e_qg_h = bs_call_price(p)
-    if point:
-        lo = _point_start(signal, draws, p)
-        ex = _point_exponents(signal, p, e_qg_h)
-        # `for z in (draws.z,)` binds the normals in the generator, not in this frame
-        blocks = (z[i:i + BLOCK_SIZE] for z in (draws.z,) for i in range(lo, n, BLOCK_SIZE))
-    else:
-        lo, mass = 0, indicator_prob(signal, p)
-        cuts = _interval_cuts(signal, mass, p)
-        blocks = (SignalDraws(z[i:i + _CHUNK], u[i:i + _CHUNK])
-                  for z, u in ((draws.z, draws.u),) for i in range(0, n, _CHUNK))
-    # the blocks hold the only other reference, so a caller that kept none (the
-    # one-signal case) frees the draws after the last block, before D is sorted
+    lo = _point_start(signal, draws, p)
+    ex = _point_exponents(signal, p, e_qg_h)
+    # `for z in (draws.z,)` binds the normals in the generator, not in this frame: the
+    # blocks hold the only other reference, so a caller that kept none frees the draws
+    # after the last block
+    blocks = (z[i:i + BLOCK_SIZE] for z in (draws.z,) for i in range(lo, n, BLOCK_SIZE))
     del draws
     d = np.empty(n - lo)
+    # H and dQ_G/dP of a block, reused by every block; allocated after d, which the
+    # view keeps, so that freeing them leaves no hole below it in the heap
+    work = np.empty((2, min(BLOCK_SIZE, n - lo)))
     m = 0
-    if point:
-        # H and dQ_G/dP of a block, reused by every block; allocated after d, which the
-        # view keeps, so that freeing them leaves no hole below it in the heap
-        work = np.empty((2, min(BLOCK_SIZE, n - lo)))
-        for block in blocks:
-            m = _write_point_d(block, ex, p, e_qg_h, d, m, work)
-        del work
-        return SortedD.from_sample(d if m == d.size else d[:m], e_qg_h, n)
-    # a chunk's kept draws, then its W_T, H, Z_T and p_T^G, in three rows
-    work = np.empty((3, min(_CHUNK, n)))
-    flags = np.empty(work.shape[1], dtype=bool)
-    for chunk in blocks:
-        m = _write_interval_d(signal, _kept(chunk, cuts, work, flags), p, mass, e_qg_h, d, m,
-                              work, flags)
-    del work, flags
-    # no other array refers to d, so it can give back its tail in place
-    d[:m].sort()
-    d.resize(m, refcheck=False)
-    return SortedD.from_sample(d, e_qg_h, n)
+    for block in blocks:
+        m = _write_point_d(block, ex, p, e_qg_h, d, m, work)
+    del work
+    return SortedD.from_sample(d if m == d.size else d[:m], e_qg_h, n)
+
+
+def build_interval_batches(signals, blocks, n: int, p: ModelParams) -> list[SortedD]:
+    """The sorted view of D of each interval signal, all mapped from the same n draws.
+
+    `blocks` yields the interval draws in order, block by block, as
+    insider_signal.draw_interval does, or holds hand-made draws as one
+    block.  Each block is only read, and is mapped to every signal
+    before the next is asked for, so draw_interval can fill the next
+    block into the same buffers; the views equal those of one signal at
+    a time, bit for bit.  The blocks must hold n draws in all, else
+    ValueError.  A chunk of each block finds its draws' bins of u once,
+    and for each signal keeps the draws whose bound on W_T reaches the
+    strike window; the others count towards D's zero atom.
+
+    Each signal writes its D into its own buffer of n, which is sorted
+    in place and then gives back its unused tail, so the view keeps it.
+    P(G = observed) = 0 raises ValueError before the first block is
+    asked for, and so does a signal that is not an IntervalIndicator
+    (TypeError); a call price E_QG[H] that underflows to 0 while a draw
+    finishes in the money leaves D undefined and raises ValueError.
+    """
+    for signal in signals:
+        if not isinstance(signal, IntervalIndicator):
+            raise TypeError(f"build_interval_batches takes interval signals, got {signal!r}")
+    e_qg_h = bs_call_price(p)
+    masses = [indicator_prob(signal, p) for signal in signals]
+    cuts = [_interval_cuts(signal, mass, p) for signal, mass in zip(signals, masses)]
+    ds = [np.empty(n) for _ in signals]
+    ends = [0] * len(ds)
+    # a chunk's bins of u, and for each signal its kept draws, then their W_T, H, Z_T and
+    # p_T^G, in three rows; allocated after the buffers of D, which the views keep
+    bins = np.empty(min(_CHUNK, n), dtype=np.intp)
+    work = np.empty((3, bins.size))
+    flags = np.empty(bins.size, dtype=bool)
+    seen = 0
+    for block in blocks:
+        if block.u is None:
+            raise ValueError("an interval signal needs draw_interval draws, which carry uniforms")
+        seen += block.z.size
+        if seen > n:
+            raise ValueError(f"the blocks hold more than n = {n} draws")
+        for i in range(0, block.z.size, _CHUNK):
+            chunk = SignalDraws(block.z[i:i + _CHUNK], block.u[i:i + _CHUNK])
+            chunk_bins = np.multiply(chunk.u, _BINS, out=bins[:chunk.u.size], casting="unsafe")
+            for j, signal in enumerate(signals):
+                ends[j] = _write_interval_d(signal, _kept(chunk, chunk_bins, cuts[j], work, flags),
+                                            p, masses[j], e_qg_h, ds[j], ends[j], work, flags)
+    if seen != n:
+        raise ValueError(f"the blocks hold {seen} draws, not n = {n}")
+    del work, flags, bins
+    views = []
+    for d, m in zip(ds, ends):
+        # no other array refers to d, so it can give back its tail in place
+        d[:m].sort()
+        d.resize(m, refcheck=False)
+        views.append(SortedD.from_sample(d, e_qg_h, n))
+    return views

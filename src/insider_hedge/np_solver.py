@@ -129,7 +129,8 @@ class SortedD:
         sample is sorted into a new array, a slice of a larger buffer is
         copied, and an owned sorted float array is kept without a copy.
         build_batch hands over its buffer of D that way when the buffer
-        comes out full and sorted, so D is never held twice.  The view's
+        comes out full and sorted, and build_interval_batches each
+        signal's buffer once it is sorted, so D is never held twice.  The view's
         arrays are read-only, the kept input included.  A negative or NaN
         D, or sums of D or D^2 beyond the float range, raise ValueError.
         The strides are summed in passes of 2^15 values, their squares

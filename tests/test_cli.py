@@ -7,13 +7,14 @@ import math
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from insider_hedge import cli, insider_signal, measure_engine
+from insider_hedge import cli, insider_signal, measure_engine, rng
 from insider_hedge.cli import (
     CSV_HEADER,
     CellResult,
@@ -320,9 +321,9 @@ class TestTables:
                                                                     tmp_path):
         # P(G = 1) of [0.001..0.002] is 0 in float: the run ends in one line
         def no_draws(*args, **kwargs):
-            raise AssertionError("draw_interval ran for a table with a null interval")
+            raise AssertionError("a block was drawn for a table with a null interval")
 
-        monkeypatch.setattr(insider_signal, "draw_interval", no_draws)
+        monkeypatch.setattr(rng, "block_generator", no_draws)
         out = tmp_path / "t.csv"
         assert main(["table-indicator", "--intervals", "109:111,0.001:0.002",
                      "--n-paths", "2000", "--output", str(out)]) == 1
@@ -346,21 +347,24 @@ class TestSharedDraws:
     """Each table draws its random streams once and maps them to every row."""
 
     @staticmethod
-    def count_fills(monkeypatch) -> dict:
-        counts = {"normal": 0, "uniform": 0}
-        for name, kind in (("standard_normal_stream", "normal"), ("uniform_stream", "uniform")):
-            def counted(*args, _fill=getattr(insider_signal, name), _kind=kind, **kwargs):
-                counts[_kind] += 1
-                return _fill(*args, **kwargs)
-            monkeypatch.setattr(insider_signal, name, counted)
-        return counts
+    def count_fills(monkeypatch) -> Counter:
+        """The number of fills of each block, by (stream tag, block index)."""
+        fills = Counter()
+
+        def counted(key, block):
+            fills[key[1], block] += 1
+            return make(key, block)
+
+        make = rng.block_generator
+        monkeypatch.setattr(rng, "block_generator", counted)
+        return fills
 
     def test_point_table_fills_one_stream_for_both_modes(self, params, monkeypatch):
-        counts = self.count_fills(monkeypatch)
+        fills = self.count_fills(monkeypatch)
         config = RunConfig(model=params, levels=(105.0, 110.0, 115.0), epsilons=(0.1, 0.25),
                            n_paths=2000, seed=3)
         assert len(run_table_point(config)) == 12
-        assert counts == {"normal": 1, "uniform": 0}
+        assert fills == {(rng.STREAM_POINT, 0): 1}
 
     def test_point_table_draws_once_for_signals_that_own_their_mode(self, params, monkeypatch):
         # the conditioning mode lives on the signal, not on the draws: one draw_point call
@@ -388,14 +392,23 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("middle", [(108.0, 112.0), (500.0, 501.0)])
     def test_indicator_table_fills_each_stream_once(self, params, monkeypatch, middle):
-        # a rare interval ([500..501], P(G = 1) far below 1e-4) maps the same draws
-        counts = self.count_fills(monkeypatch)
+        # each block of the uniform and of the bridge stream is filled once per table and
+        # mapped to every row, a rare interval ([500..501], P(G = 1) far below 1e-4)
+        # included, and once per interval hedge
+        n = 2 * rng.BLOCK_SIZE + 5
+        once = {(tag, b): 1 for tag in (rng.STREAM_INTERVAL_SIGNAL, rng.STREAM_INTERVAL_BRIDGE)
+                for b in range(3)}
+        fills = self.count_fills(monkeypatch)
         config = RunConfig(model=params, signal_kind="interval",
                            intervals=((109.0, 111.0), middle, (112.0, 114.0)),
-                           epsilons=(0.1, 0.25), n_paths=2000, seed=3)
+                           epsilons=(0.1, 0.25), n_paths=n, seed=3)
         cells = run_table_indicator(config)
-        assert counts == {"normal": 1, "uniform": 1}
+        assert fills == once
         assert len(cells) == 6 and all(math.isfinite(c.alpha) for c in cells)
+        fills.clear()
+        assert main(["hedge", "--interval", "{:g}:{:g}".format(*middle), "--epsilon", "0.1",
+                     "--n-paths", str(n), "--seed", "3"]) == 0
+        assert fills == once
 
     def test_point_table_sorts_and_gathers_no_d(self, params, monkeypatch):
         # point W_T comes out ascending: D is a suffix, already sorted
@@ -642,9 +655,9 @@ class TestCommandLine:
                                                         observed):
         # P(G = observed) is 0 in float
         def no_draws(*args, **kwargs):
-            raise AssertionError("draw_interval ran for a signal of probability 0")
+            raise AssertionError("a block was drawn for a signal of probability 0")
 
-        monkeypatch.setattr(insider_signal, "draw_interval", no_draws)
+        monkeypatch.setattr(rng, "block_generator", no_draws)
         assert main(["hedge", *argv, "--epsilon", "0.1"]) == 1
         out, err = capsys.readouterr()
         [line] = err.splitlines()

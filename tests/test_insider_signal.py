@@ -10,6 +10,7 @@ from insider_hedge.insider_signal import (
     ConditioningMode,
     IntervalIndicator,
     PointValue,
+    SignalDraws,
     _normal_mass,
     density_indicator,
     draw_interval,
@@ -22,6 +23,7 @@ from insider_hedge.insider_signal import (
 )
 from insider_hedge.model_core import ModelParams, rn_density
 from insider_hedge.rng import (
+    BLOCK_SIZE,
     STREAM_INTERVAL_BRIDGE,
     STREAM_INTERVAL_SIGNAL,
     STREAM_POINT,
@@ -35,6 +37,16 @@ G_110 = 0.328590719217  # Brownian value of stock level 110 at T + delta
 # W-image of the stock interval [109, 111]
 P1_AT_ZERO = 0.317354709181
 P0_AT_ZERO = 1.03269555238
+
+
+def interval_draws(n, seed) -> SignalDraws:
+    """The n interval draws of the seed whole, read-only, from rng's whole streams: 1 - u
+    of the uniform stream and the bridge normals, the reference for draw_interval's
+    blocks."""
+    u = 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n)
+    z = standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n)
+    u.flags.writeable = z.flags.writeable = False
+    return SignalDraws(z, u)
 
 
 def density_point_at(g, w_t, t, p):
@@ -313,7 +325,7 @@ class TestIndicatorSampler:
                     above = np.maximum(stats.norm.sf(hi) - stats.norm.sf(x), 0.0)
                     return (below + above) / prob
 
-            pair = sample_indicator_conditional(sig, draw_interval(n, seed), params, prob)
+            pair = sample_indicator_conditional(sig, interval_draws(n, seed), params, prob)
             assert len(pair.w_t) == n
             inside = (pair.w_tdelta >= sig.a_w) & (pair.w_tdelta <= sig.b_w)
             assert np.all(inside) if sig.observed == 1 else not np.any(inside)
@@ -324,14 +336,14 @@ class TestIndicatorSampler:
 
     def test_observed_zero_keeps_complement(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params, observed=0)
-        pair = sample_indicator_conditional(sig, draw_interval(50_000, seed=2), params,
+        pair = sample_indicator_conditional(sig, interval_draws(50_000, seed=2), params,
                                             indicator_prob(sig, params))
         assert np.all((pair.w_tdelta < sig.a_w) | (pair.w_tdelta > sig.b_w))
 
     def test_sure_event_recovers_unconditional_law(self, params):
         sig = IntervalIndicator(-60.0, 60.0, observed=1)
         n = 300_000
-        pair = sample_indicator_conditional(sig, draw_interval(n, seed=12), params,
+        pair = sample_indicator_conditional(sig, interval_draws(n, seed=12), params,
                                             indicator_prob(sig, params))
         td = params.t_signal
         assert abs(pair.w_tdelta.var(ddof=1) - td) <= 4.0 * td * math.sqrt(2.0 / n)
@@ -341,7 +353,7 @@ class TestIndicatorSampler:
         rare = IntervalIndicator(5.0, 5.01, observed=1)
         mass = indicator_prob(rare, params)
         assert 0.0 < mass < 1e-4
-        pair = sample_indicator_conditional(rare, draw_interval(100, seed=1), params, mass)
+        pair = sample_indicator_conditional(rare, interval_draws(100, seed=1), params, mass)
         assert np.all(np.isfinite(pair.w_t))
         assert np.all((pair.w_tdelta >= rare.a_w) & (pair.w_tdelta <= rare.b_w))
         for null in (IntervalIndicator(50.0, 51.0), IntervalIndicator(-50.0, 50.0, observed=0)):
@@ -351,8 +363,8 @@ class TestIndicatorSampler:
     def test_deterministic_across_reruns(self, params):
         sig = interval_signal_from_prices(109.0, 111.0, params)
         mass = indicator_prob(sig, params)
-        a = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params, mass)
-        b = sample_indicator_conditional(sig, draw_interval(150_000, seed=5), params, mass)
+        a = sample_indicator_conditional(sig, interval_draws(150_000, seed=5), params, mass)
+        b = sample_indicator_conditional(sig, interval_draws(150_000, seed=5), params, mass)
         assert np.array_equal(a.w_t, b.w_t)
         assert np.array_equal(a.w_tdelta, b.w_tdelta)
 
@@ -364,13 +376,28 @@ class TestDraws:
         n, seed = 70_000, 13
         assert np.array_equal(draw_point(n, seed).z,
                               np.sort(standard_normal_stream((seed, STREAM_POINT), n)))
-        draws = draw_interval(n, seed)
-        assert np.array_equal(draws.u, 1.0 - uniform_stream((seed, STREAM_INTERVAL_SIGNAL), n))
-        assert np.array_equal(draws.z, standard_normal_stream((seed, STREAM_INTERVAL_BRIDGE), n))
+        whole = interval_draws(n, seed)
+        lo = 0
+        for block in draw_interval(n, seed):
+            assert block.z.size == block.u.size == min(BLOCK_SIZE, n - lo)
+            assert np.array_equal(block.z, whole.z[lo:lo + block.z.size])
+            assert np.array_equal(block.u, whole.u[lo:lo + block.u.size])
+            lo += block.z.size
+        assert lo == n
+
+    def test_interval_blocks_reuse_two_read_only_buffers(self):
+        blocks = draw_interval(3 * BLOCK_SIZE, seed=13)
+        first = next(blocks)
+        z0, u0 = first.z.copy(), first.u.copy()
+        second = next(blocks)
+        for old, new in zip(first, second):
+            assert np.shares_memory(old, new) and not new.flags.writeable
+        assert not np.array_equal(second.z, z0) and not np.array_equal(second.u, u0)
+        assert not np.shares_memory(second.z, second.u)
 
     def test_samplers_leave_shared_draws_unchanged(self, params):
         point = draw_point(5_000, seed=3)
-        interval = draw_interval(5_000, seed=3)
+        interval = next(draw_interval(5_000, seed=3))
         before = [a.copy() for a in (point.z, interval.z, interval.u)]
         for mode in ConditioningMode:
             sample_point_conditional(PointValue(G_110, mode), point, params)
@@ -382,7 +409,7 @@ class TestDraws:
         assert not any(a.flags.writeable for a in after)
 
     def test_mismatched_draws_fail_by_name(self, params):
-        # build_batch refuses interval draws for a point signal (test_measure_engine)
+        # build_interval_batches refuses point draws (test_measure_engine)
         sig = interval_signal_from_prices(109.0, 111.0, params)
         with pytest.raises(ValueError, match="needs draw_interval draws"):
             sample_indicator_conditional(sig, draw_point(100, seed=1), params,

@@ -22,7 +22,7 @@ from insider_hedge.insider_signal import (
     point_signal_from_price,
     sample_indicator_conditional,
 )
-from insider_hedge.measure_engine import build_batch
+from insider_hedge.measure_engine import build_batch, build_interval_batches
 from insider_hedge.model_core import (
     ModelParams,
     brownian_from_price,
@@ -32,7 +32,12 @@ from insider_hedge.model_core import (
 )
 from insider_hedge.np_solver import _STRIDE
 from insider_hedge.rng import BLOCK_SIZE
-from test_insider_signal import density_point_at, qg_density_indicator, sample_point_conditional
+from test_insider_signal import (
+    density_point_at,
+    interval_draws,
+    qg_density_indicator,
+    sample_point_conditional,
+)
 
 G_110 = 0.328590719217
 
@@ -49,15 +54,26 @@ CAPPED_TARGETS = {
 
 
 def seeded_draws(signal, n, seed):
-    """The draws the hedge command makes for the signal."""
+    """The draws of `seed` for the signal, whole: draw_point's, or for an interval
+    signal the whole-stream reference of draw_interval's blocks."""
     if isinstance(signal, IntervalIndicator):
-        return draw_interval(n, seed)
+        return interval_draws(n, seed)
     return draw_point(n, seed)
 
 
 def seeded_batch(signal, n, p, seed):
-    """build_batch on draws from `seed`, made as the hedge command makes them."""
-    return build_batch(signal, seeded_draws(signal, n, seed), p)
+    """The view the hedge command builds for the signal from `seed`: build_batch on
+    draw_point's draws, or build_interval_batches on draw_interval's blocks."""
+    if isinstance(signal, IntervalIndicator):
+        [view] = build_interval_batches([signal], draw_interval(n, seed), n, p)
+        return view
+    return build_batch(signal, draw_point(n, seed), p)
+
+
+def interval_batch(signal, draws, p):
+    """build_interval_batches' view of one interval signal, given its draws as one block."""
+    [view] = build_interval_batches([signal], [draws], draws.z.size, p)
+    return view
 
 
 def qg_density_point(w_t, g_w, p):
@@ -511,8 +527,8 @@ class TestIntervalPrune:
         # one interval above the default strike of 110 and one below it
         p = dataclasses.replace(params, strike=strike)
         sig = interval_signal_from_prices(*prices, p, observed=observed)
-        draws = draw_interval(20_000, seed=31)
-        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+        draws = interval_draws(20_000, seed=31)
+        assert_sorted_view_of(interval_batch(sig, draws, p), independent_d(sig, draws, p))
 
     @pytest.mark.parametrize("observed", [1, 0])
     def test_far_strike_samples_only_the_switch_bin(self, params, monkeypatch, observed):
@@ -521,7 +537,7 @@ class TestIntervalPrune:
         # no bound; either signal first maps the bins' edges; the view is all zeros
         p = dataclasses.replace(params, strike=1e5)
         sig = interval_signal_from_prices(109.0, 111.0, p, observed=observed)
-        draws = draw_interval(20_000, seed=31)
+        draws = interval_draws(20_000, seed=31)
         bins = measure_engine._BINS
         zero = dataclasses.replace(sig, observed=0)
         switch = int(ndtr(sig.a_w / math.sqrt(p.t_signal)) / indicator_prob(zero, p) * bins)
@@ -534,7 +550,8 @@ class TestIntervalPrune:
 
     @pytest.mark.parametrize("observed", [1, 0])
     def test_signal_probability_once_per_batch(self, params, monkeypatch, observed):
-        # the sampler and the density of every block take P(G = observed) from build_batch
+        # the sampler and the density of every block take P(G = observed) from
+        # build_interval_batches
         calls = []
 
         def counted(spec, p):
@@ -545,7 +562,7 @@ class TestIntervalPrune:
         for module in (insider_signal, measure_engine):
             monkeypatch.setattr(module, "indicator_prob", counted)
         sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
-        view = build_batch(sig, draw_interval(3 * BLOCK_SIZE + 7, seed=3), params)
+        view = seeded_batch(sig, 3 * BLOCK_SIZE + 7, params, seed=3)
         assert view.d.size and calls == [sig]
 
     @pytest.mark.parametrize("observed", [1, 0])
@@ -555,7 +572,7 @@ class TestIntervalPrune:
         # for G = 0, and one cut at b about 1.24 times as many for G = 1)
         sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
         n = 2**18
-        view, sampled = counted_build(sig, draw_interval(n, seed=0), params, monkeypatch)
+        view, sampled = counted_build(sig, interval_draws(n, seed=0), params, monkeypatch)
         assert 0 < view.d.size < sum(sampled) <= 1.1 * view.d.size + n / 64
 
     @settings(max_examples=100, deadline=None)
@@ -574,13 +591,13 @@ class TestIntervalPrune:
         p = ModelParams(mu=mu, sigma=sigma, s0=s0, strike=strike, t_expiry=t_expiry,
                         delta=delta)
         sig = interval_signal_from_prices(lo, lo + width, p, observed=observed)
-        draws = draw_interval(500, seed)
+        draws = interval_draws(500, seed)
         sd = math.sqrt(p.t_signal)
         if not insider_signal._normal_mass(sig.a_w / sd, sig.b_w / sd, observed) > 0.0:
             with pytest.raises(ValueError, match="probability 0"):
-                build_batch(sig, draws, p)
+                interval_batch(sig, draws, p)
             return
-        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+        assert_sorted_view_of(interval_batch(sig, draws, p), independent_d(sig, draws, p))
 
     @pytest.mark.parametrize("observed, prices", [(1, (106.0, 108.0)), (1, (100.0, 104.0)),
                                                   (0, (106.0, 108.0)), (0, (100.0, 104.0))])
@@ -603,13 +620,13 @@ class TestIntervalPrune:
         z_k = (w_k - w_td * params.t_expiry / td) / math.sqrt(params.t_expiry * params.delta / td)
         fans = [strike_fan(z) for z in z_k]
         draws = SignalDraws(np.concatenate(fans), np.repeat(u, [f.size for f in fans]))
-        view = build_batch(sig, draws, params)
+        view = interval_batch(sig, draws, params)
         assert 0 < view.d.size < view.n
         assert_sorted_view_of(view, independent_d(sig, draws, params))
 
 
 def counted_build(sig, draws, p, monkeypatch):
-    """build_batch's view, and the number of draws of each sample_indicator_conditional call."""
+    """interval_batch's view, and the number of draws of each sample_indicator_conditional call."""
     sampled = []
 
     def counted(*args, **kwargs):
@@ -621,7 +638,7 @@ def counted_build(sig, draws, p, monkeypatch):
     monkeypatch.setattr(measure_engine, "sample_indicator_conditional", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        view = build_batch(sig, draws, p)
+        view = interval_batch(sig, draws, p)
     monkeypatch.undo()
     return view, sampled
 
@@ -630,7 +647,7 @@ BLOCK_EDGE_SIZES = [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE +
 
 
 class TestBlocks:
-    """build_batch maps the draws in blocks of rng.BLOCK_SIZE; the view must not show where."""
+    """The draws are mapped in blocks of rng.BLOCK_SIZE; the view must not show where."""
 
     @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
     @pytest.mark.parametrize("strike", [0.0, 110.0])
@@ -648,8 +665,8 @@ class TestBlocks:
     def test_interval_view_matches_independent_d(self, params, observed, strike, n):
         p = dataclasses.replace(params, strike=strike)
         sig = interval_signal_from_prices(109.0, 111.0, p, observed=observed)
-        draws = draw_interval(n, seed=37)
-        assert_sorted_view_of(build_batch(sig, draws, p), independent_d(sig, draws, p))
+        assert_sorted_view_of(seeded_batch(sig, n, p, seed=37),
+                              independent_d(sig, interval_draws(n, seed=37), p))
 
     @pytest.mark.parametrize("mode, far, blocks", [
         # bridge mode: the slice starts at the first block edge and runs to the end
@@ -693,23 +710,66 @@ class TestBlockMemory:
         p = dataclasses.replace(params, strike=strike)
         if kind in (0, 1):
             sig = interval_signal_from_prices(112.0, 114.0, p, observed=kind)
-            draws = draw_interval(n, seed=5)
+            draws, build = interval_draws(n, seed=5), interval_batch
         else:
             sig = point_signal_from_price(110.0, p, kind)
-            draws = draw_point(n, seed=5)
-        # a first call leaves whatever numpy and scipy allocate once out of the count
-        build_batch(sig, draws, p)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            view = build_batch(sig, draws, p)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+            draws, build = draw_point(n, seed=5), build_batch
+        view, peak = traced_peak(lambda: build(sig, draws, p))
         assert peak <= view.d.nbytes + view.marks.nbytes + 8 * n + self.ALLOWANCE
+
+
+def traced_peak(build):
+    """build()'s result and the peak of the memory that tracemalloc traces during it,
+    above what was traced before.  A first call leaves whatever numpy and scipy
+    allocate once out of the count."""
+    build()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+STREAMED_SIZES = [1000, 2**15 + 3, 2**16, 3 * 2**16 + 5]
+
+
+class TestStreamedIntervalDraws:
+    """build_interval_batches maps draw_interval's blocks, one at a time, to every signal of
+    the call: the views must equal, bit for bit, those of the whole streams as one block,
+    and those of one signal at a time."""
+
+    @pytest.mark.parametrize("n", STREAMED_SIZES)
+    @pytest.mark.parametrize("observed", [1, 0])
+    def test_streamed_views_equal_whole_stream_views(self, params, observed, n):
+        sig = interval_signal_from_prices(109.0, 111.0, params, observed=observed)
+        assert_same_view(seeded_batch(sig, n, params, seed=33),
+                         interval_batch(sig, interval_draws(n, seed=33), params))
+
+    @pytest.mark.parametrize("n", STREAMED_SIZES)
+    def test_three_signals_equal_three_calls(self, params, n):
+        signals = [interval_signal_from_prices(109.0, 111.0, params),
+                   interval_signal_from_prices(106.0, 108.0, params, observed=0),
+                   interval_signal_from_prices(112.0, 114.0, params)]
+        views = build_interval_batches(signals, draw_interval(n, seed=33), n, params)
+        assert len(views) == 3
+        for sig, view in zip(signals, views):
+            assert_same_view(view, seeded_batch(sig, n, params, seed=33))
+
+    def test_one_view_holds_its_d_buffer_and_a_few_blocks(self, params):
+        # the draws are filled a block at a time into two reused buffers: a view of 2^20
+        # draws peaks at its buffer of D and a few blocks, where the 2n draws filled
+        # whole, 16 MiB, would come on top
+        n = 2**20
+        sig = interval_signal_from_prices(109.0, 111.0, params)
+        view, peak = traced_peak(lambda: seeded_batch(sig, n, params, seed=5))
+        assert view.n == n and view.d.size
+        assert peak <= 8 * n + 6 * 8 * BLOCK_SIZE
 
 
 class TestBuildBatchIndicator:
@@ -719,11 +779,11 @@ class TestBuildBatchIndicator:
 
     @pytest.fixture()
     def draws(self):
-        return draw_interval(200_000, seed=42)
+        return interval_draws(200_000, seed=42)
 
     @pytest.fixture()
-    def batch(self, signal, draws, params):
-        return build_batch(signal, draws, params)
+    def batch(self, signal, params):
+        return seeded_batch(signal, 200_000, params, seed=42)
 
     def test_per_sample_identities(self, batch, signal, draws, params):
         assert_sorted_view_of(batch, independent_d(signal, draws, params))
@@ -764,11 +824,29 @@ class TestBatchValidation:
     def test_rejects_mismatched_draws(self, params):
         point = point_signal_from_price(110.0, params)
         interval = interval_signal_from_prices(109.0, 111.0, params)
-        # build_batch tells the draws' kind by their uniforms before any work, so the
+        # each builder tells the draws' kind by their uniforms before any work, so the
         # refusal does not depend on the strike, which sets the draw-space cuts
         for strike in (110.0, 0.0):
             p = dataclasses.replace(params, strike=strike)
             with pytest.raises(ValueError, match="needs draw_interval draws"):
-                build_batch(interval, draw_point(100, seed=1), p)
+                interval_batch(interval, draw_point(100, seed=1), p)
             with pytest.raises(ValueError, match="needs draw_point draws"):
-                build_batch(point, draw_interval(100, seed=1), p)
+                build_batch(point, next(draw_interval(100, seed=1)), p)
+
+    def test_rejects_the_other_kind_of_signal(self, params):
+        point = point_signal_from_price(110.0, params)
+        interval = interval_signal_from_prices(109.0, 111.0, params)
+        with pytest.raises(TypeError, match="build_interval_batches"):
+            build_batch(interval, draw_point(100, seed=1), params)
+        with pytest.raises(TypeError, match="takes interval signals"):
+            build_interval_batches([interval, point], draw_interval(100, seed=1), 100, params)
+
+    @pytest.mark.parametrize("drawn, n, error", [
+        (100, 99, "the blocks hold more than n = 99 draws"),
+        (100, 101, "the blocks hold 100 draws, not n = 101"),
+        (BLOCK_SIZE + 1, 2 * BLOCK_SIZE, f"the blocks hold {BLOCK_SIZE + 1} draws, not n"),
+    ], ids=["more", "fewer", "fewer-blocks"])
+    def test_rejects_blocks_that_do_not_hold_n_draws(self, params, drawn, n, error):
+        sig = interval_signal_from_prices(109.0, 111.0, params)
+        with pytest.raises(ValueError, match=error):
+            build_interval_batches([sig], draw_interval(drawn, seed=1), n, params)
